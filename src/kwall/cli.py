@@ -423,3 +423,7 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

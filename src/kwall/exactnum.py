@@ -102,15 +102,17 @@ class SurdSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Iterable[tuple[int, RationalLike]] = ()) -> None:
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, RationalLike] = {}
         for d, q in terms:
-            q = Fraction(q)
-            if q == 0:
+            if not q:
                 continue
-            s, f = squarefree_decompose(d)
-            q *= s
-            acc[f] = acc.get(f, Fraction(0)) + q
-        self._terms = tuple(sorted((d, q) for d, q in acc.items() if q != 0))
+            if d != 1:
+                s, d = squarefree_decompose(d)
+                if s != 1:
+                    q = q * s
+            acc[d] = acc[d] + q if d in acc else q
+        self._terms = tuple((d, q if type(q) is Fraction else Fraction(q))
+                            for d, q in sorted(acc.items()) if q)
 
     # -- constructors ------------------------------------------------------
 

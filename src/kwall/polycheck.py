@@ -138,15 +138,11 @@ def cauchy_root_bound(p: Poly) -> Fraction:
 def _sign_right_of(p: Poly, a: Fraction) -> int:
     """Sign of p just to the right of a (0 only for the zero polynomial)."""
     q = poly(p)
-    fact = Fraction(1)
-    k = 0
     while q:
         v = poly_eval(q, a)
         if v != 0:
             return 1 if v > 0 else -1
         q = poly_deriv(q)
-        k += 1
-        fact *= k
     return 0
 
 

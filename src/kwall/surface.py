@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from .exactnum import render_fraction
@@ -92,12 +94,25 @@ class SurfaceModel:
     def rank(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _integer_gram(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(scale, scale * gram)`` with ``scale`` the lcm of the denominators."""
+        scale = lcm(*[x.denominator for row in self.gram for x in row])
+        return scale, tuple(tuple(x.numerator * (scale // x.denominator) for x in row)
+                            for row in self.gram)
+
     def intersect(self, d1: Vec, d2: Vec) -> Fraction:
-        if len(d1) != self.rank() or len(d2) != self.rank():
+        n = len(self.basis)
+        if len(d1) != n or len(d2) != n:
             raise ValueError(f"{self.name}: dimension mismatch")
-        return sum((d1[i] * self.gram[i][j] * d2[j]
-                    for i in range(self.rank()) for j in range(self.rank())),
-                   Fraction(0))
+        scale, rows = self._integer_gram
+        da, a = _integer_parts(d1)
+        db, b = _integer_parts(d2)
+        total = 0
+        for ai, row in zip(a, rows):
+            if ai:
+                total += ai * sum([g * bj for g, bj in zip(row, b) if bj])
+        return Fraction(total, scale * da * db)
 
     def self_intersection(self, d: Vec) -> Fraction:
         return self.intersect(d, d)
@@ -225,6 +240,12 @@ class SurfaceModel:
             "degree": render_fraction(self.degree),
             "classes": {k: [render_fraction(x) for x in v] for k, v in sorted(self.classes.items())},
         }
+
+
+def _integer_parts(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(den, nums)`` with ``v[i] == nums[i] / den`` and ``den`` the lcm of the denominators."""
+    den = lcm(*[x.denominator for x in v])
+    return den, [x.numerator * (den // x.denominator) for x in v]
 
 
 def fmt_vec(v: Vec) -> str:

@@ -127,10 +127,6 @@ class SProfile:
         return out
 
 
-def _dot(model: SurfaceModel, u: Vec, v: Vec) -> Fraction:
-    return model.intersect(u, v)
-
-
 def _rational_inside(lo: Number, hi: Number) -> Fraction:
     """Exact rational strictly between lo and hi (lo < hi required)."""
     lo_s = SurdSum._coerce(lo)
@@ -175,37 +171,14 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
     t_cur = Fraction(0)
     breakpoints: list[Number] = [Fraction(0)]
     segments: list[QuadraticPoly] = []
+    seg = _segment(model, l0, f_vec, support, t_cur)
 
     for _ in range(8 * len(gens) + 8):
-        p0, p1, xs = _segment_symbolics(model, l0, f_vec, support)
-        quad = QuadraticPoly(
-            _dot(model, p1, p1), -2 * _dot(model, p0, p1), _dot(model, p0, p0))
+        quad = seg.quad
         if quad(t_cur) < 0:
             raise ArithmeticError(f"{model.name}: negative volume at t={t_cur}")
-
-        events: list[Fraction] = []
-        for j, (_, c) in enumerate(gens):
-            if j in support:
-                continue
-            slope = _dot(model, p1, c)
-            value = _dot(model, p0, c)
-            if slope > 0:
-                root = value / slope
-                if root > t_cur:
-                    events.append(root)
-        for (x0, x1) in xs:
-            if x1 < 0:
-                root = x0 / (-x1)
-                if root > t_cur:
-                    events.append(root)
-
-        vol_root: Optional[SurdSum] = None
-        for r in quad.real_roots():
-            if r > t_cur:
-                vol_root = r
-                break
-
-        next_support = min(events) if events else None
+        next_support = min(seg.events) if seg.events else None
+        vol_root = seg.vol_root
         if vol_root is None and next_support is None:
             raise ArithmeticError(f"{model.name}: volume never reaches zero")
         if vol_root is not None and (next_support is None or vol_root <= next_support):
@@ -219,30 +192,49 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         assert next_support is not None
         breakpoints.append(next_support)
         segments.append(quad)
-        joining = [j for j, (_, c) in enumerate(gens)
-                   if j not in support
-                   and _dot(model, p1, c) > 0
-                   and _dot(model, p0, c) == next_support * _dot(model, p1, c)]
-        leaving = [support[i] for i, (x0, x1) in enumerate(xs)
+        joining = [j for j, (slope, value) in seg.pairings.items()
+                   if slope > 0 and value == next_support * slope]
+        leaving = [support[i] for i, (x0, x1) in enumerate(seg.xs)
                    if x1 < 0 and x0 == next_support * (-x1)]
         support = sorted((set(support) | set(joining)) - set(leaving))
         t_cur = next_support
 
         # validate the upcoming segment at an interior rational point;
         # on failure recompute the support from an honest decomposition
-        p0n, p1n, xsn = _segment_symbolics(model, l0, f_vec, support)
-        probe_hi = _next_event_bound(model, gens, support, p0n, p1n, xsn, t_cur)
-        sample = _rational_inside(t_cur, probe_hi)
-        if not _segment_valid(model, gens, support, p0n, p1n, xsn, sample):
+        seg = _segment(model, l0, f_vec, support, t_cur)
+        sample = _rational_inside(t_cur, _next_event_bound(seg))
+        if not _segment_valid(model, seg, sample):
             z = model.zariski_decompose(
                 vsub(l0, vscale(sample, f_vec)))
             support = sorted(i for i, (n, _) in enumerate(gens)
                              if n in z.support_names)
+            seg = _segment(model, l0, f_vec, support, t_cur)
     raise ArithmeticError(f"{model.name}: profile sweep did not terminate")
 
 
-def _segment_symbolics(model: SurfaceModel, l0: Vec, f_vec: Vec, support: list[int]):
-    """Symbolic P(t) = p0 - t*p1 and coefficients x_i(t) = x0_i + t*x1_i."""
+@dataclass(frozen=True)
+class _Segment:
+    """Sweep data of one support set, from ``t_cur`` on.
+
+    ``P(t) = p0 - t*p1`` and ``x_i(t) = x0_i + t*x1_i`` for the support
+    generators; ``pairings[j] = (p1.C_j, p0.C_j)`` for the generators outside
+    the support; ``events`` are the parameters after ``t_cur`` where one of
+    those pairings or coefficients reaches zero; ``vol_root`` is the first
+    root of ``P(t)^2`` after ``t_cur``.
+    """
+
+    t_cur: Fraction
+    p0: Vec
+    p1: Vec
+    xs: list[tuple[Fraction, Fraction]]
+    quad: QuadraticPoly
+    pairings: dict[int, tuple[Fraction, Fraction]]
+    events: list[Fraction]
+    vol_root: Optional[SurdSum]
+
+
+def _segment(model: SurfaceModel, l0: Vec, f_vec: Vec, support: list[int],
+             t_cur: Fraction) -> _Segment:
     gens = [model.cone[i][1] for i in support]
     if gens:
         gram = [[model.intersect(gi, gj) for gj in gens] for gi in gens]
@@ -262,41 +254,38 @@ def _segment_symbolics(model: SurfaceModel, l0: Vec, f_vec: Vec, support: list[i
         p0 = vsub(p0, vscale(a0, g))
         p1 = vsub(p1, vscale(a1, g))
     xs = [(a0, -a1) for a0, a1 in zip(x0, x1)]
-    return p0, p1, xs
+
+    quad = QuadraticPoly(model.intersect(p1, p1), -2 * model.intersect(p0, p1),
+                         model.intersect(p0, p0))
+    pairings = {j: (model.intersect(p1, c), model.intersect(p0, c))
+                for j, (_, c) in enumerate(model.cone) if j not in support}
+    roots = [value / slope for slope, value in pairings.values() if slope > 0]
+    roots += [x0 / (-x1) for x0, x1 in xs if x1 < 0]
+    events = [r for r in roots if r > t_cur]
+    vol_root = next((r for r in quad.real_roots() if r > t_cur), None)
+    return _Segment(t_cur, p0, p1, xs, quad, pairings, events, vol_root)
 
 
-def _next_event_bound(model, gens, support, p0, p1, xs, t_cur: Fraction) -> Fraction:
-    cands = []
-    for j, (_, c) in enumerate(gens):
-        if j in support:
-            continue
-        slope = _dot(model, p1, c)
-        if slope > 0:
-            root = _dot(model, p0, c) / slope
-            if root > t_cur:
-                cands.append(root)
-    for x0, x1 in xs:
-        if x1 < 0 and x0 / (-x1) > t_cur:
-            cands.append(x0 / (-x1))
-    quad = QuadraticPoly(_dot(model, p1, p1), -2 * _dot(model, p0, p1), _dot(model, p0, p0))
-    for r in quad.real_roots():
-        if r > t_cur:
-            if r.is_rational():
-                cands.append(r.as_fraction())
-            else:
-                lo, _ = r.enclosure(64)
-                if lo > t_cur:
-                    cands.append(lo)
-            break
-    return min(cands) if cands else t_cur + 1
+def _next_event_bound(seg: _Segment) -> Fraction:
+    """A rational after ``seg.t_cur``, no later than the segment's end."""
+    cands = list(seg.events)
+    r = seg.vol_root
+    if r is not None:
+        if r.is_rational():
+            cands.append(r.as_fraction())
+        else:
+            lo, _ = r.enclosure(64)
+            if lo > seg.t_cur:
+                cands.append(lo)
+    return min(cands) if cands else seg.t_cur + 1
 
 
-def _segment_valid(model, gens, support, p0, p1, xs, sample: Fraction) -> bool:
-    for x0, x1 in xs:
+def _segment_valid(model: SurfaceModel, seg: _Segment, sample: Fraction) -> bool:
+    for x0, x1 in seg.xs:
         if x0 + x1 * sample < 0:
             return False
-    pv = vsub(p0, vscale(sample, p1))
-    return all(model.intersect(pv, c) >= 0 for _, c in gens)
+    pv = vsub(seg.p0, vscale(sample, seg.p1))
+    return all(model.intersect(pv, c) >= 0 for _, c in model.cone)
 
 
 # ---------------------------------------------------------------------------

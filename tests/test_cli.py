@@ -1,7 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 from kwall.cli import run
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def invoke(*argv):
@@ -188,3 +193,12 @@ class TestCertifyProfileSurfaces:
     def test_unknown_subcommand_usage(self):
         code, _ = invoke("nonsense")
         assert code == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "kwall.cli", "surfaces"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == invoke("surfaces")[1]
+        assert "index3m" in proc.stdout

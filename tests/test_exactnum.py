@@ -46,6 +46,30 @@ class TestNormalization:
         assert (sqrt(3) - sqrt(3)).is_zero()
         assert (rat(5) + rat(-5)).terms == ()
 
+    def test_int_and_fraction_coefficients_agree(self):
+        x = SurdSum([(1, 3), (2, -2), (12, F(1, 2))])
+        y = SurdSum([(1, F(3)), (2, F(-2)), (12, F(1, 2))])
+        assert x == y and hash(x) == hash(y)
+        assert x.terms == ((1, F(3)), (2, F(-2)), (3, F(1)))
+        assert all(type(q) is F for _, q in x.terms)
+        assert all(type(q) is F for _, q in SurdSum([(1, 5), (8, 1)]).terms)
+
+    def test_zero_and_repeated_radicands(self):
+        assert SurdSum([(2, 0), (3, F(0)), (5, 1)]).terms == ((5, F(1)),)
+        assert SurdSum([(7, 0)]) == SurdSum()
+        assert sqrt(8) + sqrt(2) == sqrt(2) * 3
+        assert SurdSum([(8, 1), (2, 1), (18, F(1, 3))]).terms == ((2, F(4)),)
+        assert SurdSum([(1, 2), (4, 1), (9, F(-1, 3))]) == rat(3)
+
+    def test_full_cancellation(self):
+        x = SurdSum([(2, 1), (8, F(-1, 2)), (1, 3), (1, -3)])
+        assert x == SurdSum() and x.terms == ()
+        assert hash(x) == hash(SurdSum())
+        assert SurdSum([(12, 1), (3, -2)]) == SurdSum()
+        y = SurdSum([(1, F(1, 2)), (50, 1)])
+        z = SurdSum([(2, 5), (1, F(2, 4))])
+        assert y == z and hash(y) == hash(z)
+
     def test_distinct_radicals_independent(self):
         # sqrt(2) + sqrt(3) - sqrt(2) - sqrt(3) must normalize to empty
         x = sqrt(2) + sqrt(3) - sqrt(2) - sqrt(3)
