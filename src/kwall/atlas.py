@@ -134,22 +134,31 @@ def bundled_atlas() -> WallAtlas:
     return WallAtlas()
 
 
+class AtlasFormatError(ValueError):
+    """An atlas document that is not valid JSON or lacks a required field."""
+
+
 def atlas_from_json(data: dict) -> WallAtlas:
-    branches = []
-    for row in data["branches"]:
-        branches.append(WallBranch(
-            wall=Fraction(row["wall"]),
-            surface=row["surface"],
-            curve=row["curve"],
-            weight=tuple(row["weight"]),
-            singularity=row["singularity"],
-            dim_center=row["dim_center"],
-            e_minus_dim=row["e_minus_dim"],
-            nl_label=row["nl_label"],
-            nl_dim=row["nl_dim"],
-            crossing=row.get("crossing", "flip"),
-        ))
-    return WallAtlas(tuple(branches), version=data.get("version", 0))
+    try:
+        branches = []
+        for row in data["branches"]:
+            branches.append(WallBranch(
+                wall=Fraction(row["wall"]),
+                surface=row["surface"],
+                curve=row["curve"],
+                weight=tuple(row["weight"]),
+                singularity=row["singularity"],
+                dim_center=row["dim_center"],
+                e_minus_dim=row["e_minus_dim"],
+                nl_label=row["nl_label"],
+                nl_dim=row["nl_dim"],
+                crossing=row.get("crossing", "flip"),
+            ))
+        return WallAtlas(tuple(branches), version=data.get("version", 0))
+    except KeyError as exc:
+        raise AtlasFormatError(f"atlas field {exc.args[0]!r} is missing") from exc
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise AtlasFormatError(f"malformed atlas: {exc}") from exc
 
 
 def load_atlas(path: Optional[str] = None) -> WallAtlas:
@@ -160,7 +169,11 @@ def load_atlas(path: Optional[str] = None) -> WallAtlas:
     if path is None:
         return bundled_atlas()
     with open(path, "r", encoding="utf-8") as fh:
-        return atlas_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise AtlasFormatError(f"{path}: not valid JSON ({exc})") from exc
+    return atlas_from_json(data)
 
 
 def diff_atlas(a: WallAtlas, b: WallAtlas) -> list[str]:

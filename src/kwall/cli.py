@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .atlas import bundled_atlas, diff_atlas, load_atlas
+from .atlas import AtlasFormatError, bundled_atlas, diff_atlas, load_atlas
 from .exactnum import render_fraction, render_surd
 from .hkl import audit_dim_formula, cone_report, map_walls
 from .pairs import CurveSyntaxError, DegenerateWeightError, parse_curve, onePS_to_chart
@@ -45,6 +45,10 @@ class CheckFailure(Exception):
     pass
 
 
+class UsageError(Exception):
+    """Bad input found after parsing, such as an unreadable or malformed file; exit 2."""
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -62,11 +66,31 @@ def _weights(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _bound(text: str) -> int:
+    try:
+        bound = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if bound < 12:
+        raise argparse.ArgumentTypeError("grid bound must be at least 12")
+    return bound
+
+
 def _load_curve_arg(text: str, surface: str):
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
-            text = fh.read().strip()
+        try:
+            with open(text[1:], "r", encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read curve file {text[1:]!r}: {exc}") from exc
     return parse_curve(text, surface)
+
+
+def _load_atlas_arg(path: Optional[str]):
+    try:
+        return load_atlas(path)
+    except (OSError, UnicodeDecodeError, AtlasFormatError) as exc:
+        raise UsageError(f"cannot load atlas: {exc}") from exc
 
 
 def _emit(payload: dict, rows: Optional[list[dict]], fmt: str, stream) -> None:
@@ -102,7 +126,7 @@ def _emit(payload: dict, rows: Optional[list[dict]], fmt: str, stream) -> None:
 
 def _cmd_walls(args, out) -> int:
     surfaces = ["f1", "blp114"] if args.surface == "all" else [args.surface]
-    atlas = load_atlas(args.atlas)
+    atlas = _load_atlas_arg(args.atlas)
     rows = []
     payload: dict = {"walls": {}}
     for surface in surfaces:
@@ -237,7 +261,7 @@ def _cmd_threshold(args, out) -> int:
 
 
 def _cmd_hkl(args, out) -> int:
-    atlas = load_atlas(args.atlas)
+    atlas = _load_atlas_arg(args.atlas)
     if args.what == "map":
         rep = map_walls(atlas)
         rows = [row for surface in ("f1", "blp114") for row in rep["images"][surface]]
@@ -256,7 +280,7 @@ def _cmd_tables(args, out) -> int:
     if args.emit:
         out.write(bundled_atlas().dumps())
         return 0
-    other = load_atlas(args.atlas)
+    other = _load_atlas_arg(args.atlas)
     diffs = diff_atlas(bundled_atlas(), other)
     payload = {"match": not diffs, "diffs": diffs}
     _emit(payload, [{"diff": d} for d in diffs] or [{"diff": "none"}],
@@ -357,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact stability-threshold interval of a pair")
     p.add_argument("--surface", choices=("f1", "blp114"), required=True)
     p.add_argument("--curve", required=True)
-    p.add_argument("--bound", type=int, default=30)
+    p.add_argument("--bound", type=_bound, default=30)
     p.add_argument("--grid", action="store_true",
                    help="also run the redundant grid cross-check")
     p.set_defaults(func=_cmd_threshold)
@@ -416,6 +440,9 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (CurveSyntaxError, DegenerateWeightError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -437,12 +437,23 @@ class QuadraticPoly:
         if disc < 0:
             return []
         sq = SurdSum.sqrt(disc)
-        roots = [(-sq - self.c1) / (2 * self.c2), (sq - self.c1) / (2 * self.c2)]
-        roots.sort()
-        return roots
+        minus, plus = (-sq - self.c1) / (2 * self.c2), (sq - self.c1) / (2 * self.c2)
+        # sqrt(disc) >= 0, so the order of the two roots is the sign of c2
+        return [minus, plus] if self.c2 > 0 else [plus, minus]
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c2, self.c1, self.c0)
+
+
+def rational_or_surd(x: Number) -> Union[Fraction, "SurdSum"]:
+    """``x`` as a ``Fraction`` when it is rational, else as a ``SurdSum``.
+
+    Rational values then take the plain ``Fraction`` paths of comparisons and
+    of :class:`QuadraticPoly`.
+    """
+    if isinstance(x, SurdSum):
+        return x.as_fraction() if x.is_rational() else x
+    return Fraction(x)
 
 
 class PiecewiseQuadratic:
@@ -450,18 +461,21 @@ class PiecewiseQuadratic:
 
     Breakpoints are exact (rational or quadratic surd), strictly increasing,
     and start at 0; the final breakpoint is the profile end ``tau``.
+    ``breakpoints`` holds them as ``SurdSum``; evaluation works on rational
+    breakpoints as ``Fraction``.
     """
 
     def __init__(self, breakpoints: Sequence[Number], segments: Sequence[QuadraticPoly]):
-        bps = [SurdSum._coerce(b) for b in breakpoints]
-        if len(bps) != len(segments) + 1:
+        points = [rational_or_surd(b) for b in breakpoints]
+        if len(points) != len(segments) + 1:
             raise ExactDomainError("need one more breakpoint than segments")
-        if bps and bps[0] != SurdSum() and bps[0].sign() != 0:
+        if points and points[0] != 0:
             raise ExactDomainError("profile must start at 0")
-        for a, b in zip(bps, bps[1:]):
+        for a, b in zip(points, points[1:]):
             if not a < b:
                 raise ExactDomainError("breakpoints must increase strictly")
-        self.breakpoints = bps
+        self._points = points
+        self.breakpoints = [SurdSum._coerce(b) for b in points]
         self.segments = list(segments)
 
     @property
@@ -479,29 +493,36 @@ class PiecewiseQuadratic:
 
     def check_continuity(self) -> None:
         for k in range(len(self.segments) - 1):
-            b = self.breakpoints[k + 1]
-            left = SurdSum._coerce(self.segments[k](b))
-            right = SurdSum._coerce(self.segments[k + 1](b))
+            b = self._points[k + 1]
+            left = self.segments[k](b)
+            right = self.segments[k + 1](b)
             if left != right:
                 raise ExactDomainError(f"discontinuous at {b}: {left} != {right}")
 
     def integrate(self, lo: Number, hi: Number) -> SurdSum:
-        lo = SurdSum._coerce(lo)
-        hi = SurdSum._coerce(hi)
+        lo = rational_or_surd(lo)
+        hi = rational_or_surd(hi)
         if lo > hi:
             raise ExactDomainError("reversed integration bounds")
-        if lo < 0 or hi > self.tau:
+        if lo < 0 or hi > self._points[-1]:
             raise ExactDomainError("integration bounds outside [0, tau]")
-        total = SurdSum()
+        # rational antiderivative values sum as one Fraction; only the
+        # terms of irrational ones go through SurdSum normalization
+        rational = Fraction(0)
+        surds: list[tuple[int, Fraction]] = []
         for k, seg in enumerate(self.segments):
-            a = self.breakpoints[k]
-            b = self.breakpoints[k + 1]
+            a = self._points[k]
+            b = self._points[k + 1]
             left = a if a > lo else lo
             right = b if b < hi else hi
             if left < right:
-                total = total + SurdSum._coerce(seg.antiderivative(right)) \
-                    - SurdSum._coerce(seg.antiderivative(left))
-        return total
+                for x, sign in ((right, 1), (left, -1)):
+                    value = seg.antiderivative(x)
+                    if isinstance(value, Fraction):
+                        rational += sign * value
+                    else:
+                        surds.extend((d, sign * q) for d, q in value.terms)
+        return SurdSum([(1, rational), *surds])
 
 
 def integrate_piecewise(f: PiecewiseQuadratic, lo: Number, hi: Number) -> SurdSum:

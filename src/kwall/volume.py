@@ -22,6 +22,7 @@ from .exactnum import (
     PiecewiseQuadratic,
     QuadraticPoly,
     SurdSum,
+    rational_or_surd,
     render_surd,
 )
 from .surface import SurfaceModel, Vec, builtin_surface, vsub, vscale, solve_linear
@@ -127,21 +128,6 @@ class SProfile:
         return out
 
 
-def _rational_inside(lo: Number, hi: Number) -> Fraction:
-    """Exact rational strictly between lo and hi (lo < hi required)."""
-    lo_s = SurdSum._coerce(lo)
-    hi_s = SurdSum._coerce(hi)
-    if lo_s.is_rational() and hi_s.is_rational():
-        return (lo_s.as_fraction() + hi_s.as_fraction()) / 2
-    bits = 16
-    while True:
-        l_lo, l_hi = lo_s.enclosure(bits)
-        h_lo, h_hi = hi_s.enclosure(bits)
-        if l_hi < h_lo:
-            return (l_hi + h_lo) / 2
-        bits *= 2
-
-
 def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
                    f: Optional[Union[str, Vec]] = None) -> SProfile:
     """Exact piecewise-quadratic vol(l0 - t*f) on [0, tau].
@@ -161,19 +147,18 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         f_vec = model.cone_class(f)
     else:
         f_name, f_vec = "custom", f
-    if not model.is_nef(l0):
+    table = _pairing_table(model, l0, f_vec)
+    if any(x < 0 for x in table.l0_row):
         raise ExactDomainError(f"{model.name}: profile origin class is not nef")
-    if model.self_intersection(l0) <= 0:
+    if table.l0_l0 <= 0:
         raise ExactDomainError(f"{model.name}: profile origin class is not big")
 
-    gens = list(model.cone)
-    support: list[int] = []
     t_cur = Fraction(0)
-    breakpoints: list[Number] = [Fraction(0)]
+    breakpoints: list[Number] = [t_cur]
     segments: list[QuadraticPoly] = []
-    seg = _segment(model, l0, f_vec, support, t_cur)
+    seg = _segment(table, [], t_cur)
 
-    for _ in range(8 * len(gens) + 8):
+    for _ in range(8 * len(model.cone) + 8):
         quad = seg.quad
         if quad(t_cur) < 0:
             raise ArithmeticError(f"{model.name}: negative volume at t={t_cur}")
@@ -186,7 +171,7 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
             segments.append(quad)
             profile = PiecewiseQuadratic(breakpoints, segments)
             profile.check_continuity()
-            raw = profile.integrate(0, profile.tau)
+            raw = profile.integrate(0, vol_root)
             return SProfile(model.name, f_name, profile, raw, model.degree)
 
         assert next_support is not None
@@ -194,98 +179,127 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         segments.append(quad)
         joining = [j for j, (slope, value) in seg.pairings.items()
                    if slope > 0 and value == next_support * slope]
-        leaving = [support[i] for i, (x0, x1) in enumerate(seg.xs)
+        leaving = [i for i, (x0, x1) in seg.xs.items()
                    if x1 < 0 and x0 == next_support * (-x1)]
-        support = sorted((set(support) | set(joining)) - set(leaving))
+        support = sorted((set(seg.xs) | set(joining)) - set(leaving))
         t_cur = next_support
 
         # validate the upcoming segment at an interior rational point;
         # on failure recompute the support from an honest decomposition
-        seg = _segment(model, l0, f_vec, support, t_cur)
-        sample = _rational_inside(t_cur, _next_event_bound(seg))
-        if not _segment_valid(model, seg, sample):
+        seg = _segment(table, support, t_cur)
+        sample = (t_cur + _next_event_bound(seg)) / 2
+        if not _segment_valid(seg, sample):
             z = model.zariski_decompose(
                 vsub(l0, vscale(sample, f_vec)))
-            support = sorted(i for i, (n, _) in enumerate(gens)
+            support = sorted(i for i, (n, _) in enumerate(model.cone)
                              if n in z.support_names)
-            seg = _segment(model, l0, f_vec, support, t_cur)
+            seg = _segment(table, support, t_cur)
     raise ArithmeticError(f"{model.name}: profile sweep did not terminate")
+
+
+@dataclass(frozen=True)
+class _PairingTable:
+    """Every intersection number one profile sweep needs.
+
+    ``gram[i][j] = C_i.C_j`` over the cone generators, ``l0_row[j] = l0.C_j``
+    and ``f_row[j] = f.C_j``.  On a fixed support every pairing of
+    ``P(t) = l0 - t*f - sum x_i(t) C_i`` is a combination of these numbers.
+    """
+
+    name: str
+    gram: list[list[Fraction]]
+    l0_row: list[Fraction]
+    f_row: list[Fraction]
+    l0_l0: Fraction
+    l0_f: Fraction
+    f_f: Fraction
+
+
+def _pairing_table(model: SurfaceModel, l0: Vec, f_vec: Vec) -> _PairingTable:
+    gens = [c for _, c in model.cone]
+    n = len(gens)
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = model.intersect(gens[i], gens[j])
+    return _PairingTable(
+        model.name, gram,
+        [model.intersect(l0, c) for c in gens],
+        [model.intersect(f_vec, c) for c in gens],
+        model.intersect(l0, l0), model.intersect(l0, f_vec),
+        model.intersect(f_vec, f_vec))
 
 
 @dataclass(frozen=True)
 class _Segment:
     """Sweep data of one support set, from ``t_cur`` on.
 
-    ``P(t) = p0 - t*p1`` and ``x_i(t) = x0_i + t*x1_i`` for the support
-    generators; ``pairings[j] = (p1.C_j, p0.C_j)`` for the generators outside
-    the support; ``events`` are the parameters after ``t_cur`` where one of
-    those pairings or coefficients reaches zero; ``vol_root`` is the first
-    root of ``P(t)^2`` after ``t_cur``.
+    ``xs[i] = (x0_i, x1_i)`` gives the coefficient ``x0_i + t*x1_i`` of each
+    support generator in ``N(t)``; ``pairings[j] = (slope, value)`` gives
+    ``P(t).C_j = value - t*slope`` for each generator outside the support
+    (support generators pair to 0); ``events`` are the parameters after
+    ``t_cur`` where one of those pairings or coefficients reaches zero;
+    ``vol_root`` is the first root of ``P(t)^2`` after ``t_cur``.
     """
 
     t_cur: Fraction
-    p0: Vec
-    p1: Vec
-    xs: list[tuple[Fraction, Fraction]]
+    xs: dict[int, tuple[Fraction, Fraction]]
     quad: QuadraticPoly
     pairings: dict[int, tuple[Fraction, Fraction]]
     events: list[Fraction]
-    vol_root: Optional[SurdSum]
+    vol_root: Optional[Union[Fraction, SurdSum]]
 
 
-def _segment(model: SurfaceModel, l0: Vec, f_vec: Vec, support: list[int],
-             t_cur: Fraction) -> _Segment:
-    gens = [model.cone[i][1] for i in support]
-    if gens:
-        gram = [[model.intersect(gi, gj) for gj in gens] for gi in gens]
-        r0 = [model.intersect(l0, gi) for gi in gens]
-        r1 = [model.intersect(f_vec, gi) for gi in gens]
-        x0 = solve_linear(gram, r0)
-        x1 = solve_linear(gram, r1)
+def _segment(table: _PairingTable, support: list[int], t_cur: Fraction) -> _Segment:
+    gram = table.gram
+    r0 = [table.l0_row[i] for i in support]
+    r1 = [table.f_row[i] for i in support]
+    if support:
+        block = [[gram[i][j] for j in support] for i in support]
+        x0 = solve_linear(block, r0)
+        x1 = solve_linear(block, r1)
         if x0 is None or x1 is None:
-            raise ArithmeticError(f"{model.name}: singular support Gram block")
+            raise ArithmeticError(f"{table.name}: singular support Gram block")
     else:
         x0, x1 = [], []
-    # x_i(t) = x0_i - t*x1_i solves Gram x = (l0 - t f).C, so
-    # P(t) = (l0 - sum x0_i C_i) - t (f - sum x1_i C_i) =: p0 - t p1
-    p0 = l0
-    p1 = f_vec
-    for g, a0, a1 in zip(gens, x0, x1):
-        p0 = vsub(p0, vscale(a0, g))
-        p1 = vsub(p1, vscale(a1, g))
-    xs = [(a0, -a1) for a0, a1 in zip(x0, x1)]
-
-    quad = QuadraticPoly(model.intersect(p1, p1), -2 * model.intersect(p0, p1),
-                         model.intersect(p0, p0))
-    pairings = {j: (model.intersect(p1, c), model.intersect(p0, c))
-                for j, (_, c) in enumerate(model.cone) if j not in support}
+    # x(t) = x0 - t*x1 solves Gram x = (l0 - t f).C on the support, so
+    # P(t) = p0 - t*p1 with p0 = l0 - sum x0_i C_i, p1 = f - sum x1_i C_i;
+    # by Gram x0 = r0 and Gram x1 = r1:
+    # p0.p0 = l0.l0 - x0.r0, p0.p1 = l0.f - x0.r1, p1.p1 = f.f - x1.r1
+    p00 = table.l0_l0 - sum(a * r for a, r in zip(x0, r0))
+    p01 = table.l0_f - sum(a * r for a, r in zip(x0, r1))
+    p11 = table.f_f - sum(a * r for a, r in zip(x1, r1))
+    quad = QuadraticPoly(p11, -2 * p01, p00)
+    xs = {i: (a0, -a1) for i, a0, a1 in zip(support, x0, x1)}
+    pairings = {}
+    for j, row in enumerate(gram):
+        if j not in xs:
+            pairings[j] = (table.f_row[j] - sum(a * row[i] for i, a in zip(support, x1)),
+                           table.l0_row[j] - sum(a * row[i] for i, a in zip(support, x0)))
     roots = [value / slope for slope, value in pairings.values() if slope > 0]
-    roots += [x0 / (-x1) for x0, x1 in xs if x1 < 0]
+    roots += [a0 / (-a1) for a0, a1 in xs.values() if a1 < 0]
     events = [r for r in roots if r > t_cur]
-    vol_root = next((r for r in quad.real_roots() if r > t_cur), None)
-    return _Segment(t_cur, p0, p1, xs, quad, pairings, events, vol_root)
+    vol_root = next((r for r in map(rational_or_surd, quad.real_roots()) if r > t_cur), None)
+    return _Segment(t_cur, xs, quad, pairings, events, vol_root)
 
 
 def _next_event_bound(seg: _Segment) -> Fraction:
     """A rational after ``seg.t_cur``, no later than the segment's end."""
     cands = list(seg.events)
     r = seg.vol_root
-    if r is not None:
-        if r.is_rational():
-            cands.append(r.as_fraction())
-        else:
-            lo, _ = r.enclosure(64)
-            if lo > seg.t_cur:
-                cands.append(lo)
+    if isinstance(r, Fraction):
+        cands.append(r)
+    elif r is not None:
+        lo, _ = r.enclosure(64)
+        if lo > seg.t_cur:
+            cands.append(lo)
     return min(cands) if cands else seg.t_cur + 1
 
 
-def _segment_valid(model: SurfaceModel, seg: _Segment, sample: Fraction) -> bool:
-    for x0, x1 in seg.xs:
-        if x0 + x1 * sample < 0:
-            return False
-    pv = vsub(seg.p0, vscale(sample, seg.p1))
-    return all(model.intersect(pv, c) >= 0 for _, c in model.cone)
+def _segment_valid(seg: _Segment, sample: Fraction) -> bool:
+    """Whether ``P(sample)`` is nef and ``N(sample)`` effective on the support."""
+    return (all(x0 + x1 * sample >= 0 for x0, x1 in seg.xs.values())
+            and all(value - sample * slope >= 0 for slope, value in seg.pairings.values()))
 
 
 # ---------------------------------------------------------------------------

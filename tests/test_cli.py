@@ -4,7 +4,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from kwall.cli import run
+from kwall.pairs import parse_curve
+from kwall.stability import threshold
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -116,6 +120,31 @@ class TestBetaThresholdCommands:
         code, _ = invoke("threshold", "--surface", "f1", "--curve", "x^5*y")
         assert code == 1
 
+    def test_missing_curve_file_usage(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        code, out = invoke("beta", "--surface", "f1", "--curve", f"@{missing}",
+                           "--c", "1/10")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_curve_file_read(self, tmp_path):
+        path = tmp_path / "curve.txt"
+        path.write_text("x^3*z^3+x*y^5\n", encoding="utf-8")
+        assert invoke("threshold", "--surface", "f1", "--curve", f"@{path}") \
+            == invoke("threshold", "--surface", "f1", "--curve", "x^3*z^3+x*y^5")
+
+    def test_small_bound_usage(self, capsys):
+        code, out = invoke("threshold", "--surface", "f1", "--curve",
+                           "x^3*z^3+x*y^5", "--bound", "5")
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].endswith(
+            "argument --bound: grid bound must be at least 12")
+        # library callers still get the ValueError
+        with pytest.raises(ValueError):
+            threshold(parse_curve("x^3*z^3+x*y^5", "f1"), bound=5)
+
 
 class TestHklCommands:
     def test_map(self):
@@ -155,6 +184,16 @@ class TestTablesCommands:
         code, out = invoke("tables", "--check", "--atlas", str(path))
         assert code == 1
         assert json.loads(out)["diffs"]
+
+    @pytest.mark.parametrize("text", ["{}", "{not json", "[]",
+                                      '{"branches": [{"wall": "1/x"}]}'])
+    def test_check_malformed_atlas_usage(self, tmp_path, capsys, text):
+        path = tmp_path / "atlas.json"
+        path.write_text(text, encoding="utf-8")
+        code, out = invoke("tables", "--check", "--atlas", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCertifyProfileSurfaces:

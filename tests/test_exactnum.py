@@ -233,3 +233,95 @@ class TestQuadraticAndPiecewise:
     def test_breakpoints_increase(self):
         with pytest.raises(ExactDomainError):
             PiecewiseQuadratic([0, 0], [QuadraticPoly(F(0), F(0), F(1))])
+
+
+def _naive_integral(f, lo, hi):
+    """Integral with every bound and breakpoint taken as a SurdSum."""
+    lo, hi = SurdSum._coerce(lo), SurdSum._coerce(hi)
+    total = SurdSum()
+    for k, seg in enumerate(f.segments):
+        left = max(SurdSum._coerce(f.breakpoints[k]), lo)
+        right = min(SurdSum._coerce(f.breakpoints[k + 1]), hi)
+        if left < right:
+            total = total + seg.antiderivative(right) - seg.antiderivative(left)
+    return total
+
+
+def _mixed_profile():
+    # breakpoints 0, 1, sqrt(2), 3/2, 1+sqrt(3), 3; each segment differs from
+    # the previous one by a multiple of the breakpoint's minimal polynomial
+    q0 = QuadraticPoly(F(0), F(-1), F(8))
+    q1 = QuadraticPoly(q0.c2 - F(1, 2), q0.c1 + 1, q0.c0 - F(1, 2))       # -(t-1)^2/2
+    q2 = QuadraticPoly(q1.c2 - 1, q1.c1, q1.c0 + 2)                       # -(t^2-2)
+    q3 = QuadraticPoly(q2.c2, q2.c1 + 3, q2.c0 - F(9, 2))                 # 3(t-3/2)
+    q4 = QuadraticPoly(q3.c2 + F(1, 3), q3.c1 - F(2, 3), q3.c0 - F(2, 3))  # (t^2-2t-2)/3
+    bps = [0, 1, sqrt(2), F(3, 2), sqrt(3) + 1, 3]
+    return PiecewiseQuadratic(bps, [q0, q1, q2, q3, q4])
+
+
+class TestMixedBreakpoints:
+    def test_public_types_stay_surd(self):
+        f = _mixed_profile()
+        assert all(isinstance(b, SurdSum) for b in f.breakpoints)
+        assert isinstance(f.tau, SurdSum) and f.tau == rat(3)
+        assert isinstance(f.integrate(0, 1), SurdSum)
+        assert isinstance(f.integrate(0, F(1, 2)), SurdSum)
+
+    def test_continuity_matches_naive(self):
+        f = _mixed_profile()
+        f.check_continuity()
+        for k in range(len(f.segments) - 1):
+            b = f.breakpoints[k + 1]
+            assert SurdSum._coerce(f.segments[k](b)) == SurdSum._coerce(f.segments[k + 1](b))
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0, 3), (0, 1), (F(1, 3), F(5, 2)), (1, F(3, 2)), (F(3, 2), 3),
+        (sqrt(2), sqrt(3) + 1), (sqrt(2) / 2, sqrt(3)), (sqrt(3), sqrt(3) + 1),
+        (F(1, 2), sqrt(3)), (sqrt(2), F(3, 2)), (F(3, 2), sqrt(3) + 1),
+        (sqrt(2), sqrt(2)), (F(7, 5), F(7, 5)),
+    ])
+    def test_integrate_matches_naive(self, lo, hi):
+        f = _mixed_profile()
+        assert f.integrate(lo, hi) == _naive_integral(f, lo, hi)
+
+    def test_integrate_rational_bounds_given_as_surd(self):
+        f = _mixed_profile()
+        assert f.integrate(rat(F(1, 3)), rat(F(5, 2))) == f.integrate(F(1, 3), F(5, 2))
+
+    def test_additivity_across_kinds(self):
+        f = _mixed_profile()
+        cuts = [0, F(1, 2), sqrt(2), F(3, 2), sqrt(3), 3]
+        total = SurdSum()
+        for lo, hi in zip(cuts, cuts[1:]):
+            total = total + f.integrate(lo, hi)
+        assert total == f.integrate(0, 3)
+
+    def test_discontinuity_at_rational_breakpoint(self):
+        f = _mixed_profile()
+        jump = f.segments[:3] + [QuadraticPoly(F(-1), F(3), F(-1))] + f.segments[4:]
+        bad = PiecewiseQuadratic(f.breakpoints, jump)
+        with pytest.raises(ExactDomainError, match="discontinuous at 3/2"):
+            bad.check_continuity()
+
+    def test_discontinuity_at_surd_breakpoint(self):
+        f = _mixed_profile()
+        jump = f.segments[:2] + [QuadraticPoly(F(-1, 2), F(0), F(7))] + f.segments[3:]
+        bad = PiecewiseQuadratic(f.breakpoints, jump)
+        with pytest.raises(ExactDomainError, match="sqrt"):
+            bad.check_continuity()
+
+    def test_bounds_checked_in_mixed_kinds(self):
+        f = _mixed_profile()
+        with pytest.raises(ExactDomainError):
+            f.integrate(0, sqrt(10))
+        with pytest.raises(ExactDomainError):
+            f.integrate(sqrt(3), sqrt(2))
+        with pytest.raises(ExactDomainError):
+            PiecewiseQuadratic([0, sqrt(2), F(7, 5)], f.segments[:2])
+
+    def test_real_roots_order_with_negative_leading(self):
+        q = QuadraticPoly(F(-1), F(0), F(2))
+        lo, hi = q.real_roots()
+        assert lo == -sqrt(2) and hi == sqrt(2)
+        lo, hi = QuadraticPoly(F(-2), F(1), F(1)).real_roots()
+        assert lo == rat(F(-1, 2)) and hi == rat(1)

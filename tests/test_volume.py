@@ -3,8 +3,9 @@ from math import gcd
 
 import pytest
 
+from kwall import volume
 from kwall.exactnum import QuadraticPoly, SurdSum
-from kwall.surface import builtin_surface
+from kwall.surface import builtin_surface, vadd, vscale, vsub
 from kwall.volume import (
     BLP114_CHART_TAGS,
     ChartCase,
@@ -128,6 +129,72 @@ class TestEngineAgainstReference:
                 assert val < prev and end < val
                 prev = end
             assert prof.profile.value_at(prof.tau).is_zero()
+
+
+ORACLE_WEIGHTS = [(1, 1), (2, 3), (5, 2), (3, 7)]
+CHART_FAMILIES = ("f1-case1", "f1-case2", "blp114-case1p", "blp114-case2p", "blp114-case3p")
+FIXED_IDS = ("f1", "blp114", "index3m", "blp114-quotient-res")
+
+
+def _oracle_cases():
+    for kind in CHART_FAMILIES:
+        for a, b in ORACLE_WEIGHTS:
+            yield builtin_surface(kind, a, b), None
+    for ident in FIXED_IDS:
+        model = builtin_surface(ident)
+        if model.exceptional is not None:
+            yield model, None
+    for surface in ("f1", "blp114"):
+        model = builtin_surface(surface)
+        for name in fixed_divisor_s(surface):
+            yield model, model.classes[name]
+
+
+class TestPairingTableOracle:
+    """Every segment record of the sweep against P(t) rebuilt as a vector."""
+
+    def _recorded_segments(self, monkeypatch, model, f):
+        recorded = []
+        original = volume._segment
+
+        def spy(table, support, t_cur):
+            seg = original(table, support, t_cur)
+            recorded.append((list(support), seg))
+            return seg
+
+        monkeypatch.setattr(volume, "_segment", spy)
+        try:
+            volume_profile(model, f=f)
+        finally:
+            monkeypatch.undo()
+        return recorded
+
+    def test_segments_match_intersect(self, monkeypatch):
+        supports_seen = 0
+        for model, f in _oracle_cases():
+            l0 = model.anticanonical
+            f_vec = f if f is not None else model.cone_class(model.exceptional)
+            gens = [c for _, c in model.cone]
+            recorded = self._recorded_segments(monkeypatch, model, f)
+            assert recorded, model.name
+            for support, seg in recorded:
+                assert sorted(seg.xs) == support
+                supports_seen += bool(support)
+                # P(t) = l0 - t*f - sum (x0_i + t*x1_i) C_i = p0 - t*p1
+                p0, p1 = l0, f_vec
+                for i, (x0, x1) in seg.xs.items():
+                    p0 = vsub(p0, vscale(x0, gens[i]))
+                    p1 = vadd(p1, vscale(x1, gens[i]))
+                dot = model.intersect
+                assert seg.quad == QuadraticPoly(dot(p1, p1), -2 * dot(p0, p1),
+                                                 dot(p0, p0)), model.name
+                for i in support:
+                    assert dot(p0, gens[i]) == 0 and dot(p1, gens[i]) == 0
+                assert sorted(seg.pairings) == [j for j in range(len(gens))
+                                                if j not in support]
+                for j, pair in seg.pairings.items():
+                    assert pair == (dot(p1, gens[j]), dot(p0, gens[j])), (model.name, j)
+        assert supports_seen > 0
 
 
 MATCH_BRANCHES = "matching"
