@@ -16,7 +16,6 @@ from .stability import (  # noqa: F401
     beta,
     enumerate_walls,
     threshold,
-    wall_formula,
     wall_values,
 )
 from .hkl import cone_threshold, hkl_param, map_walls  # noqa: F401

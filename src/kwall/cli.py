@@ -2,7 +2,8 @@
 
 Every run is deterministic given its inputs; all numbers are rendered in the
 exact canonical text form ("p/q", "p/q*sqrt(d)"), never as floats.  The
-optional ``--approx N`` column is computed by exact interval refinement.
+optional ``--approx N`` column of ``sfun`` and ``certify`` is computed by
+exact interval refinement.
 
 Exit codes: 0 success, 1 check failure, 2 usage error.
 """
@@ -339,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kwall {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    common.add_argument("--approx", type=int, default=None, metavar="DIGITS",
+    approx = argparse.ArgumentParser(add_help=False)
+    approx.add_argument("--approx", type=int, default=None, metavar="DIGITS",
                         help="add decimal approximations (exact interval refinement)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -352,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atlas", default=None)
     p.set_defaults(func=_cmd_walls)
 
-    p = sub.add_parser("sfun", parents=[common],
+    p = sub.add_parser("sfun", parents=[common, approx],
                        help="S-value of a chart valuation, engine vs closed form")
     p.add_argument("--chart", required=True,
                    choices=F1_CHART_TAGS + BLP114_CHART_TAGS)
@@ -399,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--atlas", default=None)
     p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("certify", parents=[common],
+    p = sub.add_parser("certify", parents=[common, approx],
                        help="named instability certificates")
     p.add_argument("kind", choices=("index3", "quotient-point"))
     p.add_argument("--c", type=_fraction, required=True)

@@ -165,12 +165,6 @@ class SurdSum:
             raise ExactDomainError(f"{self} is irrational")
         return self._terms[0][1]
 
-    def rational_part(self) -> Fraction:
-        for d, q in self._terms:
-            if d == 1:
-                return q
-        return Fraction(0)
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -392,10 +386,6 @@ def render_surd(x: Number) -> str:
         else:
             parts.append(("+" if q > 0 else "-") + body)
     return "".join(parts)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
 
 
 def surd_compare(x: Number, y: Number) -> int:

@@ -255,17 +255,18 @@ _LOCAL_MAPS = {
 }
 
 
+def local_points(curve: CurvePair, tag: str) -> tuple[tuple[int, int], ...]:
+    """Distinct local exponents of the curve in the chart coordinates, in
+    monomial order."""
+    mapper = _LOCAL_MAPS[tag]
+    return tuple(dict.fromkeys(mapper(curve.surface, m.i, m.j) for m in curve.monomials))
+
+
 def chart_expand(curve: CurvePair, chart: ChartCase) -> MonomialSupport:
     """Exact local exponents of the curve in the chart coordinates."""
     if chart.surface != curve.surface:
         raise ValueError("chart and curve live on different surfaces")
-    mapper = _LOCAL_MAPS[chart.tag]
-    pts: list[tuple[int, int]] = []
-    for m in curve.monomials:
-        pt = mapper(curve.surface, m.i, m.j)
-        if pt not in pts:
-            pts.append(pt)
-    return MonomialSupport(chart.tag, tuple(pts))
+    return MonomialSupport(chart.tag, local_points(curve, chart.tag))
 
 
 def multiplicity(support: MonomialSupport, a: int, b: int) -> int:

@@ -37,6 +37,7 @@ from .pairs import (
     _LOCAL_MAPS,
     chart_expand,
     lambda_weight,
+    local_points,
     make_curve,
     multiplicity,
     onePS_to_chart,
@@ -154,16 +155,6 @@ def chart_families(surface: str) -> tuple[str, ...]:
     return F1_CHART_TAGS if surface == "f1" else BLP114_CHART_TAGS
 
 
-def _local_points(curve: CurvePair, tag: str) -> list[tuple[int, int]]:
-    mapper = _LOCAL_MAPS[tag]
-    pts = []
-    for m in curve.monomials:
-        pt = mapper(curve.surface, m.i, m.j)
-        if pt not in pts:
-            pts.append(pt)
-    return pts
-
-
 def _branch_ratios(tag: str) -> list[Fraction]:
     if tag in ("case1-010", "case1-001"):
         return [Fraction(1)]
@@ -172,7 +163,7 @@ def _branch_ratios(tag: str) -> list[Fraction]:
 
 def kink_weights(curve: CurvePair, tag: str) -> list[tuple[int, int]]:
     """Primitive (a, b) where the local multiplicity or the S-branch kinks."""
-    pts = _local_points(curve, tag)
+    pts = local_points(curve, tag)
     ratios: set[Fraction] = set(_branch_ratios(tag))
     for k in range(len(pts)):
         for l in range(k + 1, len(pts)):
@@ -188,27 +179,21 @@ def kink_weights(curve: CurvePair, tag: str) -> list[tuple[int, int]]:
 
 
 def chart_constraints(curve: CurvePair, tag: str,
-                      extra_weights: Iterable[tuple[int, int]] = ()) -> list[Constraint]:
-    weights = list(kink_weights(curve, tag))
-    for w in extra_weights:
-        if w not in weights:
-            weights.append(w)
-    if not weights:
-        weights = [(1, 1)]
+                      weights: Iterable[tuple[int, int]]) -> list[Constraint]:
+    """One constraint per chart valuation ``tag(a, b)``, (a, b) in ``weights``."""
     out = []
     for a, b in weights:
         chart = ChartCase(curve.surface, tag, a, b)
-        support = chart_expand(curve, chart)
-        m = multiplicity(support, a, b)
-        s0 = s_engine_coefficient(chart)
-        out.append(_constraint(f"{tag}({a},{b})", Fraction(a + b), Fraction(m), s0))
+        m = multiplicity(chart_expand(curve, chart), a, b)
+        out.append(_constraint(f"{tag}({a},{b})", Fraction(a + b), Fraction(m),
+                               s_engine_coefficient(chart)))
     return out
 
 
 def all_constraints(curve: CurvePair) -> list[Constraint]:
     cons = toric_constraints(curve)
     for tag in chart_families(curve.surface):
-        cons.extend(chart_constraints(curve, tag))
+        cons.extend(chart_constraints(curve, tag, kink_weights(curve, tag) or [(1, 1)]))
     return cons
 
 
@@ -288,7 +273,11 @@ def threshold(curve: CurvePair, bound: int = 30,
     base = _intersect(cons)
     guarantee = "kink-complete"
     if cross_check_grid:
-        grid = _intersect(cons + _grid_constraints(curve, bound))
+        weights = [(a, b) for a in range(1, bound) for b in range(1, bound + 1 - a)
+                   if gcd(a, b) == 1]
+        for tag in chart_families(curve.surface):
+            cons.extend(chart_constraints(curve, tag, weights))
+        grid = _intersect(cons)
         if (grid.lower, grid.upper, grid.classification) != (
                 base.lower, base.upper, base.classification):
             raise ArithmeticError(
@@ -296,21 +285,6 @@ def threshold(curve: CurvePair, bound: int = 30,
         guarantee += f"+grid({bound})"
     return StabilityThreshold(base.lower, base.upper, base.classification,
                               base.binding_lower, base.binding_upper, guarantee)
-
-
-def _grid_constraints(curve: CurvePair, bound: int) -> list[Constraint]:
-    out = []
-    for tag in chart_families(curve.surface):
-        for a in range(1, bound):
-            for b in range(1, bound + 1 - a):
-                if gcd(a, b) != 1:
-                    continue
-                chart = ChartCase(curve.surface, tag, a, b)
-                support = chart_expand(curve, chart)
-                m = multiplicity(support, a, b)
-                out.append(_constraint(f"{tag}({a},{b})", Fraction(a + b),
-                                       Fraction(m), s_engine_coefficient(chart)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +319,7 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
         if con.beta_at(c) < 0:
             failures.append(f"toric {con.name}: beta({c}) = {con.beta_at(c)}")
     for tag in chart_families(curve.surface):
-        pts = _local_points(curve, tag)
+        pts = local_points(curve, tag)
         cut_ratios = sorted({Fraction(b, a) for a, b in kink_weights(curve, tag)})
         grid = [Fraction(0)] + cut_ratios
         for idx, lo in enumerate(grid):
@@ -372,37 +346,7 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form wall formulas
-
-
-def wall_formula(branch: str, a: int, b: int, m: int) -> Optional[Fraction]:
-    """Closed-form wall value for the plane-model chart branches.
-
-    ``case2`` and ``case1-high`` are the tabulated closed forms.  The
-    ``case1-low`` form is derived from the exact S-function, which is branch
-    free, so it is the correct Case-1 expression for every weight pair; the
-    tabulated Case-1 expressions agree with it only on a = b (see the
-    confirmed-wall reproduction tests).  Returns None when the value is
-    undefined or falls outside (0, 1/2).
-    """
-    a, b, m = Fraction(a), Fraction(b), Fraction(m)
-    if a <= 0 or b <= 0 or m < 0:
-        return None
-    if branch == "case2":
-        den = 28 * a + 26 * b - 12 * m
-        num = 2 * a + b
-    elif branch == "case1-high":
-        den = 12 * m - 26 * a - 20 * b
-        num = 2 * b - a
-    elif branch == "case1-low":
-        den = 12 * m - 20 * a - 26 * b
-        num = 2 * a - b
-    else:
-        raise ValueError(f"unknown branch {branch!r}")
-    if den == 0:
-        return None
-    w = num / den
-    return w if 0 < w < Fraction(1, 2) else None
+# wall values of chart valuations
 
 
 def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optional[Fraction]:

@@ -329,29 +329,6 @@ def s_engine_coefficient(chart: ChartCase) -> SurdSum:
     return s_engine_raw(chart) / Fraction(8)
 
 
-def reference_raw(chart: ChartCase) -> Fraction:
-    """Independently derived closed form of the engine integral.
-
-    Every chart family turns out affine in the weights with no branch
-    splits; the splits in the tabulated formulas are artifacts of
-    incomplete curve-cone data (checked against lattice-point slicing of
-    the anticanonical polytope).
-    """
-    a, b = Fraction(chart.a), Fraction(chart.b)
-    tag = chart.tag
-    if tag in ("case1-010", "case1-001"):
-        return (20 * a + 26 * b) / 3
-    if tag in ("case2-zu", "case2-yv"):
-        return (28 * a + 26 * b) / 3
-    if tag == "case1p":
-        return (83 * a + 106 * b) / 6
-    if tag == "case2p":
-        return (83 * a + 25 * b) / 6
-    if tag == "case3p":
-        return (82 * a + 25 * b) / 6
-    raise ValueError(tag)
-
-
 def s_closed_form(chart: ChartCase, c: Fraction) -> SurdSum:
     """Tabulated closed-form S-value, exact branch selection included."""
     return s_closed_form_coefficient(chart) * SurdSum.rational(1 - 2 * Fraction(c))
@@ -390,11 +367,6 @@ def s_closed_form_coefficient(chart: ChartCase) -> SurdSum:
     return coeff
 
 
-def closed_form_matches_engine(chart: ChartCase) -> bool:
-    """Whether the tabulated formula branch agrees with the engine."""
-    return s_closed_form(chart, Fraction(0)) == SurdSum._coerce(s_engine_coefficient(chart))
-
-
 def closed_form_report(chart: ChartCase) -> dict:
     """Engine-vs-closed-form comparison record for one chart."""
     engine = s_engine_coefficient(chart)
@@ -411,19 +383,23 @@ def closed_form_report(chart: ChartCase) -> dict:
 # fixed invariant divisors
 
 
+_fixed_cache: dict[str, dict[str, Fraction]] = {}
+
+
 def fixed_divisor_s(surface: str) -> dict[str, Fraction]:
-    """S-coefficients of the four toric divisors (times (1-2c)).
+    """S-coefficients of the four toric divisors (times (1-2c)), each the
+    integral of its :func:`fixed_divisor_profile` over the degree.
 
     The blown-up point is [1,0,0] throughout, so on the plane model H_x is
     the invariant line missing the center.
     """
-    if surface == "f1":
-        return {"H_x": Fraction(5, 6), "H_y": Fraction(13, 12),
-                "H_z": Fraction(13, 12), "E": Fraction(7, 6)}
-    if surface == "blp114":
-        return {"H_x": Fraction(41, 24), "H_y": Fraction(53, 24),
-                "H_z": Fraction(25, 48), "E": Fraction(83, 48)}
-    raise ValueError(f"unknown surface {surface!r}")
+    if surface not in ("f1", "blp114"):
+        raise ValueError(f"unknown surface {surface!r}")
+    if surface not in _fixed_cache:
+        profiles = {d: fixed_divisor_profile(surface, d) for d in ("H_x", "H_y", "H_z", "E")}
+        _fixed_cache[surface] = {d: prof.raw_integral.as_fraction() / prof.degree
+                                 for d, prof in profiles.items()}
+    return dict(_fixed_cache[surface])
 
 
 def fixed_divisor_profile(surface: str, divisor: str) -> SProfile:

@@ -49,6 +49,11 @@ class TestWallsCommand:
         second = invoke("walls", "--surface", "f1", "--format", "md")
         assert first == second
 
+    def test_approx_rejected(self, capsys):
+        code, out = invoke("walls", "--surface", "f1", "--approx", "3")
+        assert code == 2 and out == ""
+        assert "--approx" in capsys.readouterr().err
+
 
 class TestSfunCommand:
     def test_engine_equals_formula(self):
@@ -65,6 +70,14 @@ class TestSfunCommand:
         data = json.loads(text)
         assert data["match"] is False
         assert "note" in data and data["closed_form"].endswith("*sqrt(3)")
+
+    def test_approx_columns(self):
+        code, text = invoke("sfun", "--chart", "case2-yv", "--a", "2",
+                            "--b", "1", "--c", "0", "--approx", "6")
+        data = json.loads(text)
+        assert code == 0
+        assert data["engine_approx"] == data["closed_form_approx"]
+        assert data["engine_approx"] == "3.416667"
 
 
 class TestZariskiCommand:

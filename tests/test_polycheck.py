@@ -1,98 +1,92 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from kwall.polycheck import (
-    cauchy_root_bound,
-    count_roots_open,
-    min_witness,
-    nonneg_on_interval,
-    nonneg_on_ray,
-    poly,
-    poly_div_linear,
-    poly_eval,
-    poly_mul,
-    sturm_sequence,
-)
-
-
-def from_roots(*roots):
-    p = poly([1])
-    for r in roots:
-        p = poly_mul(p, poly([-F(r), 1]))
-    return p
-
-
-class TestRootCounting:
-    def test_simple_roots(self):
-        p = from_roots(1, 2, 5)
-        assert count_roots_open(p, F(0), F(10)) == 3
-        assert count_roots_open(p, F(1), F(5)) == 1
-        assert count_roots_open(p, F(3), F(4)) == 0
-
-    def test_endpoint_roots_excluded(self):
-        p = from_roots(1, 2)
-        assert count_roots_open(p, F(1), F(2)) == 0
-        assert count_roots_open(p, F(1), F(3)) == 1
-
-    def test_multiple_roots_counted_once(self):
-        p = poly_mul(from_roots(2), from_roots(2))
-        assert count_roots_open(p, F(0), F(3)) == 1
-
-    def test_sturm_sequence_ends_constant(self):
-        seq = sturm_sequence(from_roots(0, 1, 2))
-        assert len(seq[-1]) == 1
-
-    def test_div_linear(self):
-        p = from_roots(3, 4)
-        assert poly_div_linear(p, F(3)) == from_roots(4)
-        with pytest.raises(ValueError):
-            poly_div_linear(p, F(5))
+from kwall.polycheck import nonneg_on_interval, nonneg_on_ray, poly, poly_eval
 
 
 class TestNonnegativity:
     def test_positive_everywhere(self):
-        ok, w = nonneg_on_interval(poly([1, 0, 1]), F(-5), F(5))
+        ok, w = nonneg_on_interval(poly([3, 1]), F(-2), F(5))
         assert ok and w is None
 
     def test_dip_found(self):
-        p = from_roots(1, 2)  # negative on (1, 2)
-        ok, w = nonneg_on_interval(p, F(0), F(3))
-        assert not ok and 1 < w < 2 and poly_eval(p, w) < 0
+        # 1 - x dips below 0 at the right end, x - 1 at the left end
+        ok, w = nonneg_on_interval(poly([1, -1]), F(0), F(3))
+        assert (ok, w) == (False, F(3))
+        ok, w = nonneg_on_interval(poly([-1, 1]), F(0), F(3))
+        assert (ok, w) == (False, F(0))
 
     def test_touch_is_nonnegative(self):
-        p = poly_mul(from_roots(1), from_roots(1))
-        ok, _ = nonneg_on_interval(p, F(0), F(2))
-        assert ok
-
-    def test_negative_between_endpoint_roots(self):
-        # -(x)(2-x) vanishes at both endpoints and dips inside
-        p = poly([0, -2, 1])
-        ok, w = nonneg_on_interval(p, F(0), F(2))
-        assert not ok and 0 < w < 2
+        # a root exactly at either endpoint still counts as nonnegative
+        assert nonneg_on_interval(poly([-1, 1]), F(1), F(2)) == (True, None)
+        assert nonneg_on_interval(poly([2, -1]), F(1), F(2)) == (True, None)
+        assert nonneg_on_ray(poly([-1, 1]), F(1)) == (True, None)
 
     def test_negative_just_inside_endpoint(self):
-        p = poly_mul(from_roots(0), from_roots(3))  # x(x-3): negative on (0,3)
+        p = poly([0, -1])  # -x: zero at 0, negative on (0, 3]
         ok, w = nonneg_on_interval(p, F(0), F(3))
-        assert not ok
-
-    def test_quartic_double_dip(self):
-        p = poly_mul(from_roots(1, 2), from_roots(3, 4))
-        ok, w = nonneg_on_interval(p, F(0), F(5))
-        assert not ok and poly_eval(p, w) < 0
+        assert not ok and w == 3
 
     def test_ray(self):
-        ok, _ = nonneg_on_ray(poly([1, 1]), F(0))
-        assert ok
+        # positive, zero and negative slope
+        assert nonneg_on_ray(poly([1, 1]), F(0)) == (True, None)
+        assert nonneg_on_ray(poly([-1, 1]), F(0)) == (False, F(0))
+        assert nonneg_on_ray(poly([2]), F(5)) == (True, None)
+        assert nonneg_on_ray(poly([-2]), F(5)) == (False, F(6))
         ok, w = nonneg_on_ray(poly([1, -1]), F(0))  # 1 - x
         assert not ok and poly_eval(poly([1, -1]), w) < 0
-        ok, _ = nonneg_on_ray(from_roots(-1, -2), F(0))
-        assert ok
 
     def test_zero_polynomial(self):
-        assert min_witness(poly([]), F(0), F(1)) is None
+        assert poly([0, 0]) == ()
+        assert nonneg_on_interval(poly([]), F(0), F(1)) == (True, None)
+        assert nonneg_on_ray(poly([0]), F(-3)) == (True, None)
+
+    def test_constant_polynomials(self):
+        assert nonneg_on_interval(poly([F(1, 3)]), F(-1), F(1)) == (True, None)
+        assert nonneg_on_interval(poly([-1]), F(2), F(3)) == (False, F(2))
 
     def test_cauchy_bound(self):
-        p = from_roots(7, -9)
-        bound = cauchy_root_bound(p)
-        assert bound >= 9
+        # the ray witness lies past max(a, 1 + max|p_i| / |p_lead|)
+        p = poly([9, -2])
+        ok, w = nonneg_on_ray(p, F(0))
+        assert not ok and w == 1 + F(9, 2) + 1 and poly_eval(p, w) < 0
+        ok, w = nonneg_on_ray(p, F(20))
+        assert not ok and w == 21
+
+    def test_degree_two_raises(self):
+        quadratic = (F(2), F(-3), F(1))
+        with pytest.raises(ValueError):
+            nonneg_on_interval(quadratic, F(0), F(3))
+        with pytest.raises(ValueError):
+            nonneg_on_ray(quadratic, F(0))
+
+
+def _random_affine(rng):
+    coeffs = [F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(2)]
+    if rng.random() < 0.2:
+        coeffs[1] = F(0)
+    return poly(coeffs)
+
+
+def test_dense_sample_oracle():
+    rng = random.Random(4)
+    decided = {True: 0, False: 0}
+    for _ in range(300):
+        p = _random_affine(rng)
+        lo = rng.randint(-128, 128)
+        hi = lo + rng.randint(1, 256)
+        ok, w = nonneg_on_interval(p, F(lo, 64), F(hi, 64))
+        sampled = all(poly_eval(p, F(k, 64)) >= 0 for k in range(lo, hi + 1))
+        assert ok == sampled, (p, lo, hi)
+        if not ok:
+            assert w in (F(lo, 64), F(hi, 64)) and poly_eval(p, w) < 0
+        decided[ok] += 1
+
+        ok, w = nonneg_on_ray(p, F(lo, 64))
+        if ok:
+            assert all(poly_eval(p, F(k, 64)) >= 0 for k in range(lo, lo + 64 * 40))
+        else:
+            assert w >= F(lo, 64) and poly_eval(p, w) < 0
+    assert min(decided.values()) > 50

@@ -25,7 +25,6 @@ from kwall.stability import (
     quotient_point_certificate,
     threshold,
     verify_semistable_at,
-    wall_formula,
     wall_from_chart,
     wall_values,
 )
@@ -36,6 +35,36 @@ W_H = [F(1, 14), F(5, 58), F(1, 10), F(7, 62), F(1, 8), F(5, 34),
 W_U = [F(29, 106), F(31, 110), F(2, 7), F(35, 118)]
 
 EPS = F(1, 1000)
+
+
+def wall_formula(branch: str, a: int, b: int, m: int):
+    """Closed-form wall value for the plane-model chart branches.
+
+    ``case2`` and ``case1-high`` are the tabulated closed forms.  The
+    ``case1-low`` form is derived from the exact S-function, which is branch
+    free, so it is the correct Case-1 expression for every weight pair; the
+    tabulated Case-1 expressions agree with it only on a = b (see the
+    confirmed-wall reproduction tests).  Returns None when the value is
+    undefined or falls outside (0, 1/2).
+    """
+    a, b, m = F(a), F(b), F(m)
+    if a <= 0 or b <= 0 or m < 0:
+        return None
+    if branch == "case2":
+        den = 28 * a + 26 * b - 12 * m
+        num = 2 * a + b
+    elif branch == "case1-high":
+        den = 12 * m - 26 * a - 20 * b
+        num = 2 * b - a
+    elif branch == "case1-low":
+        den = 12 * m - 20 * a - 26 * b
+        num = 2 * a - b
+    else:
+        raise ValueError(f"unknown branch {branch!r}")
+    if den == 0:
+        return None
+    w = num / den
+    return w if 0 < w < F(1, 2) else None
 
 
 class TestBeta:
