@@ -87,6 +87,13 @@ def _load_curve_arg(text: str, surface: str):
     return parse_curve(text, surface)
 
 
+def _model_arg(ident: str, a: Optional[int], b: Optional[int]):
+    try:
+        return builtin_surface(ident, a, b)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _load_atlas_arg(path: Optional[str]):
     try:
         return load_atlas(path)
@@ -130,8 +137,9 @@ def _cmd_walls(args, out) -> int:
     atlas = _load_atlas_arg(args.atlas)
     rows = []
     payload: dict = {"walls": {}}
+    published = {}
     for surface in surfaces:
-        records = enumerate_walls(surface)
+        records = published[surface] = enumerate_walls(surface)
         confirmed = sorted({r.candidate.w for r in records if r.confirmed})
         payload["walls"][surface] = [render_fraction(w) for w in confirmed]
         for w in confirmed:
@@ -149,7 +157,7 @@ def _cmd_walls(args, out) -> int:
     if args.audit_extra:
         payload["audit_extra"] = {}
         for surface in surfaces:
-            extras = audit_extra_walls(surface)
+            extras = audit_extra_walls(surface, published[surface])
             payload["audit_extra"][surface] = [r.to_json() for r in extras]
             for r in extras:
                 rows.append({
@@ -197,12 +205,14 @@ def _cmd_sfun(args, out) -> int:
 
 
 def _cmd_zariski(args, out) -> int:
-    model = builtin_surface(args.surface, args.a, args.b)
-    coords = [Fraction(x) for x in args.divisor.split(",")]
-    if len(coords) != model.rank():
-        raise CheckFailure(
+    model = _model_arg(args.surface, args.a, args.b)
+    try:
+        d = vec(*(_fraction(x) for x in args.divisor.split(",")))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"--divisor: {exc}") from exc
+    if len(d) != model.rank():
+        raise UsageError(
             f"divisor needs {model.rank()} coordinates in basis {model.basis}")
-    d = vec(*coords)
     try:
         z = model.zariski_decompose(d)
     except NotPseudoEffectiveError as exc:
@@ -309,7 +319,7 @@ def _cmd_certify(args, out) -> int:
 
 def _cmd_surfaces(args, out) -> int:
     if args.id:
-        models = [builtin_surface(args.id, args.a, args.b)]
+        models = [_model_arg(args.id, args.a, args.b)]
     else:
         models = [builtin_surface(i) for i in builtin_ids()
                   if i in ("f1", "blp114", "index3m", "blp114-quotient-res")]
@@ -321,9 +331,12 @@ def _cmd_surfaces(args, out) -> int:
 
 
 def _cmd_profile(args, out) -> int:
-    model = builtin_surface(args.surface, args.a, args.b)
+    model = _model_arg(args.surface, args.a, args.b)
     f = args.divisor if args.divisor else None
-    prof = volume_profile(model, f=f)
+    try:
+        prof = volume_profile(model, f=f)
+    except KeyError as exc:  # no class of that name on the model
+        raise UsageError(exc.args[0]) from exc
     payload = prof.to_json(args.c)
     _emit(payload, payload["segments"], args.format, out)
     return 0

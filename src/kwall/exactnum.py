@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 Number = Union[int, Fraction, "SurdSum"]
 
@@ -359,10 +357,6 @@ class SurdSum:
 
     def __repr__(self) -> str:
         return f"SurdSum({list(self._terms)!r})"
-
-
-ZERO = SurdSum()
-ONE = SurdSum.rational(1)
 
 
 def render_fraction(q: RationalLike) -> str:

@@ -548,8 +548,7 @@ def _candidate_supports(surface: str):
         yield ("single", None, None, None, None, [p])
 
 
-def enumerate_walls(surface: str, confirm: bool = True,
-                    source: str = "published") -> list[WallRecord]:
+def enumerate_walls(surface: str, source: str = "published") -> list[WallRecord]:
     """All confirmed walls with their realizing data, sorted by wall value.
 
     ``source='published'`` draws chart candidates from the tabulated
@@ -579,12 +578,7 @@ def enumerate_walls(surface: str, confirm: bool = True,
             key = (w, key_support)
             if key not in records:
                 records[key] = WallCandidate(w, surface, curve, None, None, None, kind)
-    out: list[WallRecord] = []
-    for key in sorted(records, key=lambda k: (k[0], k[1])):
-        cand = records[key]
-        rec = confirm_wall(cand) if confirm else WallRecord(cand, True, "unconfirmed")
-        out.append(rec)
-    return out
+    return [confirm_wall(records[key]) for key in sorted(records)]
 
 
 def wall_values(surface: str, source: str = "published") -> list[Fraction]:
@@ -594,20 +588,18 @@ def wall_values(surface: str, source: str = "published") -> list[Fraction]:
     return vals
 
 
-def audit_extra_walls(surface: str) -> list[WallRecord]:
+def audit_extra_walls(surface: str, published: list[WallRecord]) -> list[WallRecord]:
     """Point-threshold candidates found by the exact engine beyond the
-    published enumeration.
+    published enumeration ``published = enumerate_walls(surface)``.
 
     Every implemented check is a necessary condition for a wall; candidates
     listed here pass them all but are absent from the published wall tables
     (they live on weight branches where the tabulated S-expressions disagree
     with the exact integrals).  They are reported for audit, not asserted.
     """
-    published = {r.candidate.w for r in enumerate_walls(surface, source="published")
-                 if r.confirmed}
-    extras = [r for r in enumerate_walls(surface, source="engine")
-              if r.confirmed and r.candidate.w not in published]
-    return extras
+    walls = {r.candidate.w for r in published if r.confirmed}
+    return [r for r in enumerate_walls(surface, source="engine")
+            if r.confirmed and r.candidate.w not in walls]
 
 
 # ---------------------------------------------------------------------------

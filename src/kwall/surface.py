@@ -43,21 +43,10 @@ def is_zero_vec(u: Vec) -> bool:
 
 
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square rational system by Gaussian elimination; None if singular."""
+    """Solve a square rational system by Gauss-Jordan elimination; None if singular."""
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
+    return [row[n] for row in aug] if len(_rref(aug, n)) == n else None
 
 
 class NotPseudoEffectiveError(ValueError):
@@ -159,8 +148,9 @@ class SurfaceModel:
         n = self.rank()
         gens = list(self.cone)
         for subset in combinations(range(len(gens)), n - 1):
-            rows = [[self.intersect(gens[i][1], b) for b in _basis_vectors(n)] for i in subset]
-            # candidate w solves w.C = 0 for the subset; parametrize kernel
+            # row i holds C_i.e_b over the basis, so w = sum w_b e_b solves w.C_i = 0
+            rows = [[sum(x * row[b] for x, row in zip(gens[i][1], self.gram) if x) for b in range(n)]
+                    for i in subset]
             w = _kernel_vector(rows)
             if w is None:
                 continue
@@ -172,6 +162,16 @@ class SurfaceModel:
 
     # -- Zariski decomposition -------------------------------------------
 
+    def cone_gram(self) -> list[list[Fraction]]:
+        """``C_i.C_j`` over the cone generators: the upper triangle, mirrored."""
+        gens = [c for _, c in self.cone]
+        n = len(gens)
+        gram = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = self.intersect(gens[i], gens[j])
+        return gram
+
     def zariski_decompose(self, d: Vec) -> ZariskiDecomposition:
         """Unique D = P + N with P nef, P.N_i = 0, Gram(N) negative definite."""
         if not self.is_pseudoeffective(d):
@@ -181,46 +181,33 @@ class SurfaceModel:
                     f"{self.name}: class not pseudo-effective; nef class "
                     f"{sep[0]} = {fmt_vec(sep[1])} pairs negatively", sep)
             raise NotPseudoEffectiveError(f"{self.name}: class not pseudo-effective")
-        gens = list(self.cone)
-        support: set[int] = {i for i, (_, c) in enumerate(gens) if self.intersect(d, c) < 0}
-        for _ in range(len(gens) + 2):
+        gram = self.cone_gram()
+        dc = [self.intersect(d, c) for _, c in self.cone]
+        support = {j for j, v in enumerate(dc) if v < 0}
+        for _ in range(len(dc) + 2):
             idx = sorted(support)
-            coeffs = self._support_coefficients(d, idx)
-            p = d
-            for i, x in zip(idx, coeffs):
-                p = vsub(p, vscale(x, gens[i][1]))
-            violated = {i for i, (_, c) in enumerate(gens)
-                        if i not in support and self.intersect(p, c) < 0}
+            block = [[gram[i][j] for j in idx] for i in idx]
+            coeffs = solve_linear(block, [dc[i] for i in idx]) if idx else []
+            if coeffs is None:
+                raise ArithmeticError(
+                    f"{self.name}: singular Gram block for support {idx}")
+            # P.C_j = d.C_j - sum x_i C_i.C_j
+            violated = {j for j, row in enumerate(gram) if j not in support
+                        and dc[j] < sum(x * row[i] for i, x in zip(idx, coeffs))}
             if not violated:
                 if any(x < 0 for x in coeffs):
                     raise ArithmeticError(
                         f"{self.name}: negative Zariski coefficient; cone data inconsistent")
-                self._check_negative_definite(idx)
-                negative = tuple((gens[i][0], x) for i, x in zip(idx, coeffs) if x != 0)
+                if not _negative_definite(block):
+                    raise ArithmeticError(
+                        f"{self.name}: support Gram block not negative definite")
+                p = d
+                for i, x in zip(idx, coeffs):
+                    p = vsub(p, vscale(x, self.cone[i][1]))
+                negative = tuple((self.cone[i][0], x) for i, x in zip(idx, coeffs) if x != 0)
                 return ZariskiDecomposition(positive=p, negative_support=negative)
             support |= violated
         raise ArithmeticError(f"{self.name}: Zariski iteration did not stabilize")
-
-    def _support_coefficients(self, d: Vec, idx: list[int]) -> list[Fraction]:
-        if not idx:
-            return []
-        gens = [self.cone[i][1] for i in idx]
-        gram = [[self.intersect(gi, gj) for gj in gens] for gi in gens]
-        rhs = [self.intersect(d, gi) for gi in gens]
-        sol = solve_linear(gram, rhs)
-        if sol is None:
-            raise ArithmeticError(
-                f"{self.name}: singular Gram block for support {idx}")
-        return sol
-
-    def _check_negative_definite(self, idx: list[int]) -> None:
-        gens = [self.cone[i][1] for i in idx]
-        gram = [[self.intersect(gi, gj) for gj in gens] for gi in gens]
-        for k in range(1, len(gens) + 1):
-            minor = _det([row[:k] for row in gram[:k]])
-            if (minor > 0) != (k % 2 == 0) or minor == 0:
-                raise ArithmeticError(
-                    f"{self.name}: support Gram block not negative definite")
 
     def volume(self, d: Vec) -> Fraction:
         z = self.zariski_decompose(d)
@@ -252,71 +239,14 @@ def fmt_vec(v: Vec) -> str:
     return "(" + ",".join(render_fraction(x) for x in v) + ")"
 
 
-def _basis_vectors(n: int) -> list[Vec]:
-    return [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def _solve_rectangular(cols: list[Vec], d: Vec) -> Optional[list[Fraction]]:
-    """Solve sum x_i cols[i] = d exactly; None if inconsistent/singular."""
-    n = len(d)
-    k = len(cols)
-    aug = [[cols[j][i] for j in range(k)] + [d[i]] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append((row, col))
-        row += 1
-    # non-pivot columns would make the solution non-unique; treat as dependent
-    if len(pivots) < k:
-        return None
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for r, c in pivots:
-        sol[c] = aug[r][k]
-    return sol
-
-
-def _kernel_vector(rows: list[list[Fraction]]) -> Optional[Vec]:
-    """A nonzero rational vector orthogonal to the given row functionals."""
-    if not rows:
-        return None
-    n = len(rows[0])
-    m = [list(r) for r in rows]
+def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan: bring the first ``ncols`` columns of ``m`` to reduced row
+    echelon form in place; return the pivot columns (pivot k in row k)."""
     pivots: list[int] = []
-    row = 0
-    for col in range(n):
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
         piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
         if piv is None:
             continue
@@ -328,17 +258,46 @@ def _kernel_vector(rows: list[list[Fraction]]) -> Optional[Vec]:
                 f = m[r][col]
                 m[r] = [x - f * y for x, y in zip(m[r], m[row])]
         pivots.append(col)
-        row += 1
-        if row == len(m):
-            break
+    return pivots
+
+
+def _negative_definite(block: list[list[Fraction]]) -> bool:
+    """Sylvester's criterion in LDL^T form: elimination without row swaps
+    meets only negative pivots (pivot k is the ratio of leading minors k, k-1)."""
+    m = [list(r) for r in block]
+    for k, pivot_row in enumerate(m):
+        if pivot_row[k] >= 0:
+            return False
+        for r in range(k + 1, len(m)):
+            f = m[r][k] / pivot_row[k]
+            m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
+    return True
+
+
+def _solve_rectangular(cols: list[Vec], d: Vec) -> Optional[list[Fraction]]:
+    """Solve sum x_i cols[i] = d exactly; None if inconsistent or not unique."""
+    k = len(cols)
+    aug = [[c[i] for c in cols] + [d[i]] for i in range(len(d))]
+    if len(_rref(aug, k)) < k or any(row[k] != 0 for row in aug[k:]):
+        return None
+    return [row[k] for row in aug[:k]]
+
+
+def _kernel_vector(rows: list[list[Fraction]]) -> Optional[Vec]:
+    """A nonzero rational vector orthogonal to the given row functionals: the
+    first free column set to 1, the other free columns to 0."""
+    if not rows:
+        return None
+    n = len(rows[0])
+    m = [list(r) for r in rows]
+    pivots = _rref(m, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         return None
-    c0 = free[0]
     sol = [Fraction(0)] * n
-    sol[c0] = Fraction(1)
+    sol[free[0]] = Fraction(1)
     for r, c in enumerate(pivots):
-        sol[c] = -m[r][c0]
+        sol[c] = -m[r][free[0]]
     return tuple(sol)
 
 

@@ -217,13 +217,8 @@ class _PairingTable:
 
 def _pairing_table(model: SurfaceModel, l0: Vec, f_vec: Vec) -> _PairingTable:
     gens = [c for _, c in model.cone]
-    n = len(gens)
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = model.intersect(gens[i], gens[j])
     return _PairingTable(
-        model.name, gram,
+        model.name, model.cone_gram(),
         [model.intersect(l0, c) for c in gens],
         [model.intersect(f_vec, c) for c in gens],
         model.intersect(l0, l0), model.intersect(l0, f_vec),

@@ -36,7 +36,7 @@ from kwall.stability import (
     threshold,
     wall_from_chart,
 )
-from kwall.surface import builtin_surface
+from kwall.surface import builtin_surface, solve_linear
 from kwall.volume import (
     BLP114_CHART_TAGS,
     ChartCase,
@@ -249,11 +249,10 @@ def _oracle_vol(model, d):
     gens = list(model.cone)
     for size in range(0, model.rank() + 1):
         for subset in itertools.combinations(range(len(gens)), size):
-            try:
-                coeffs = model._support_coefficients(d, list(subset))
-            except ArithmeticError:
-                continue
-            if any(x < 0 for x in coeffs):
+            block = [[model.intersect(gens[i][1], gens[j][1]) for j in subset]
+                     for i in subset]
+            coeffs = solve_linear(block, [model.intersect(d, gens[i][1]) for i in subset])
+            if coeffs is None or any(x < 0 for x in coeffs):
                 continue
             p = d
             for i, x in zip(subset, coeffs):

@@ -19,6 +19,14 @@ def invoke(*argv):
     return code, out.getvalue()
 
 
+def assert_usage_error(capsys, *argv):
+    """The command exits 2 with no stdout and one ``error:`` line on stderr."""
+    code, out = invoke(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestWallsCommand:
     def test_csv_rows_f1(self):
         code, text = invoke("walls", "--surface", "f1", "--format", "csv")
@@ -100,6 +108,33 @@ class TestZariskiCommand:
     def test_usage_error(self):
         code, _ = invoke("zariski", "--surface", "f1")
         assert code == 2
+
+    @pytest.mark.parametrize("divisor", ["1/0,1", "x,1", ",1", "1,", "1,1,1", "1"])
+    def test_bad_divisor_usage(self, capsys, divisor):
+        assert_usage_error(capsys, "zariski", "--surface", "f1", f"--divisor={divisor}")
+
+
+MODEL_ERRORS = {
+    "unknown-id": ["--surface", "nope"],
+    "missing-weights": ["--surface", "f1-case1", "--a", "2"],
+    "nonpositive-weights": ["--surface", "f1-case2", "--a", "0", "--b", "1"],
+    "noncoprime-weights": ["--surface", "blp114-case3p", "--a", "2", "--b", "4"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERRORS))
+@pytest.mark.parametrize("command", ["zariski", "surfaces", "profile"])
+def test_bad_model_usage(capsys, command, case):
+    argv = list(MODEL_ERRORS[case])
+    if command == "surfaces":
+        argv[0] = "--id"
+    if command == "zariski":
+        argv += ["--divisor", "1,1,1"]
+    assert_usage_error(capsys, command, *argv)
+
+
+def test_profile_unknown_divisor_usage(capsys):
+    assert_usage_error(capsys, "profile", "--surface", "index3m", "--divisor", "nope")
 
 
 class TestBetaThresholdCommands:

@@ -255,8 +255,8 @@ class TestEnumeration:
             == set(base)
 
     def test_audit_extras(self):
-        assert audit_extra_walls("f1") == []
-        extras = audit_extra_walls("blp114")
+        assert audit_extra_walls("f1", enumerate_walls("f1")) == []
+        extras = audit_extra_walls("blp114", enumerate_walls("blp114"))
         assert [str(r.candidate.w) for r in extras] == ["41/130", "47/142", "59/166"]
         for r in extras:
             assert r.confirmed

@@ -8,8 +8,12 @@ import pytest
 from kwall.surface import (
     NotPseudoEffectiveError,
     SurfaceModel,
+    _kernel_vector,
+    _negative_definite,
+    _solve_rectangular,
     builtin_ids,
     builtin_surface,
+    solve_linear,
     vadd,
     vec,
     vscale,
@@ -204,15 +208,13 @@ class TestZariski:
         gens = list(m.cone)
         for size in range(0, m.rank() + 1):
             for subset in itertools.combinations(range(len(gens)), size):
-                idx = list(subset)
-                try:
-                    coeffs = m._support_coefficients(d, idx)
-                except ArithmeticError:
-                    continue
-                if any(x < 0 for x in coeffs):
+                block = [[m.intersect(gens[i][1], gens[j][1]) for j in subset]
+                         for i in subset]
+                coeffs = solve_linear(block, [m.intersect(d, gens[i][1]) for i in subset])
+                if coeffs is None or any(x < 0 for x in coeffs):
                     continue
                 p = d
-                for i, x in zip(idx, coeffs):
+                for i, x in zip(subset, coeffs):
                     p = tuple(pi - x * ci for pi, ci in zip(p, gens[i][1]))
                 if not m.is_nef(p):
                     continue
@@ -276,3 +278,126 @@ class TestZariski:
             d2 = tuple(di + sum(c * g[1][i] for c, g in zip(extra, m.cone))
                        for i, di in enumerate(d))
             assert m.volume(d2) >= m.volume(d)
+
+
+def _det(rows):
+    """Determinant by elimination with row swaps (the oracle for Sylvester's rule)."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = F(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def _sylvester_negative_definite(rows):
+    """Every leading minor k is nonzero with sign (-1)^k."""
+    for k in range(1, len(rows) + 1):
+        minor = _det([row[:k] for row in rows[:k]])
+        if minor == 0 or (minor > 0) != (k % 2 == 0):
+            return False
+    return True
+
+
+def _congruent(diag, rng):
+    """P L diag(diag) L^T P^T with L unit lower triangular and P a permutation."""
+    n = len(diag)
+    low = [[F(1) if i == j else F(rng.randint(-4, 4), rng.randint(1, 3)) if j < i else F(0)
+            for j in range(n)] for i in range(n)]
+    m = [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[m[i][j] for j in perm] for i in perm]
+
+
+class TestLinearAlgebra:
+    def test_pivot_rule_equals_sylvester(self):
+        rng = random.Random(20040)
+        seen = {True: 0, False: 0}
+        for case in range(1200):
+            n = rng.randint(1, 5)
+            kind = case % 5
+            if kind == 0:  # negative definite
+                m = _congruent([F(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)], rng)
+                expected = True
+            elif kind == 1:  # negative semidefinite, singular
+                diag = [F(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+                diag[rng.randrange(n)] = F(0)
+                m = _congruent(diag, rng)
+                expected = False
+            elif kind == 2:  # indefinite or positive somewhere
+                diag = [F(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+                diag[rng.randrange(n)] = F(rng.randint(1, 9), rng.randint(1, 4))
+                m = _congruent(diag, rng)
+                expected = False
+            elif kind == 3:  # definite block bordered by a repeated row and column
+                m = _congruent([F(-rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)], rng)
+                j = rng.randrange(n)
+                m = [row + [row[j]] for row in m]
+                m.append(list(m[j]))
+                expected = False
+            else:  # random symmetric, no known answer
+                m = [[F(0)] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        m[i][j] = m[j][i] = F(rng.randint(-6, 3), rng.randint(1, 3))
+                expected = None
+            got = _negative_definite(m)
+            assert got == _sylvester_negative_definite(m), m
+            if expected is not None:
+                assert got == expected, m
+            seen[got] += 1
+        assert seen[True] >= 240 and seen[False] >= 720
+
+    def test_pivot_rule_leaves_input(self):
+        m = [[F(-2), F(1)], [F(1), F(-2)]]
+        assert _negative_definite(m)
+        assert m == [[F(-2), F(1)], [F(1), F(-2)]]
+        assert _negative_definite([])
+        assert not _negative_definite([[F(0), F(1)], [F(1), F(-1)]])
+
+    def test_solve_linear(self):
+        rows = [[F(0), F(2), F(1)], [F(1), F(1), F(0)], [F(3), F(0), F(1, 2)]]
+        x = solve_linear(rows, [F(1), F(2), F(3)])
+        assert [sum(a * b for a, b in zip(row, x)) for row in rows] == [1, 2, 3]
+        assert solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
+        assert solve_linear([], []) == []
+
+    def test_solve_rectangular(self):
+        cols = [vec(1, 0, 1), vec(0, 1, 1)]
+        assert _solve_rectangular(cols, vec(2, 3, 5)) == [2, 3]
+        assert _solve_rectangular(cols, vec(2, 3, 4)) is None  # inconsistent
+        assert _solve_rectangular(cols + [vec(1, 1, 2)], vec(2, 3, 5)) is None  # not unique
+
+    def test_kernel_vector_first_free_column(self):
+        assert _kernel_vector([[F(1), F(2), F(3)]]) == (F(-2), F(1), F(0))
+        assert _kernel_vector([[F(0), F(1), F(0)], [F(0), F(0), F(2)]]) == (F(1), F(0), F(0))
+        assert _kernel_vector([[F(1), F(1)], [F(2), F(2)]]) == (F(-1), F(1))
+        assert _kernel_vector([[F(1), F(0)], [F(0), F(1)]]) is None
+        assert _kernel_vector([]) is None
+
+    def test_cone_gram(self):
+        for m in all_models():
+            gram = m.cone_gram()
+            assert gram == [[m.intersect(ci, cj) for _, cj in m.cone] for _, ci in m.cone]
+
+    def test_inconsistent_cone_data_raises(self):
+        # A^2 = B^2 = 1, A.B = -2: the Zariski iteration on B ends on the
+        # support {A, B}, whose Gram block is not negative definite
+        m = SurfaceModel(
+            name="inconsistent", basis=("A", "B"), gram=(vec(1, -2), vec(-2, 1)),
+            cone=(("A", vec(1, 0)), ("B", vec(0, 1))),
+            anticanonical=vec(1, 1), degree=F(1))
+        with pytest.raises(ArithmeticError,
+                           match="^inconsistent: support Gram block not negative definite$"):
+            m.zariski_decompose(vec(0, 1))
