@@ -33,9 +33,8 @@ from .stability import (
 )
 from .surface import NotPseudoEffectiveError, builtin_ids, builtin_surface, vec
 from .volume import (
-    BLP114_CHART_TAGS,
+    CHART_FAMILIES,
     ChartCase,
-    F1_CHART_TAGS,
     s_closed_form,
     s_engine,
     volume_profile,
@@ -175,9 +174,10 @@ def _cmd_walls(args, out) -> int:
 
 
 def _chart_from_args(args) -> ChartCase:
-    tag = args.chart
-    surface = "f1" if tag in F1_CHART_TAGS else "blp114"
-    return ChartCase(surface, tag, args.a, args.b)
+    try:
+        return ChartCase(CHART_FAMILIES[args.chart].surface, args.chart, args.a, args.b)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _cmd_sfun(args, out) -> int:
@@ -333,6 +333,8 @@ def _cmd_surfaces(args, out) -> int:
 def _cmd_profile(args, out) -> int:
     model = _model_arg(args.surface, args.a, args.b)
     f = args.divisor if args.divisor else None
+    if f is None and model.exceptional is None:
+        raise UsageError(f"{model.name}: no default exceptional class; name one with --divisor")
     try:
         prof = volume_profile(model, f=f)
     except KeyError as exc:  # no class of that name on the model
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sfun", parents=[common, approx],
                        help="S-value of a chart valuation, engine vs closed form")
     p.add_argument("--chart", required=True,
-                   choices=F1_CHART_TAGS + BLP114_CHART_TAGS)
+                   choices=tuple(CHART_FAMILIES))
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=_fraction, default=Fraction(0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .volume import ChartCase
+from .volume import CHART_FAMILIES, ChartCase
 
 TAG_ONE = "one"
 TAG_GENERIC_NONZERO = "generic-nonzero"
@@ -229,6 +229,22 @@ def onePS_to_chart(lam: OnePS, surface: str) -> ChartCase:
     raise ValueError(f"unknown surface {surface!r}")
 
 
+# the 1-PS whose weight on x^e y^i z^j is the order of the monomial along D
+# (along E up to the constant 2)
+_DIVISOR_WEIGHTS = {"H_x": (1, 0, 0), "H_y": (0, 1, 0), "H_z": (0, 0, 1), "E": (0, 1, 1)}
+
+
+def chart_to_onePS(chart: ChartCase) -> OnePS:
+    """The 1-PS a*w(D1) + b*w(D2) realizing the chart valuation; inverse of
+    :func:`onePS_to_chart`."""
+    d1, d2 = chart.family.divisors
+    l1, l2, l3 = (chart.a * p + chart.b * q
+                  for p, q in zip(_DIVISOR_WEIGHTS[d1], _DIVISOR_WEIGHTS[d2]))
+    if chart.surface == "blp114":  # normalize l2 = 0 modulo (k, k, 4k)
+        return (l1 - l2, 0, l3 - 4 * l2)
+    return (l1, l2, l3)
+
+
 # ---------------------------------------------------------------------------
 # chart-local monomial expansion
 
@@ -243,23 +259,17 @@ class MonomialSupport:
             raise ValueError("empty local support")
 
 
-_LOCAL_MAPS = {
-    # (y-exp, z-exp) -> exponents in the chart's two local coordinates
-    "case2-yv": lambda s, i, j: (i + j - 2, j),
-    "case2-zu": lambda s, i, j: (i + j - 2, i),
-    "case1-010": lambda s, i, j: (6 - i - j, j),
-    "case1-001": lambda s, i, j: (6 - i - j, i),
-    "case1p": lambda s, i, j: (i + j - 2, i),
-    "case2p": lambda s, i, j: (i + j - 2, j),
-    "case3p": lambda s, i, j: (12 - i - 4 * j, j),
-}
+def divisor_orders(surface: str, i: int, j: int) -> dict[str, int]:
+    """Order of the monomial with exponents (i, j) along each invariant divisor."""
+    return {"H_x": _x_exponent(surface, i, j), "H_y": i, "H_z": j, "E": i + j - 2}
 
 
 def local_points(curve: CurvePair, tag: str) -> tuple[tuple[int, int], ...]:
-    """Distinct local exponents of the curve in the chart coordinates, in
-    monomial order."""
-    mapper = _LOCAL_MAPS[tag]
-    return tuple(dict.fromkeys(mapper(curve.surface, m.i, m.j) for m in curve.monomials))
+    """Distinct local exponents (ord_D1, ord_D2) of the curve in the chart
+    coordinates, in monomial order."""
+    d1, d2 = CHART_FAMILIES[tag].divisors
+    orders = (divisor_orders(curve.surface, m.i, m.j) for m in curve.monomials)
+    return tuple(dict.fromkeys((o[d1], o[d2]) for o in orders))
 
 
 def chart_expand(curve: CurvePair, chart: ChartCase) -> MonomialSupport:
@@ -288,12 +298,8 @@ def log_discrepancy(chart: ChartCase, support: MonomialSupport, c) -> Fraction:
 
 def toric_multiplicities(curve: CurvePair) -> dict[str, int]:
     """Coefficient of each invariant divisor in the curve (class data)."""
-    surface = curve.surface
-    xs = [m.x_exp(surface) for m in curve.monomials]
-    ys = [m.i for m in curve.monomials]
-    zs = [m.j for m in curve.monomials]
-    mult_p = min(m.i + m.j for m in curve.monomials)
-    return {"H_x": min(xs), "H_y": min(ys), "H_z": min(zs), "E": mult_p - 2}
+    orders = [divisor_orders(curve.surface, m.i, m.j) for m in curve.monomials]
+    return {d: min(o[d] for o in orders) for d in orders[0]}
 
 
 def lambda_weight(curve: CurvePair, lam: OnePS) -> Optional[int]:

@@ -10,9 +10,13 @@ curve and S0 the c-stripped S-coefficient.  Every constraint is affine in c,
 so each valuation contributes one exact rational half-line; a threshold is an
 intersection of finitely many of them.
 
-Completeness of the finite sweep: on every chart family the engine
-S-coefficient is affine in the weights (a, b) and the multiplicity is a
-concave piecewise-affine minimum, so for fixed c the normalized constraint
+Completeness of the finite sweep: the weight-(a, b) valuation of a chart
+family is a*ord_D1 + b*ord_D2 for the two invariant divisors (D1, D2) through
+the torus-fixed center.  S of a toric valuation is the pairing with the
+barycenter of the anticanonical polytope (Blum-Jonsson), so it is linear on
+the cone of the fixed point: S0(a, b) = a*S0(D1) + b*S0(D2).  The
+multiplicity is a concave piecewise-affine minimum, so for fixed c the
+normalized constraint
 beta(c; 1, r)/1 is piecewise affine in r = b/a.  Its infimum over r > 0 is
 attained at a kink (a monomial crossing or the a = b split) or at the ends
 r -> 0, infinity, and the end limits are dominated by the toric divisor
@@ -34,8 +38,9 @@ from .exactnum import SurdSum, render_fraction, render_surd
 from .pairs import (
     CurvePair,
     OnePS,
-    _LOCAL_MAPS,
     chart_expand,
+    chart_to_onePS,
+    divisor_orders,
     lambda_weight,
     local_points,
     make_curve,
@@ -43,12 +48,15 @@ from .pairs import (
     onePS_to_chart,
     toric_multiplicities,
 )
+from .surface import builtin_surface
 from .volume import (
     BLP114_CHART_TAGS,
+    CHART_FAMILIES,
     ChartCase,
     F1_CHART_TAGS,
     fixed_divisor_s,
     s_engine_coefficient,
+    volume_profile,
 )
 
 Number = Union[int, Fraction, SurdSum]
@@ -155,16 +163,10 @@ def chart_families(surface: str) -> tuple[str, ...]:
     return F1_CHART_TAGS if surface == "f1" else BLP114_CHART_TAGS
 
 
-def _branch_ratios(tag: str) -> list[Fraction]:
-    if tag in ("case1-010", "case1-001"):
-        return [Fraction(1)]
-    return []
-
-
 def kink_weights(curve: CurvePair, tag: str) -> list[tuple[int, int]]:
     """Primitive (a, b) where the local multiplicity or the S-branch kinks."""
     pts = local_points(curve, tag)
-    ratios: set[Fraction] = set(_branch_ratios(tag))
+    ratios = set(CHART_FAMILIES[tag].branch_ratios)
     for k in range(len(pts)):
         for l in range(k + 1, len(pts)):
             # a*e1 + b*f1 = a*e2 + b*f2 at the ratio r = b/a = (e1-e2)/(f2-f1)
@@ -291,21 +293,6 @@ def threshold(curve: CurvePair, bound: int = 30,
 # independent interval verifier
 
 
-def _s_affine(tag: str) -> tuple[Fraction, Fraction]:
-    """(alpha, beta) with S0(1, r) = alpha + beta*r; affine on each family."""
-    if tag in ("case1-010", "case1-001"):
-        return Fraction(20, 24), Fraction(26, 24)
-    if tag in ("case2-zu", "case2-yv"):
-        return Fraction(28, 24), Fraction(26, 24)
-    if tag == "case1p":
-        return Fraction(83, 48), Fraction(106, 48)
-    if tag == "case2p":
-        return Fraction(83, 48), Fraction(25, 48)
-    if tag == "case3p":
-        return Fraction(82, 48), Fraction(25, 48)
-    raise ValueError(tag)
-
-
 def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
     """Exact check that beta(c) >= 0 over all swept valuations.
 
@@ -315,10 +302,13 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
     """
     c = Fraction(c)
     failures: list[str] = []
+    fixed_s = fixed_divisor_s(curve.surface)
     for con in toric_constraints(curve):
         if con.beta_at(c) < 0:
             failures.append(f"toric {con.name}: beta({c}) = {con.beta_at(c)}")
     for tag in chart_families(curve.surface):
+        # S0(1, r) = S0(D1) + r*S0(D2), see the module docstring
+        s_a, s_b = (fixed_s[d] for d in CHART_FAMILIES[tag].divisors)
         pts = local_points(curve, tag)
         cut_ratios = sorted({Fraction(b, a) for a, b in kink_weights(curve, tag)})
         grid = [Fraction(0)] + cut_ratios
@@ -328,7 +318,6 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
             if probe == 0:
                 probe = Fraction(1, 2) if hi is None else hi / 2
             e_star, f_star = min(pts, key=lambda p: p[0] + probe * p[1])
-            s_a, s_b = _s_affine(tag)
             one_minus = 1 - 2 * c
             # beta(c; 1, r) = (1 + r) - c(e* + f* r) - (1-2c)(s_a + s_b r)
             p = polycheck.poly([
@@ -419,19 +408,6 @@ class WallRecord:
         return out
 
 
-def _weight_for_chart(chart: ChartCase) -> OnePS:
-    a, b = chart.a, chart.b
-    return {
-        "case2-yv": (0, a, a + b),
-        "case2-zu": (0, a + b, a),
-        "case1-010": (a, 0, b),
-        "case1-001": (a, b, 0),
-        "case3p": (a, 0, b),
-        "case2p": (-a, 0, b - 3 * a),
-        "case1p": (-(a + b), 0, -(3 * a + 4 * b)),
-    }[chart.tag]
-
-
 def confirm_wall(candidate: WallCandidate) -> WallRecord:
     """Equivariant polystability screen for a candidate wall.
 
@@ -492,6 +468,7 @@ def _candidate_supports(surface: str):
     """Invariant supports: maximal equal-weight sets per chart direction,
     degenerate-direction level sets, and single monomials."""
     monos = admissible_monomials(surface)
+    orders = {p: divisor_orders(surface, *p) for p in monos}
     seen: set[tuple[Fraction, ...]] = set()
 
     def z3_ok(support: list[tuple[int, int]]) -> bool:
@@ -499,8 +476,8 @@ def _candidate_supports(surface: str):
 
     # chart-direction pairs
     for tag in chart_families(surface):
-        mapper = _LOCAL_MAPS[tag]
-        local = {p: mapper(surface, *p) for p in monos}
+        d1, d2 = CHART_FAMILIES[tag].divisors
+        local = {p: (orders[p][d1], orders[p][d2]) for p in monos}
         for k in range(len(monos)):
             for l in range(k + 1, len(monos)):
                 e1, f1_ = local[monos[k]]
@@ -520,19 +497,12 @@ def _candidate_supports(surface: str):
                 seen.add(key)
                 yield ("chart", tag, a, b, m, support)
 
-    # degenerate 1-PS directions: level sets of the toric gradings
-    gradings = {
-        "E": lambda p: p[0] + p[1],
-        "H_y": lambda p: p[0],
-        "H_z": lambda p: p[1],
-        "H_x": (lambda p: 6 - p[0] - p[1]) if surface == "f1"
-               else (lambda p: 12 - p[0] - 4 * p[1]),
-    }
+    # degenerate 1-PS directions: level sets of the toric divisor orders
     emitted: set[tuple[tuple[int, int], ...]] = set()
-    for grading in gradings.values():
+    for d in TORIC_DIVISORS:
         levels: dict[int, list[tuple[int, int]]] = {}
         for p in monos:
-            levels.setdefault(grading(p), []).append(p)
+            levels.setdefault(orders[p][d], []).append(p)
         for support in levels.values():
             key = tuple(sorted(support))
             if key in emitted or not z3_ok(list(support)):
@@ -556,6 +526,11 @@ def enumerate_walls(surface: str, source: str = "published") -> list[WallRecord]
     draws them from the exact volume integrals instead.  Confirmation always
     uses the exact engine machinery.
     """
+    return [confirm_wall(cand) for cand in _wall_candidates(surface, source)]
+
+
+def _wall_candidates(surface: str, source: str) -> list[WallCandidate]:
+    """Unconfirmed wall candidates, one per (w, support), sorted by that key."""
     records: dict[tuple[Fraction, tuple[tuple[int, int], ...]], WallCandidate] = {}
     for kind, tag, a, b, m, support in _candidate_supports(surface):
         curve = _support_curve(surface, support)
@@ -568,7 +543,7 @@ def enumerate_walls(surface: str, source: str = "published") -> list[WallRecord]
             key = (w, key_support)
             if key not in records:
                 records[key] = WallCandidate(
-                    w, surface, curve, _weight_for_chart(chart), chart, m, "chart")
+                    w, surface, curve, chart_to_onePS(chart), chart, m, "chart")
         else:
             thr = threshold(curve)
             if thr.classification != "point":
@@ -578,7 +553,7 @@ def enumerate_walls(surface: str, source: str = "published") -> list[WallRecord]
             key = (w, key_support)
             if key not in records:
                 records[key] = WallCandidate(w, surface, curve, None, None, None, kind)
-    return [confirm_wall(records[key]) for key in sorted(records)]
+    return [records[key] for key in sorted(records)]
 
 
 def wall_values(surface: str, source: str = "published") -> list[Fraction]:
@@ -598,8 +573,9 @@ def audit_extra_walls(surface: str, published: list[WallRecord]) -> list[WallRec
     with the exact integrals).  They are reported for audit, not asserted.
     """
     walls = {r.candidate.w for r in published if r.confirmed}
-    return [r for r in enumerate_walls(surface, source="engine")
-            if r.confirmed and r.candidate.w not in walls]
+    records = (confirm_wall(cand) for cand in _wall_candidates(surface, "engine")
+               if cand.w not in walls)
+    return [r for r in records if r.confirmed]
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +583,13 @@ def audit_extra_walls(surface: str, published: list[WallRecord]) -> list[WallRec
 
 
 def index3_certificate(c) -> BetaReport:
-    """The index-3 degree-8 pair is destabilized by its quotient valuation."""
+    """The index-3 degree-8 pair is destabilized by its quotient valuation qF,
+    with S from the engine's ``index3m`` profile (raw integral 64/9)."""
     c = Fraction(c)
     if not 0 < c < Fraction(1, 2):
         raise ValueError("coefficient must lie in (0, 1/2)")
     a_val = Fraction(1, 3) - Fraction(2, 3) * c
-    s_val = SurdSum.rational(Fraction(8, 9) * (1 - 2 * c))
+    s_val = volume_profile(builtin_surface("index3m")).s_at(c)
     beta_val = SurdSum.rational(a_val) - s_val
     assert beta_val == SurdSum.rational(Fraction(10, 9) * c - Fraction(5, 9))
     return BetaReport("index3:qF", a_val, s_val, beta_val, _verdict(beta_val),
@@ -643,8 +620,6 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
     a_val = Fraction(1, 2) - c * ord_f
     s_val = SurdSum.sqrt(2) * Fraction(2, 3) * (1 - 2 * c)
     beta_val = SurdSum.rational(a_val) - s_val
-    from .volume import volume_profile
-    from .surface import builtin_surface
     engine_raw = volume_profile(builtin_surface("blp114-quotient-res")).raw_integral
     engine_s = engine_raw * (1 - 2 * c) / 8
     note = (f"ord_F(C) = {ord_f}; engine S = {render_surd(engine_s)} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .exactnum import render_fraction
@@ -360,14 +360,13 @@ def _model_blp114_quotient_res() -> SurfaceModel:
         classes={"F": f, "E": e, "H_y": hy}, exceptional="F")
 
 
-def _check_weights(a: int, b: int) -> tuple[int, int]:
-    from math import gcd as _g
+def check_weights(a: int, b: int) -> None:
+    """Reject blowup weights (a, b) that are not positive and coprime."""
     if a <= 0 or b <= 0:
         raise ValueError("blowup weights must be positive; degenerate 1-PS "
                          "weights are handled by toric divisor valuations")
-    if _g(a, b) != 1:
+    if gcd(a, b) != 1:
         raise ValueError("blowup weights must be coprime")
-    return a, b
 
 
 def _model_f1_case1(a: int, b: int) -> SurfaceModel:
@@ -376,7 +375,6 @@ def _model_f1_case1(a: int, b: int) -> SurfaceModel:
     Basis (F, Ebar, Hzbar): Hzbar is the line through both blowup centers,
     Hxbar = (b-a)F + Ebar + Hzbar the line through the new center only.
     """
-    a, b = _check_weights(a, b)
     gram = (vec(Fraction(-1, a * b), 0, Fraction(1, a)),
             vec(0, -1, 1),
             vec(Fraction(1, a), 1, Fraction(-b, a)))
@@ -398,7 +396,6 @@ def _model_f1_case2(a: int, b: int) -> SurfaceModel:
 
     Basis (F, Ebar, Lbar) with Lbar the invariant fiber through the center.
     """
-    a, b = _check_weights(a, b)
     gram = (vec(Fraction(-1, a * b), Fraction(1, b), Fraction(1, a)),
             vec(Fraction(1, b), Fraction(-(a + b), b), 0),
             vec(Fraction(1, a), 0, Fraction(-b, a)))
@@ -416,7 +413,6 @@ def _model_f1_case2(a: int, b: int) -> SurfaceModel:
 
 def _model_blp114_case1p(a: int, b: int) -> SurfaceModel:
     """Weight-(a,b) blowup of Bl P(1,1,4) at the point of E on H_y."""
-    a, b = _check_weights(a, b)
     gram = (vec(Fraction(-1, a * b), Fraction(1, b), Fraction(1, a)),
             vec(Fraction(1, b), Fraction(-(a + b), b), 0),
             vec(Fraction(1, a), 0, Fraction(-3, 4) - Fraction(b, a)))
@@ -435,7 +431,6 @@ def _model_blp114_case1p(a: int, b: int) -> SurfaceModel:
 
 def _model_blp114_case2p(a: int, b: int) -> SurfaceModel:
     """Weight-(a,b) blowup of Bl P(1,1,4) at the point of E on H_z."""
-    a, b = _check_weights(a, b)
     gram = (vec(Fraction(-1, a * b), Fraction(1, b), 0),
             vec(Fraction(1, b), Fraction(-(a + b), b), 1),
             vec(0, 1, Fraction(-3, 4)))
@@ -454,7 +449,6 @@ def _model_blp114_case2p(a: int, b: int) -> SurfaceModel:
 
 def _model_blp114_case3p(a: int, b: int) -> SurfaceModel:
     """Weight-(a,b) blowup of P(1,1,4) at [0,1,0], pulled back to Bl P(1,1,4)."""
-    a, b = _check_weights(a, b)
     gram = (vec(Fraction(-1, a * b), Fraction(1, b), 0),
             vec(Fraction(1, b), Fraction(1, 4) - Fraction(a, b), 0),
             vec(0, 0, -1))
@@ -497,6 +491,7 @@ def builtin_surface(ident: str, a: Optional[int] = None, b: Optional[int] = None
     if ident in _WEIGHTED_MODELS:
         if a is None or b is None:
             raise ValueError(f"{ident} requires weights a, b")
+        check_weights(a, b)
         return _WEIGHTED_MODELS[ident](a, b)
     raise ValueError(f"unknown surface id {ident!r}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exactnum import (
     ExactDomainError,
@@ -25,26 +25,38 @@ from .exactnum import (
     rational_or_surd,
     render_surd,
 )
-from .surface import SurfaceModel, Vec, builtin_surface, vsub, vscale, solve_linear
+from .surface import SurfaceModel, Vec, builtin_surface, check_weights, vsub, vscale, solve_linear
 
 Number = Union[int, Fraction, SurdSum]
 
 
 # ---------------------------------------------------------------------------
-# chart taxonomy
+# chart families
 
-F1_CHART_TAGS = ("case1-010", "case1-001", "case2-zu", "case2-yv")
-BLP114_CHART_TAGS = ("case1p", "case2p", "case3p")
+class ChartFamily(NamedTuple):
+    """Weighted blowups at one torus-fixed point: the weight-(a, b) valuation
+    is a*ord_D1 + b*ord_D2 for the invariant divisors ``(D1, D2)`` through the
+    center; the closed-form S-value switches branch at ``branch_ratios`` b/a.
+    """
 
-_MODEL_KIND = {
-    "case1-010": "f1-case1",
-    "case1-001": "f1-case1",
-    "case2-zu": "f1-case2",
-    "case2-yv": "f1-case2",
-    "case1p": "blp114-case1p",
-    "case2p": "blp114-case2p",
-    "case3p": "blp114-case3p",
+    surface: str
+    model_kind: str
+    divisors: tuple[str, str]
+    branch_ratios: tuple[Fraction, ...] = ()
+
+
+# table order is the order in which wall candidates are enumerated
+CHART_FAMILIES = {
+    "case1-010": ChartFamily("f1", "f1-case1", ("H_x", "H_z"), (Fraction(1),)),
+    "case1-001": ChartFamily("f1", "f1-case1", ("H_x", "H_y"), (Fraction(1),)),
+    "case2-zu": ChartFamily("f1", "f1-case2", ("E", "H_y")),
+    "case2-yv": ChartFamily("f1", "f1-case2", ("E", "H_z")),
+    "case1p": ChartFamily("blp114", "blp114-case1p", ("E", "H_y")),
+    "case2p": ChartFamily("blp114", "blp114-case2p", ("E", "H_z")),
+    "case3p": ChartFamily("blp114", "blp114-case3p", ("H_x", "H_z")),
 }
+F1_CHART_TAGS = tuple(t for t, fam in CHART_FAMILIES.items() if fam.surface == "f1")
+BLP114_CHART_TAGS = tuple(t for t, fam in CHART_FAMILIES.items() if fam.surface == "blp114")
 
 
 @dataclass(frozen=True)
@@ -57,26 +69,16 @@ class ChartCase:
     b: int
 
     def __post_init__(self) -> None:
-        if self.surface == "f1":
-            allowed = F1_CHART_TAGS
-        elif self.surface == "blp114":
-            allowed = BLP114_CHART_TAGS
-        else:
-            raise ValueError(f"unknown surface {self.surface!r}")
-        if self.tag not in allowed:
+        if self.tag not in CHART_FAMILIES or self.family.surface != self.surface:
             raise ValueError(f"chart {self.tag!r} is not valid on {self.surface}")
-        from math import gcd
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("chart weights must be positive")
-        if gcd(self.a, self.b) != 1:
-            raise ValueError("chart weights must be coprime")
+        check_weights(self.a, self.b)
 
     @property
-    def model_kind(self) -> str:
-        return _MODEL_KIND[self.tag]
+    def family(self) -> ChartFamily:
+        return CHART_FAMILIES[self.tag]
 
     def model(self) -> SurfaceModel:
-        return _chart_model(self.model_kind, self.a, self.b)
+        return _chart_model(self.family.model_kind, self.a, self.b)
 
 
 def _chart_model(kind: str, a: int, b: int, _cache: dict = {}) -> SurfaceModel:
@@ -306,7 +308,7 @@ _raw_cache: dict[tuple[str, int, int], SurdSum] = {}
 
 def s_engine_raw(chart: ChartCase) -> SurdSum:
     """Integral of the volume profile of the chart valuation (c-independent)."""
-    key = (chart.model_kind, chart.a, chart.b)
+    key = (chart.family.model_kind, chart.a, chart.b)
     if key not in _raw_cache:
         profile = volume_profile(chart.model())
         _raw_cache[key] = profile.raw_integral

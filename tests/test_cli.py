@@ -87,6 +87,10 @@ class TestSfunCommand:
         assert data["engine_approx"] == data["closed_form_approx"]
         assert data["engine_approx"] == "3.416667"
 
+    @pytest.mark.parametrize("a, b", [("0", "1"), ("1", "-2"), ("2", "4"), ("3", "3")])
+    def test_bad_weights_usage(self, capsys, a, b):
+        assert_usage_error(capsys, "sfun", "--chart", "case3p", "--a", a, "--b", b)
+
 
 class TestZariskiCommand:
     def test_decomposition(self):
@@ -135,6 +139,11 @@ def test_bad_model_usage(capsys, command, case):
 
 def test_profile_unknown_divisor_usage(capsys):
     assert_usage_error(capsys, "profile", "--surface", "index3m", "--divisor", "nope")
+
+
+@pytest.mark.parametrize("surface", ["f1", "blp114"])
+def test_profile_without_default_divisor_usage(capsys, surface):
+    assert_usage_error(capsys, "profile", "--surface", surface)
 
 
 class TestBetaThresholdCommands:
