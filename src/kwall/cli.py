@@ -66,14 +66,21 @@ def _weights(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _bound(text: str) -> int:
-    try:
-        bound = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if bound < 12:
-        raise argparse.ArgumentTypeError("grid bound must be at least 12")
-    return bound
+def _int_at_least(low: int, message: str):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
+
+
+_bound = _int_at_least(12, "grid bound must be at least 12")
+_digits = _int_at_least(1, "need at least 1 digit")
 
 
 def _load_curve_arg(text: str, surface: str):
@@ -260,8 +267,10 @@ def _cmd_beta(args, out) -> int:
 
 
 def _cmd_threshold(args, out) -> int:
+    if args.bound is not None and not args.grid:
+        raise UsageError("--bound applies only with --grid")
     curve = _load_curve_arg(args.curve, args.surface)
-    thr = threshold(curve, bound=args.bound, cross_check_grid=args.grid)
+    thr = threshold(curve, bound=args.bound or 30, cross_check_grid=args.grid)
     payload = {
         "surface": args.surface,
         "curve": curve.to_json()["text"],
@@ -301,13 +310,13 @@ def _cmd_tables(args, out) -> int:
 
 def _cmd_certify(args, out) -> int:
     if args.kind == "index3":
+        if args.curve is not None or args.ord is not None:
+            raise UsageError("certify index3 takes no --curve or --ord")
         rep = index3_certificate(args.c)
+    elif args.curve is not None:
+        rep = quotient_point_certificate(_load_curve_arg(args.curve, "blp114"), args.c)
     else:
-        if args.curve is not None:
-            curve = _load_curve_arg(args.curve, "blp114")
-            rep = quotient_point_certificate(curve, args.c)
-        else:
-            rep = quotient_point_certificate(args.ord, args.c)
+        rep = quotient_point_certificate(1 if args.ord is None else args.ord, args.c)
     payload = rep.to_json()
     if args.approx:
         payload["beta_approx"] = rep.beta.approx_str(args.approx)
@@ -320,6 +329,8 @@ def _cmd_certify(args, out) -> int:
 def _cmd_surfaces(args, out) -> int:
     if args.id:
         models = [_model_arg(args.id, args.a, args.b)]
+    elif args.a is not None or args.b is not None:
+        raise UsageError("--a/--b need --id")
     else:
         models = [builtin_surface(i) for i in builtin_ids()
                   if i in ("f1", "blp114", "index3m", "blp114-quotient-res")]
@@ -356,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "md"), default="json")
     approx = argparse.ArgumentParser(add_help=False)
-    approx.add_argument("--approx", type=int, default=None, metavar="DIGITS",
+    approx.add_argument("--approx", type=_digits, default=None, metavar="DIGITS",
                         help="add decimal approximations (exact interval refinement)")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -398,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact stability-threshold interval of a pair")
     p.add_argument("--surface", choices=("f1", "blp114"), required=True)
     p.add_argument("--curve", required=True)
-    p.add_argument("--bound", type=_bound, default=30)
+    p.add_argument("--bound", type=_bound, default=None,
+                   help="weight bound a + b of the --grid sweep (default 30)")
     p.add_argument("--grid", action="store_true",
                    help="also run the redundant grid cross-check")
     p.set_defaults(func=_cmd_threshold)
@@ -420,10 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="named instability certificates")
     p.add_argument("kind", choices=("index3", "quotient-point"))
     p.add_argument("--c", type=_fraction, required=True)
-    p.add_argument("--curve", default=None,
-                   help="curve on blp114 through the quarter point")
-    p.add_argument("--ord", type=int, default=1,
-                   help="multiplicity of the branch curve along the quarter point")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--curve", default=None,
+                       help="curve on blp114 through the quarter point")
+    group.add_argument("--ord", type=int, default=None,
+                       help="multiplicity of the branch curve along the quarter "
+                       "point (default 1)")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("surfaces", parents=[common],

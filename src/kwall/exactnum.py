@@ -265,19 +265,7 @@ class SurdSum:
         # refinement terminates
         bits = 32
         while True:
-            lo = hi = Fraction(0)
-            for d, q in ts:
-                if d == 1:
-                    lo += q
-                    hi += q
-                    continue
-                slo, shi = _sqrt_bounds(d, bits)
-                if q > 0:
-                    lo += q * slo
-                    hi += q * shi
-                else:
-                    lo += q * shi
-                    hi += q * slo
+            lo, hi = self.enclosure(bits)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -346,10 +334,6 @@ class SurdSum:
         whole, dec = divmod(n, 10**digits)
         return f"{sign}{whole}.{str(dec).zfill(digits)}"
 
-    def __float__(self) -> float:
-        lo, hi = self.enclosure(64)
-        return float((lo + hi) / 2)
-
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -411,16 +395,20 @@ class QuadraticPoly:
             return self.c2 * t**3 / 3 + self.c1 * t**2 / 2 + self.c0 * t
         return t**3 * Fraction(self.c2, 3) + t**2 * Fraction(self.c1, 2) + t * self.c0
 
-    def real_roots(self) -> list[SurdSum]:
-        """Sorted real roots as exact values."""
+    def real_roots(self) -> list[Union[Fraction, SurdSum]]:
+        """Sorted real roots as exact values: ``Fraction`` when rational."""
         if self.c2 == 0:
             if self.c1 == 0:
                 return []
-            return [SurdSum.rational(-self.c0 / self.c1)]
+            return [Fraction(-self.c0) / self.c1]
         disc = self.c1 * self.c1 - 4 * self.c2 * self.c0
         if disc < 0:
             return []
-        sq = SurdSum.sqrt(disc)
+        num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+        if num * num == disc.numerator and den * den == disc.denominator:
+            sq = Fraction(num, den)
+        else:
+            sq = SurdSum.sqrt(disc)
         minus, plus = (-sq - self.c1) / (2 * self.c2), (sq - self.c1) / (2 * self.c2)
         # sqrt(disc) >= 0, so the order of the two roots is the sign of c2
         return [minus, plus] if self.c2 > 0 else [plus, minus]

@@ -620,8 +620,7 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
     a_val = Fraction(1, 2) - c * ord_f
     s_val = SurdSum.sqrt(2) * Fraction(2, 3) * (1 - 2 * c)
     beta_val = SurdSum.rational(a_val) - s_val
-    engine_raw = volume_profile(builtin_surface("blp114-quotient-res")).raw_integral
-    engine_s = engine_raw * (1 - 2 * c) / 8
+    engine_s = volume_profile(builtin_surface("blp114-quotient-res")).s_at(c)
     note = (f"ord_F(C) = {ord_f}; engine S = {render_surd(engine_s)} "
             f"(profile tau = 3/2) also destabilizes")
     if (SurdSum.rational(a_val) - engine_s).sign() >= 0:

@@ -38,10 +38,6 @@ def vscale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
 def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Solve a square rational system by Gauss-Jordan elimination; None if singular."""
     n = len(rows)
@@ -118,28 +114,11 @@ class SurfaceModel:
         return all(self.intersect(d, c) >= 0 for _, c in self.cone)
 
     def is_pseudoeffective(self, d: Vec) -> bool:
-        return self._cone_coordinates(d) is not None
-
-    def _cone_coordinates(self, d: Vec) -> Optional[dict[str, Fraction]]:
-        """Nonnegative generator combination equal to d, if one exists.
-
-        By Caratheodory it suffices to scan linearly independent subsets.
-        """
-        if is_zero_vec(d):
-            return {}
-        gens = list(self.cone)
-        n = self.rank()
-        from itertools import combinations
-
-        for size in range(1, min(n, len(gens)) + 1):
-            for subset in combinations(range(len(gens)), size):
-                cols = [gens[i][1] for i in subset]
-                sol = _solve_rectangular(cols, d)
-                if sol is None:
-                    continue
-                if all(x >= 0 for x in sol):
-                    return {gens[i][0]: x for i, x in zip(subset, sol) if x != 0}
-        return None
+        """No nef class pairs negatively with d.  Complete by Farkas when the
+        cone generators span the lattice and the form is nondegenerate: an
+        extremal ray of the nef cone is then perpendicular to rank - 1
+        independent generators, and :meth:`_separating_nef_class` scans those."""
+        return self._separating_nef_class(d) is None
 
     def _separating_nef_class(self, d: Vec) -> Optional[tuple[str, Vec]]:
         """A nef class w with w.d < 0, certifying d not pseudo-effective."""
@@ -173,14 +152,24 @@ class SurfaceModel:
         return gram
 
     def zariski_decompose(self, d: Vec) -> ZariskiDecomposition:
-        """Unique D = P + N with P nef, P.N_i = 0, Gram(N) negative definite."""
-        if not self.is_pseudoeffective(d):
+        """Unique D = P + N with P nef, P.N_i = 0, Gram(N) negative definite.
+
+        A finished iteration proves d pseudo-effective (P nef, N effective).
+        When it fails, a separating nef class proves d is not; without one
+        the iteration's error stands.
+        """
+        try:
+            return self._zariski_iteration(d)
+        except ArithmeticError:
             sep = self._separating_nef_class(d)
-            if sep is not None:
-                raise NotPseudoEffectiveError(
-                    f"{self.name}: class not pseudo-effective; nef class "
-                    f"{sep[0]} = {fmt_vec(sep[1])} pairs negatively", sep)
-            raise NotPseudoEffectiveError(f"{self.name}: class not pseudo-effective")
+            if sep is None:
+                raise
+        raise NotPseudoEffectiveError(
+            f"{self.name}: class not pseudo-effective; nef class "
+            f"{sep[0]} = {fmt_vec(sep[1])} pairs negatively", sep)
+
+    def _zariski_iteration(self, d: Vec) -> ZariskiDecomposition:
+        """Grow the support by the generators P meets negatively until none is left."""
         gram = self.cone_gram()
         dc = [self.intersect(d, c) for _, c in self.cone]
         support = {j for j, v in enumerate(dc) if v < 0}
@@ -272,15 +261,6 @@ def _negative_definite(block: list[list[Fraction]]) -> bool:
             f = m[r][k] / pivot_row[k]
             m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
     return True
-
-
-def _solve_rectangular(cols: list[Vec], d: Vec) -> Optional[list[Fraction]]:
-    """Solve sum x_i cols[i] = d exactly; None if inconsistent or not unique."""
-    k = len(cols)
-    aug = [[c[i] for c in cols] + [d[i]] for i in range(len(d))]
-    if len(_rref(aug, k)) < k or any(row[k] != 0 for row in aug[k:]):
-        return None
-    return [row[k] for row in aug[:k]]
 
 
 def _kernel_vector(rows: list[list[Fraction]]) -> Optional[Vec]:

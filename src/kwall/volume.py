@@ -22,7 +22,6 @@ from .exactnum import (
     PiecewiseQuadratic,
     QuadraticPoly,
     SurdSum,
-    rational_or_surd,
     render_surd,
 )
 from .surface import SurfaceModel, Vec, builtin_surface, check_weights, vsub, vscale, solve_linear
@@ -276,7 +275,7 @@ def _segment(table: _PairingTable, support: list[int], t_cur: Fraction) -> _Segm
     roots = [value / slope for slope, value in pairings.values() if slope > 0]
     roots += [a0 / (-a1) for a0, a1 in xs.values() if a1 < 0]
     events = [r for r in roots if r > t_cur]
-    vol_root = next((r for r in map(rational_or_surd, quad.real_roots()) if r > t_cur), None)
+    vol_root = next((r for r in quad.real_roots() if r > t_cur), None)
     return _Segment(t_cur, xs, quad, pairings, events, vol_root)
 
 
@@ -402,10 +401,5 @@ def fixed_divisor_s(surface: str) -> dict[str, Fraction]:
 def fixed_divisor_profile(surface: str, divisor: str) -> SProfile:
     """Volume profile of -K - t*D for a named toric divisor class."""
     model = builtin_surface(surface)
-    return volume_profile(model, f=_named_vec(model, divisor))
+    return volume_profile(model, f=model.cone_class(divisor))
 
-
-def _named_vec(model: SurfaceModel, name: str):
-    if name in model.classes:
-        return model.classes[name]
-    return model.cone_class(name)

@@ -146,6 +146,33 @@ def test_profile_without_default_divisor_usage(capsys, surface):
     assert_usage_error(capsys, "profile", "--surface", surface)
 
 
+IGNORED_FLAGS = {
+    "sfun-approx-negative": ["sfun", "--chart", "case2-yv", "--a", "2", "--b", "1",
+                             "--approx", "-2"],
+    "sfun-approx-zero": ["sfun", "--chart", "case2-yv", "--a", "2", "--b", "1",
+                         "--approx", "0"],
+    "certify-approx-zero": ["certify", "quotient-point", "--c", "1/4", "--approx", "0"],
+    "index3-curve": ["certify", "index3", "--c", "1/4", "--curve", "zzz"],
+    "index3-ord": ["certify", "index3", "--c", "1/4", "--ord", "2"],
+    "curve-and-ord": ["certify", "quotient-point", "--c", "1/4",
+                      "--curve", "z^2*x^4+y^4*x^8", "--ord", "2"],
+    "surfaces-a-without-id": ["surfaces", "--a", "2"],
+    "surfaces-b-without-id": ["surfaces", "--b", "1"],
+    "bound-without-grid": ["threshold", "--surface", "f1", "--curve", "x^3*z^3+x*y^5",
+                           "--bound", "20"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(IGNORED_FLAGS))
+def test_ignored_flag_usage(capsys, case):
+    """A flag the command would accept and then ignore is a usage error: exit 2,
+    no stdout, one ``error:`` line (after the usage, when argparse rejects it)."""
+    code, out = invoke(*IGNORED_FLAGS[case])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert [line for line in err if "error:" in line] == err[-1:], err
+
+
 class TestBetaThresholdCommands:
     def test_beta_with_weights(self):
         code, text = invoke("beta", "--surface", "blp114", "--curve",

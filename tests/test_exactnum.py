@@ -325,3 +325,15 @@ class TestMixedBreakpoints:
         assert lo == -sqrt(2) and hi == sqrt(2)
         lo, hi = QuadraticPoly(F(-2), F(1), F(1)).real_roots()
         assert lo == rat(F(-1, 2)) and hi == rat(1)
+
+    def test_real_roots_rational_as_fraction(self):
+        # a square discriminant 25/36 and a linear polynomial give Fraction roots
+        lo, hi = QuadraticPoly(F(1), F(-1, 6), F(-1, 6)).real_roots()
+        assert (lo, hi) == (F(-1, 3), F(1, 2))
+        assert type(lo) is F and type(hi) is F
+        assert QuadraticPoly(F(0), F(3), F(-2)).real_roots() == [F(2, 3)]
+        assert type(QuadraticPoly(F(0), F(3), F(-2)).real_roots()[0]) is F
+        assert QuadraticPoly(F(1), F(-2), F(1)).real_roots() == [F(1), F(1)]
+        # a discriminant 2 or 1/2 (non-square numerator or denominator) keeps the surd
+        for c0 in (F(-1, 2), F(-1, 8)):
+            assert all(isinstance(r, SurdSum) for r in QuadraticPoly(F(1), F(0), c0).real_roots())

@@ -2,6 +2,7 @@ import itertools
 import random
 import zlib
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -10,9 +11,10 @@ from kwall.surface import (
     SurfaceModel,
     _kernel_vector,
     _negative_definite,
-    _solve_rectangular,
+    _rref,
     builtin_ids,
     builtin_surface,
+    fmt_vec,
     solve_linear,
     vadd,
     vec,
@@ -373,12 +375,6 @@ class TestLinearAlgebra:
         assert solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
         assert solve_linear([], []) == []
 
-    def test_solve_rectangular(self):
-        cols = [vec(1, 0, 1), vec(0, 1, 1)]
-        assert _solve_rectangular(cols, vec(2, 3, 5)) == [2, 3]
-        assert _solve_rectangular(cols, vec(2, 3, 4)) is None  # inconsistent
-        assert _solve_rectangular(cols + [vec(1, 1, 2)], vec(2, 3, 5)) is None  # not unique
-
     def test_kernel_vector_first_free_column(self):
         assert _kernel_vector([[F(1), F(2), F(3)]]) == (F(-2), F(1), F(0))
         assert _kernel_vector([[F(0), F(1), F(0)], [F(0), F(0), F(2)]]) == (F(1), F(0), F(0))
@@ -401,3 +397,117 @@ class TestLinearAlgebra:
         with pytest.raises(ArithmeticError,
                            match="^inconsistent: support Gram block not negative definite$"):
             m.zariski_decompose(vec(0, 1))
+
+
+# ---------------------------------------------------------------------------
+# the check-first decomposition, kept as the oracle for the iterate-first one
+
+
+def _coprime_weights(limit):
+    return [(a, s - a) for s in range(2, limit + 1) for a in range(1, s) if gcd(a, s) == 1]
+
+
+def _weighted_kinds():
+    return [i for i in builtin_ids() if i not in ALL_FIXED]
+
+
+def _caratheodory_coordinates(m, d):
+    """A nonnegative combination of linearly independent generators equal to d,
+    found by scanning generator subsets by size; None if there is none."""
+    if all(x == 0 for x in d):
+        return {}
+    gens = list(m.cone)
+    for size in range(1, min(m.rank(), len(gens)) + 1):
+        for subset in itertools.combinations(range(len(gens)), size):
+            aug = [[gens[i][1][row] for i in subset] + [d[row]] for row in range(len(d))]
+            if len(_rref(aug, size)) < size or any(r[size] != 0 for r in aug[size:]):
+                continue
+            sol = [r[size] for r in aug[:size]]
+            if all(x >= 0 for x in sol):
+                return {gens[i][0]: x for i, x in zip(subset, sol) if x != 0}
+    return None
+
+
+def _check_first_decompose(m, d):
+    """Zariski decomposition that decides pseudo-effectivity before iterating."""
+    if _caratheodory_coordinates(m, d) is None:
+        sep = m._separating_nef_class(d)
+        if sep is not None:
+            raise NotPseudoEffectiveError(
+                f"{m.name}: class not pseudo-effective; nef class "
+                f"{sep[0]} = {fmt_vec(sep[1])} pairs negatively", sep)
+        raise NotPseudoEffectiveError(f"{m.name}: class not pseudo-effective")
+    gram = m.cone_gram()
+    dc = [m.intersect(d, c) for _, c in m.cone]
+    support = {j for j, v in enumerate(dc) if v < 0}
+    for _ in range(len(dc) + 2):
+        idx = sorted(support)
+        block = [[gram[i][j] for j in idx] for i in idx]
+        coeffs = solve_linear(block, [dc[i] for i in idx]) if idx else []
+        if coeffs is None:
+            raise ArithmeticError(f"{m.name}: singular Gram block for support {idx}")
+        violated = {j for j, row in enumerate(gram) if j not in support
+                    and dc[j] < sum(x * row[i] for i, x in zip(idx, coeffs))}
+        if not violated:
+            if any(x < 0 for x in coeffs):
+                raise ArithmeticError(
+                    f"{m.name}: negative Zariski coefficient; cone data inconsistent")
+            if not _negative_definite(block):
+                raise ArithmeticError(f"{m.name}: support Gram block not negative definite")
+            p = d
+            for i, x in zip(idx, coeffs):
+                p = tuple(pi - x * ci for pi, ci in zip(p, m.cone[i][1]))
+            negative = tuple((m.cone[i][0], x) for i, x in zip(idx, coeffs) if x != 0)
+            return p, negative
+        support |= violated
+    raise ArithmeticError(f"{m.name}: Zariski iteration did not stabilize")
+
+
+def _outcome(decompose, m, d):
+    try:
+        z = decompose(m, d)
+    except ArithmeticError as exc:
+        return type(exc), str(exc), None
+    except NotPseudoEffectiveError as exc:
+        return type(exc), str(exc), exc.separating
+    return z if isinstance(z, tuple) else (z.positive, z.negative_support)
+
+
+def _probe_classes(m, k, rng):
+    """Boundary classes (generator k and the k-th sum of two generators), a
+    random pseudo-effective class, and the negations of both boundary classes."""
+    gens = [c for _, c in m.cone]
+    pairs = list(itertools.combinations(gens, 2))
+    boundary = [gens[k % len(gens)], vadd(*pairs[k % len(pairs)])]
+    interior = tuple(sum(F(rng.randint(0, 6), rng.randint(1, 3)) * c[i] for c in gens)
+                     for i in range(m.rank()))
+    return boundary + [interior] + [vscale(-1, d) for d in boundary]
+
+
+def test_iterate_first_matches_check_first():
+    """Same decomposition, or same exception type, text and separator, as the
+    check-first order on every fixed model and every family at a + b <= 12."""
+    models = [builtin_surface(i) for i in ALL_FIXED]
+    models += [builtin_surface(kind, a, b) for kind in _weighted_kinds()
+               for a, b in _coprime_weights(12)]
+    rng = random.Random(8)
+    seen = {True: 0, False: 0}
+    for k, m in enumerate(models):
+        for d in _probe_classes(m, k, rng):
+            old = _outcome(_check_first_decompose, m, d)
+            assert _outcome(lambda m, d: m.zariski_decompose(d), m, d) == old, (m.name, d)
+            seen[old[0] is NotPseudoEffectiveError] += 1
+    assert min(seen.values()) >= 400, seen
+
+
+def test_cone_generators_span_the_lattice():
+    """The precondition of the separator's completeness (Farkas): on every
+    builtin model the generators span the lattice and the form is nondegenerate."""
+    models = [builtin_surface(i) for i in ALL_FIXED]
+    models += [builtin_surface(k, a, b) for k in _weighted_kinds()
+               for a, b in _coprime_weights(30)]
+    assert len(models) == 4 + 5 * 277
+    for m in models:
+        n = m.rank()
+        assert len(_rref([list(c) for _, c in m.cone], n)) == n, m.name
+        assert len(_rref([list(row) for row in m.gram], n)) == n, m.name
