@@ -129,21 +129,6 @@ class SurdSum:
         # sqrt(p/r) = sqrt(p*r)/r
         return cls([(q.numerator * q.denominator, Fraction(1, q.denominator))])
 
-    @classmethod
-    def quadratic_root(cls, c2: RationalLike, c1: RationalLike, c0: RationalLike,
-                       branch: int) -> "SurdSum":
-        """Root ``(-c1 + branch*sqrt(c1^2 - 4*c2*c0)) / (2*c2)`` with branch in {-1,+1}."""
-        c2, c1, c0 = Fraction(c2), Fraction(c1), Fraction(c0)
-        if c2 == 0:
-            raise ExactDomainError("quadratic leading coefficient is zero")
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc < 0:
-            raise ExactDomainError("quadratic has no real roots")
-        root = cls.sqrt(disc)
-        if branch < 0:
-            root = -root
-        return (root - c1) / (2 * c2)
-
     # -- inspection --------------------------------------------------------
 
     @property

@@ -95,29 +95,14 @@ def _verdict(beta: SurdSum) -> str:
     return "destabilizing" if s < 0 else ("critical" if s == 0 else "positive")
 
 
-def _report(name: str, a0: Fraction, m: Fraction, s0: Number, c: Fraction,
-            note: str = "") -> BetaReport:
-    c = Fraction(c)
-    a_val = a0 - m * c
-    s_val = SurdSum._coerce(s0) * (1 - 2 * c)
-    beta = SurdSum.rational(a_val) - s_val
-    return BetaReport(name, a_val, s_val, beta, _verdict(beta), note)
-
-
 def beta_toric(curve: CurvePair, divisor: str, c) -> BetaReport:
     """Beta of one of the four invariant divisors on the surface itself."""
-    mults = toric_multiplicities(curve)
-    s0 = fixed_divisor_s(curve.surface)[divisor]
-    return _report(divisor, Fraction(1), Fraction(mults[divisor]), s0, c)
+    return {con.name: con for con in toric_constraints(curve)}[divisor].report(c)
 
 
 def beta_chart(curve: CurvePair, chart: ChartCase, c) -> BetaReport:
     """Beta of the chart's weighted-blowup valuation, S by volume integration."""
-    support = chart_expand(curve, chart)
-    m = multiplicity(support, chart.a, chart.b)
-    s0 = s_engine_coefficient(chart)
-    name = f"{chart.tag}({chart.a},{chart.b})"
-    return _report(name, Fraction(chart.a + chart.b), Fraction(m), s0, c)
+    return chart_constraint(curve, chart).report(c)
 
 
 def beta(curve: CurvePair, valuation: Union[str, ChartCase, OnePS], c) -> BetaReport:
@@ -136,26 +121,51 @@ def beta(curve: CurvePair, valuation: Union[str, ChartCase, OnePS], c) -> BetaRe
 
 @dataclass(frozen=True)
 class Constraint:
-    """beta(c) = u + v*c >= 0 for one valuation."""
+    """One valuation: beta(c) = a0 - m*c - s0*(1 - 2c) = u + v*c.
+
+    A rational ``s0`` is held as a ``Fraction``; only a surd ``s0`` (a
+    tabulated closed form or a certificate value) stays a ``SurdSum``.
+    """
 
     name: str
-    u: Fraction
-    v: Fraction
+    a0: Fraction
+    m: Fraction
+    s0: Number
 
-    def beta_at(self, c: Fraction) -> Fraction:
+    def __post_init__(self) -> None:
+        if isinstance(self.s0, SurdSum) and self.s0.is_rational():
+            object.__setattr__(self, "s0", self.s0.as_fraction())
+
+    @property
+    def u(self) -> Number:
+        return self.a0 - self.s0
+
+    @property
+    def v(self) -> Number:
+        return 2 * self.s0 - self.m
+
+    def beta_at(self, c) -> Number:
         return self.u + self.v * Fraction(c)
 
+    def root(self) -> Optional[Fraction]:
+        """The wall: the solution of beta(w) = 0, if rational and in (0, 1/2)."""
+        if isinstance(self.s0, SurdSum) or self.v == 0:
+            return None
+        w = -self.u / self.v
+        return w if 0 < w < Fraction(1, 2) else None
 
-def _constraint(name: str, a0: Fraction, m: Fraction, s0: Fraction) -> Constraint:
-    if isinstance(s0, SurdSum):
-        s0 = s0.as_fraction()
-    return Constraint(name, a0 - s0, 2 * s0 - m)
+    def report(self, c, note: str = "") -> BetaReport:
+        c = Fraction(c)
+        beta = SurdSum._coerce(self.beta_at(c))
+        return BetaReport(self.name, self.a0 - self.m * c,
+                          SurdSum._coerce(self.s0) * (1 - 2 * c), beta,
+                          _verdict(beta), note)
 
 
 def toric_constraints(curve: CurvePair) -> list[Constraint]:
     mults = toric_multiplicities(curve)
     table = fixed_divisor_s(curve.surface)
-    return [_constraint(d, Fraction(1), Fraction(mults[d]), table[d])
+    return [Constraint(d, Fraction(1), Fraction(mults[d]), table[d])
             for d in TORIC_DIVISORS]
 
 
@@ -163,33 +173,39 @@ def chart_families(surface: str) -> tuple[str, ...]:
     return F1_CHART_TAGS if surface == "f1" else BLP114_CHART_TAGS
 
 
+def _crossing(p: tuple[int, int], q: tuple[int, int]) -> Optional[tuple[int, int]]:
+    """Primitive (a, b) > 0 with a*p[0] + b*p[1] == a*q[0] + b*q[1], if any."""
+    de, df = p[0] - q[0], q[1] - p[1]
+    if de == 0 or df == 0 or (de > 0) != (df > 0):
+        return None
+    g = gcd(de, df)
+    return abs(df) // g, abs(de) // g
+
+
 def kink_weights(curve: CurvePair, tag: str) -> list[tuple[int, int]]:
     """Primitive (a, b) where the local multiplicity or the S-branch kinks."""
     pts = local_points(curve, tag)
     ratios = set(CHART_FAMILIES[tag].branch_ratios)
-    for k in range(len(pts)):
-        for l in range(k + 1, len(pts)):
-            # a*e1 + b*f1 = a*e2 + b*f2 at the ratio r = b/a = (e1-e2)/(f2-f1)
-            de = pts[k][0] - pts[l][0]
-            df = pts[l][1] - pts[k][1]
-            if de != 0 and df != 0 and (de > 0) == (df > 0):
-                ratios.add(Fraction(abs(de), abs(df)))
-    out = []
-    for r in sorted(ratios):
-        out.append((r.denominator, r.numerator))
-    return out
+    for k, p in enumerate(pts):
+        for q in pts[k + 1:]:
+            ab = _crossing(p, q)
+            if ab is not None:
+                ratios.add(Fraction(ab[1], ab[0]))
+    return [(r.denominator, r.numerator) for r in sorted(ratios)]
+
+
+def chart_constraint(curve: CurvePair, chart: ChartCase) -> Constraint:
+    """The chart's weighted-blowup valuation, S by volume integration."""
+    m = multiplicity(chart_expand(curve, chart), chart.a, chart.b)
+    return Constraint(f"{chart.tag}({chart.a},{chart.b})", Fraction(chart.a + chart.b),
+                      Fraction(m), s_engine_coefficient(chart))
 
 
 def chart_constraints(curve: CurvePair, tag: str,
                       weights: Iterable[tuple[int, int]]) -> list[Constraint]:
     """One constraint per chart valuation ``tag(a, b)``, (a, b) in ``weights``."""
-    out = []
-    for a, b in weights:
-        chart = ChartCase(curve.surface, tag, a, b)
-        m = multiplicity(chart_expand(curve, chart), a, b)
-        out.append(_constraint(f"{tag}({a},{b})", Fraction(a + b), Fraction(m),
-                               s_engine_coefficient(chart)))
-    return out
+    return [chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
+            for a, b in weights]
 
 
 def all_constraints(curve: CurvePair) -> list[Constraint]:
@@ -235,12 +251,13 @@ def _intersect(cons: Sequence[Constraint]) -> StabilityThreshold:
     bind_hi: list[str] = []
     infeasible = False
     for con in cons:
-        if con.v == 0:
-            if con.u < 0:
+        u, v = con.u, con.v
+        if v == 0:
+            if u < 0:
                 infeasible = True
             continue
-        bound = -con.u / con.v
-        if con.v > 0:
+        bound = -u / v
+        if v > 0:
             if lower is None or bound > lower:
                 lower, bind_lo = bound, [con.name]
             elif bound == lower:
@@ -307,22 +324,20 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
         if con.beta_at(c) < 0:
             failures.append(f"toric {con.name}: beta({c}) = {con.beta_at(c)}")
     for tag in chart_families(curve.surface):
-        # S0(1, r) = S0(D1) + r*S0(D2), see the module docstring
-        s_a, s_b = (fixed_s[d] for d in CHART_FAMILIES[tag].divisors)
+        d1, d2 = CHART_FAMILIES[tag].divisors
         pts = local_points(curve, tag)
-        cut_ratios = sorted({Fraction(b, a) for a, b in kink_weights(curve, tag)})
-        grid = [Fraction(0)] + cut_ratios
+        grid = [Fraction(0)] + [Fraction(b, a) for a, b in kink_weights(curve, tag)]
         for idx, lo in enumerate(grid):
             hi = grid[idx + 1] if idx + 1 < len(grid) else None
             probe = (lo + hi) / 2 if hi is not None else lo + 1
             if probe == 0:
                 probe = Fraction(1, 2) if hi is None else hi / 2
             e_star, f_star = min(pts, key=lambda p: p[0] + probe * p[1])
-            one_minus = 1 - 2 * c
-            # beta(c; 1, r) = (1 + r) - c(e* + f* r) - (1-2c)(s_a + s_b r)
+            # with S0(1, r) = S0(D1) + r*S0(D2) (module docstring) the weight
+            # (1, r) valuation splits as the D1 part plus r times the D2 part
             p = polycheck.poly([
-                1 - c * e_star - one_minus * s_a,
-                1 - c * f_star - one_minus * s_b,
+                Constraint(d1, Fraction(1), Fraction(e_star), fixed_s[d1]).beta_at(c),
+                Constraint(d2, Fraction(1), Fraction(f_star), fixed_s[d2]).beta_at(c),
             ])
             if hi is not None:
                 ok, witness = polycheck.nonneg_on_interval(p, lo, hi)
@@ -352,15 +367,8 @@ def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optiona
         s0 = s_closed_form_coefficient(chart)
     else:
         raise ValueError(f"unknown source {source!r}")
-    if isinstance(s0, SurdSum):
-        if not s0.is_rational():
-            return None
-        s0 = s0.as_fraction()
-    den = 2 * s0 - m
-    if den == 0:
-        return None
-    w = (s0 - (chart.a + chart.b)) / den
-    return w if 0 < w < Fraction(1, 2) else None
+    return Constraint(f"{chart.tag}({chart.a},{chart.b})", Fraction(chart.a + chart.b),
+                      Fraction(m), s0).root()
 
 
 # ---------------------------------------------------------------------------
@@ -421,14 +429,13 @@ def confirm_wall(candidate: WallCandidate) -> WallRecord:
     if candidate.weight is not None and lambda_weight(curve, candidate.weight) is None:
         return WallRecord(candidate, False, "non-invariant curve")
     if candidate.chart is not None:
-        rep = beta_chart(curve, candidate.chart, w)
-        if rep.verdict != "critical":
+        horizontal = chart_constraint(curve, candidate.chart).beta_at(w)
+        if horizontal != 0:
             return WallRecord(candidate, False,
-                              f"horizontal beta is {render_surd(rep.beta)}, not 0")
-    for d in TORIC_DIVISORS:
-        rep = beta_toric(curve, d, w)
-        if rep.verdict == "destabilizing":
-            return WallRecord(candidate, False, f"beta({d}) < 0 at w")
+                              f"horizontal beta is {render_fraction(horizontal)}, not 0")
+    for con in toric_constraints(curve):
+        if con.beta_at(w) < 0:
+            return WallRecord(candidate, False, f"beta({con.name}) < 0 at w")
     thr = threshold(curve)
     if not thr.is_point(w):
         return WallRecord(candidate, False,
@@ -478,16 +485,13 @@ def _candidate_supports(surface: str):
     for tag in chart_families(surface):
         d1, d2 = CHART_FAMILIES[tag].divisors
         local = {p: (orders[p][d1], orders[p][d2]) for p in monos}
-        for k in range(len(monos)):
-            for l in range(k + 1, len(monos)):
-                e1, f1_ = local[monos[k]]
-                e2, f2_ = local[monos[l]]
-                de, df = e1 - e2, f2_ - f1_
-                if de == 0 or df == 0 or (de > 0) != (df > 0):
+        for k, p in enumerate(monos):
+            for q in monos[k + 1:]:
+                ab = _crossing(local[p], local[q])
+                if ab is None:
                     continue
-                g = gcd(abs(de), abs(df))
-                a, b = abs(df) // g, abs(de) // g
-                m = a * e1 + b * f1_
+                a, b = ab
+                m = a * local[p][0] + b * local[p][1]
                 support = [p for p in monos if a * local[p][0] + b * local[p][1] == m]
                 if not z3_ok(support):
                     continue
@@ -588,12 +592,12 @@ def index3_certificate(c) -> BetaReport:
     c = Fraction(c)
     if not 0 < c < Fraction(1, 2):
         raise ValueError("coefficient must lie in (0, 1/2)")
-    a_val = Fraction(1, 3) - Fraction(2, 3) * c
-    s_val = volume_profile(builtin_surface("index3m")).s_at(c)
-    beta_val = SurdSum.rational(a_val) - s_val
-    assert beta_val == SurdSum.rational(Fraction(10, 9) * c - Fraction(5, 9))
-    return BetaReport("index3:qF", a_val, s_val, beta_val, _verdict(beta_val),
-                      note="A = 1/3 - 2c/3, S = 8/9 (1-2c)")
+    prof = volume_profile(builtin_surface("index3m"))
+    rep = Constraint("index3:qF", Fraction(1, 3), Fraction(2, 3),
+                     prof.raw_integral / prof.degree).report(
+                         c, note="A = 1/3 - 2c/3, S = 8/9 (1-2c)")
+    assert rep.beta == SurdSum.rational(Fraction(10, 9) * c - Fraction(5, 9))
+    return rep
 
 
 def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaReport:
@@ -617,16 +621,15 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
         ord_f = int(curve_or_ord)
     if ord_f < 1:
         raise ValueError("curve misses the quarter point (z^3 present)")
-    a_val = Fraction(1, 2) - c * ord_f
-    s_val = SurdSum.sqrt(2) * Fraction(2, 3) * (1 - 2 * c)
-    beta_val = SurdSum.rational(a_val) - s_val
-    engine_s = volume_profile(builtin_surface("blp114-quotient-res")).s_at(c)
-    note = (f"ord_F(C) = {ord_f}; engine S = {render_surd(engine_s)} "
-            f"(profile tau = 3/2) also destabilizes")
-    if (SurdSum.rational(a_val) - engine_s).sign() >= 0:
+    prof = volume_profile(builtin_surface("blp114-quotient-res"))
+    engine = Constraint("engine", Fraction(1, 2), Fraction(ord_f),
+                        prof.raw_integral / prof.degree).report(c)
+    if engine.verdict != "destabilizing":
         raise AssertionError("engine cross-check failed to destabilize")
-    return BetaReport("quarter-point:F", a_val, s_val, beta_val,
-                      _verdict(beta_val), note=note)
+    note = (f"ord_F(C) = {ord_f}; engine S = {render_surd(engine.s_value)} "
+            f"(profile tau = {render_surd(prof.tau)}) also destabilizes")
+    return Constraint("quarter-point:F", Fraction(1, 2), Fraction(ord_f),
+                      SurdSum.sqrt(2) * Fraction(2, 3)).report(c, note=note)
 
 
 def first_wall_bound() -> tuple[Fraction, tuple[int, int]]:

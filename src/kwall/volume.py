@@ -77,14 +77,7 @@ class ChartCase:
         return CHART_FAMILIES[self.tag]
 
     def model(self) -> SurfaceModel:
-        return _chart_model(self.family.model_kind, self.a, self.b)
-
-
-def _chart_model(kind: str, a: int, b: int, _cache: dict = {}) -> SurfaceModel:
-    key = (kind, a, b)
-    if key not in _cache:
-        _cache[key] = builtin_surface(kind, a, b)
-    return _cache[key]
+        return builtin_surface(self.family.model_kind, self.a, self.b)
 
 
 # ---------------------------------------------------------------------------

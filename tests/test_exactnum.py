@@ -181,12 +181,9 @@ class TestQuadraticAndPiecewise:
         assert isinstance(v, SurdSum) and v.is_zero()
 
     def test_quadratic_root_constructor(self):
-        r = SurdSum.quadratic_root(1, 0, -2, +1)
-        assert r == sqrt(2)
-        r2 = SurdSum.quadratic_root(2, -3, 1, -1)
-        assert r2 == rat(F(1, 2))
-        with pytest.raises(ExactDomainError):
-            SurdSum.quadratic_root(1, 0, 1, 1)
+        assert QuadraticPoly(F(1), F(0), F(-2)).real_roots()[1] == sqrt(2)
+        assert QuadraticPoly(F(2), F(-3), F(1)).real_roots()[0] == F(1, 2)
+        assert QuadraticPoly(F(1), F(0), F(1)).real_roots() == []
 
     def test_real_roots_sorted(self):
         q = QuadraticPoly(F(1), F(0), F(-2))

@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -8,16 +10,21 @@ from kwall.exactnum import SurdSum
 from kwall.pairs import (
     DegenerateWeightError,
     chart_expand,
+    divisor_orders,
     multiplicity,
     onePS_to_chart,
     parse_curve,
 )
 from kwall.stability import (
+    BetaReport,
     Constraint,
+    _crossing,
+    admissible_monomials,
     audit_extra_walls,
     beta,
     beta_chart,
     beta_toric,
+    chart_families,
     confirm_wall,
     enumerate_walls,
     first_wall_bound,
@@ -28,7 +35,7 @@ from kwall.stability import (
     wall_from_chart,
     wall_values,
 )
-from kwall.volume import ChartCase
+from kwall.volume import CHART_FAMILIES, ChartCase
 
 W_H = [F(1, 14), F(5, 58), F(1, 10), F(7, 62), F(1, 8), F(5, 34),
        F(1, 6), F(7, 38), F(1, 5), F(5, 22), F(2, 7)]
@@ -204,14 +211,13 @@ class TestThresholds:
         # contradicting the confirmed semistable point at 5/58
         a, b, m = 3, 1, 12
         tabulated_s0 = F(a + b) - F(b * b, 12 * a)
-        con = Constraint("tabulated", F(a + b) - tabulated_s0,
-                         2 * tabulated_s0 - m)
+        con = Constraint("tabulated", F(a + b), F(m), tabulated_s0)
         assert con.v < 0
         upper = -con.u / con.v
         assert upper == F(1, 146)
         assert upper < F(5, 58)
         engine_s0 = F(10 * a + 13 * b, 12)
-        con2 = Constraint("engine", F(a + b) - engine_s0, 2 * engine_s0 - m)
+        con2 = Constraint("engine", F(a + b), F(m), engine_s0)
         assert -con2.u / con2.v == F(5, 58)
 
 
@@ -344,3 +350,115 @@ class TestCertificates:
     def test_first_wall_bound(self):
         value, arg = first_wall_bound()
         assert value == F(1, 14) and arg == (0, 1)
+
+
+class TestValuationRecord:
+    """``Constraint`` against the per-site beta arithmetic it replaced."""
+
+    @staticmethod
+    def _old_report(name, a0, m, s0, c, note=""):
+        a_val = a0 - m * c
+        s_val = SurdSum._coerce(s0) * (1 - 2 * c)
+        beta_val = SurdSum.rational(a_val) - s_val
+        sign = beta_val.sign()
+        verdict = "destabilizing" if sign < 0 else ("critical" if sign == 0 else "positive")
+        return BetaReport(name, a_val, s_val, beta_val, verdict, note)
+
+    @staticmethod
+    def _old_uv(a0, m, s0):
+        if isinstance(s0, SurdSum):
+            s0 = s0.as_fraction()
+        return a0 - s0, 2 * s0 - m
+
+    @staticmethod
+    def _old_wall(a0, m, s0):
+        if isinstance(s0, SurdSum):
+            if not s0.is_rational():
+                return None
+            s0 = s0.as_fraction()
+        den = 2 * s0 - m
+        if den == 0:
+            return None
+        w = (s0 - a0) / den
+        return w if 0 < w < F(1, 2) else None
+
+    def test_matches_old_arithmetic(self):
+        rng = random.Random(10)
+        roots = surds = 0
+        for k in range(3000):
+            a0 = F(rng.randint(1, 30), rng.randint(1, 4))
+            q = F(rng.randint(0, 90), rng.randint(1, 12))
+            kind = k % 4
+            if kind == 0:
+                s0 = q
+            elif kind == 1:
+                s0 = SurdSum.rational(q)
+            else:
+                s0 = q + SurdSum.sqrt(rng.choice([2, 3, 8, F(1, 2)])) * F(rng.randint(1, 9), 3)
+            m = F(rng.randint(0, 60), rng.randint(1, 3)) if kind != 3 else 2 * q
+            c = F(rng.randint(0, 60), rng.randint(1, 120))
+            con = Constraint("v", a0, m, s0)
+            rep = con.report(c, note="n")
+            old = self._old_report("v", a0, m, s0, c, "n")
+            assert rep == old and rep.to_json() == old.to_json()
+            assert con.root() == self._old_wall(a0, m, s0)
+            if kind < 2:
+                assert (con.u, con.v) == self._old_uv(a0, m, s0)
+                assert con.beta_at(c) == old.beta.as_fraction()
+                roots += con.root() is not None
+            else:
+                surds += 1
+        assert roots > 100 and surds > 1000
+
+    def test_root_edge_cases(self):
+        assert Constraint("flat", F(3), F(4), F(2)).root() is None  # v = 0
+        assert Constraint("surd", F(3), F(4), SurdSum.sqrt(2)).root() is None
+        # the unigonal wall 29/106 from its case3p(1, 4) chart
+        unigonal = Constraint("case3p(1,4)", F(5), F(12), SurdSum.rational(F(91, 24)))
+        assert unigonal.root() == F(29, 106)
+
+    def test_crossing_matches_pairwise_rule(self):
+        def old_pair(p, q):
+            de, df = p[0] - q[0], q[1] - p[1]
+            if de == 0 or df == 0 or (de > 0) != (df > 0):
+                return None
+            g = gcd(abs(de), abs(df))
+            return abs(df) // g, abs(de) // g
+
+        checked = 0
+        for surface in ("f1", "blp114"):
+            monos = admissible_monomials(surface)
+            orders = {p: divisor_orders(surface, *p) for p in monos}
+            for tag in chart_families(surface):
+                d1, d2 = CHART_FAMILIES[tag].divisors
+                local = [(orders[p][d1], orders[p][d2]) for p in monos]
+                for k, p in enumerate(local):
+                    for q in local[k + 1:]:
+                        ab = _crossing(p, q)
+                        assert ab == old_pair(p, q) == _crossing(q, p)
+                        if ab is not None:
+                            a, b = ab
+                            assert a * p[0] + b * p[1] == a * q[0] + b * q[1]
+                            checked += 1
+        assert checked > 500
+
+    @pytest.mark.parametrize("surface,source,n,confirmed,digest", [
+        ("f1", "published", 115, 41,
+         "7e10dbbecdac886bf3d7fcbfe89dacda14a3e9378832f424cc368bf61174db17"),
+        ("f1", "engine", 59, 45,
+         "d795bcc7551abae1f7dc7b903d4aa18e7f2d8ba4f134f0ff3e08cae76dde6f8e"),
+        ("blp114", "published", 5, 4,
+         "070e24be3d528f4c944f8dbf6bfcdc86db431511ce10399943a7c1706811f949"),
+        ("blp114", "engine", 13, 7,
+         "12f15c02add66456a166d80b7633f54ba50cb2bbca7efa07452d3a9a1d454e5a"),
+    ])
+    def test_wall_records_unchanged(self, surface, source, n, confirmed, digest):
+        # SHA-256 of every record's (w, confirmed, reason, binding_lower,
+        # binding_upper), recorded before beta moved into ``Constraint``; the
+        # benchmark tracer buckets rejections by their reason text
+        recs = enumerate_walls(surface, source)
+        text = "\n".join(f"{r.candidate.w}|{r.confirmed}|{r.reason}|"
+                         f"{','.join(r.binding_lower)}|{','.join(r.binding_upper)}"
+                         for r in recs)
+        assert (len(recs), sum(r.confirmed for r in recs)) == (n, confirmed)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
