@@ -94,8 +94,32 @@ def _sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
     return Fraction(lo, scale), Fraction(lo + 1, scale)
 
 
+# ---------------------------------------------------------------------------
+# sums of quadratic surds
+
+
+def _merge_terms(a: tuple[tuple[int, Fraction], ...],
+                 b: tuple[tuple[int, Fraction], ...]) -> tuple[tuple[int, Fraction], ...]:
+    """Terms of the sum of two normalized term tuples, normalized."""
+    if not b:
+        return a
+    if not a:
+        return b
+    acc = dict(a)
+    for d, q in b:
+        acc[d] = acc[d] + q if d in acc else q
+    return tuple((d, q) for d, q in sorted(acc.items()) if q)
+
+
 class SurdSum:
-    """Immutable exact number of the form ``sum(q_i * sqrt(d_i))``."""
+    """Immutable exact number of the form ``sum(q_i * sqrt(d_i))``.
+
+    Invariant of ``terms``: squarefree radicands in increasing order, each
+    with a nonzero ``Fraction`` coefficient.  The public constructor
+    normalizes arbitrary terms; sums, negation and division by a rational
+    combine operands that already hold the invariant, so they merge terms
+    through :meth:`_normalized` without factoring a radicand again.
+    """
 
     __slots__ = ("_terms",)
 
@@ -115,8 +139,16 @@ class SurdSum:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _normalized(cls, terms: tuple[tuple[int, Fraction], ...]) -> "SurdSum":
+        """Wrap ``terms`` that already hold the invariant, unchecked."""
+        x = object.__new__(cls)
+        x._terms = terms
+        return x
+
+    @classmethod
     def rational(cls, q: RationalLike) -> "SurdSum":
-        return cls([(1, Fraction(q))])
+        q = Fraction(q)
+        return cls._normalized(((1, q),) if q else ())
 
     @classmethod
     def sqrt(cls, q: RationalLike) -> "SurdSum":
@@ -162,12 +194,12 @@ class SurdSum:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return SurdSum(self._terms + o._terms)
+        return SurdSum._normalized(_merge_terms(self._terms, o._terms))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdSum":
-        return SurdSum([(d, -q) for d, q in self._terms])
+        return SurdSum._normalized(tuple((d, -q) for d, q in self._terms))
 
     def __sub__(self, other: Number) -> "SurdSum":
         o = self._coerce(other)
@@ -194,7 +226,7 @@ class SurdSum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return SurdSum([(d, q / other) for d, q in self._terms])
+            return SurdSum._normalized(tuple((d, q / other) for d, q in self._terms))
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -265,7 +297,13 @@ class SurdSum:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._terms)
+        # a rational value equals its Fraction, so it hashes as one
+        ts = self._terms
+        if not ts:
+            return hash(0)
+        if len(ts) == 1 and ts[0][0] == 1:
+            return hash(ts[0][1])
+        return hash(ts)
 
     def __lt__(self, other: Number) -> bool:
         return (self - other).sign() < 0
@@ -370,14 +408,13 @@ class QuadraticPoly:
 
     def __call__(self, t: Number) -> Number:
         if isinstance(t, (int, Fraction)):
-            t = Fraction(t)
-            return self.c2 * t * t + self.c1 * t + self.c0
+            # Horner's form: the same rational with fewer normalizations
+            return (self.c2 * t + self.c1) * t + self.c0
         return t * t * self.c2 + t * self.c1 + self.c0
 
     def antiderivative(self, t: Number) -> Number:
         if isinstance(t, (int, Fraction)):
-            t = Fraction(t)
-            return self.c2 * t**3 / 3 + self.c1 * t**2 / 2 + self.c0 * t
+            return ((self.c2 * t / 3 + self.c1 / 2) * t + self.c0) * t
         return t**3 * Fraction(self.c2, 3) + t**2 * Fraction(self.c1, 2) + t * self.c0
 
     def real_roots(self) -> list[Union[Fraction, SurdSum]]:
@@ -390,11 +427,18 @@ class QuadraticPoly:
         if disc < 0:
             return []
         num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+        two_c2 = 2 * self.c2
         if num * num == disc.numerator and den * den == disc.denominator:
             sq = Fraction(num, den)
+            minus, plus = (-sq - self.c1) / two_c2, (sq - self.c1) / two_c2
         else:
-            sq = SurdSum.sqrt(disc)
-        minus, plus = (-sq - self.c1) / (2 * self.c2), (sq - self.c1) / (2 * self.c2)
+            # sqrt(disc) = s*sqrt(f), f squarefree and > 1: the roots are the
+            # two-term surds -c1/(2c2) -+ (s/(2c2))*sqrt(f)
+            ((f, s),) = SurdSum.sqrt(disc).terms
+            centre, half = -self.c1 / two_c2, s / two_c2
+            head = ((1, centre),) if centre else ()
+            minus = SurdSum._normalized(head + ((f, -half),))
+            plus = SurdSum._normalized(head + ((f, half),))
         # sqrt(disc) >= 0, so the order of the two roots is the sign of c2
         return [minus, plus] if self.c2 > 0 else [plus, minus]
 
@@ -439,15 +483,6 @@ class PiecewiseQuadratic:
     def tau(self) -> SurdSum:
         return self.breakpoints[-1]
 
-    def value_at(self, t: Number) -> SurdSum:
-        t = SurdSum._coerce(t)
-        if t < 0 or t > self.tau:
-            raise ExactDomainError("point outside the profile domain")
-        for k in range(len(self.segments)):
-            if t <= self.breakpoints[k + 1]:
-                return SurdSum._coerce(self.segments[k](t))
-        raise AssertionError("unreachable")
-
     def check_continuity(self) -> None:
         for k in range(len(self.segments) - 1):
             b = self._points[k + 1]
@@ -463,10 +498,9 @@ class PiecewiseQuadratic:
             raise ExactDomainError("reversed integration bounds")
         if lo < 0 or hi > self._points[-1]:
             raise ExactDomainError("integration bounds outside [0, tau]")
-        # rational antiderivative values sum as one Fraction; only the
-        # terms of irrational ones go through SurdSum normalization
-        rational = Fraction(0)
-        surds: list[tuple[int, Fraction]] = []
+        # rational antiderivative values sum as one Fraction; the normalized
+        # terms of irrational ones are summed by radicand
+        total: dict[int, Fraction] = {1: Fraction(0)}
         for k, seg in enumerate(self.segments):
             a = self._points[k]
             b = self._points[k + 1]
@@ -475,11 +509,10 @@ class PiecewiseQuadratic:
             if left < right:
                 for x, sign in ((right, 1), (left, -1)):
                     value = seg.antiderivative(x)
-                    if isinstance(value, Fraction):
-                        rational += sign * value
-                    else:
-                        surds.extend((d, sign * q) for d, q in value.terms)
-        return SurdSum([(1, rational), *surds])
+                    terms = ((1, value),) if isinstance(value, Fraction) else value.terms
+                    for d, q in terms:
+                        total[d] = total[d] + sign * q if d in total else sign * q
+        return SurdSum._normalized(tuple((d, q) for d, q in sorted(total.items()) if q))
 
 
 def integrate_piecewise(f: PiecewiseQuadratic, lo: Number, hi: Number) -> SurdSum:

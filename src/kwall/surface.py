@@ -1,5 +1,6 @@
 """Rational-lattice surface models: intersection form, effective-cone data,
-nefness and pseudo-effectivity tests, and exact Zariski decomposition.
+separating nef classes for classes that are not pseudo-effective, and exact
+Zariski decomposition.
 
 A model fixes a basis of the Neron-Severi lattice, the Gram matrix of the
 intersection form, a list of effective curve classes that span the effective
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .exactnum import render_fraction
 
@@ -25,10 +26,6 @@ def vec(*entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
 
@@ -38,11 +35,25 @@ def vscale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Solve a square rational system by Gauss-Jordan elimination; None if singular."""
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def solve_linear(rows: Sequence[Sequence[Fraction]], *rhs: Sequence[Fraction]
+                 ) -> Union[None, list[Fraction], tuple[list[Fraction], ...]]:
+    """Solve the square rational system ``rows x = b`` for every right-hand
+    side ``b`` by one Gauss-Jordan elimination of ``[rows | b_1 ... b_k]``.
+
+    Returns the solution list for a single right-hand side, the tuple of
+    solution lists for several, and None when ``rows`` is singular.
+    """
     n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    return [row[n] for row in aug] if len(_rref(aug, n)) == n else None
+    aug = [[_fraction(x) for x in row] + [_fraction(b[r]) for b in rhs]
+           for r, row in enumerate(rows)]
+    if len(_rref(aug, n)) != n:
+        return None
+    sols = tuple([row[n + k] for row in aug] for k in range(len(rhs)))
+    return sols[0] if len(sols) == 1 else sols
 
 
 class NotPseudoEffectiveError(ValueError):
@@ -110,18 +121,15 @@ class SurfaceModel:
             return self.classes[key]
         raise KeyError(f"{self.name}: no class named {key!r}")
 
-    def is_nef(self, d: Vec) -> bool:
-        return all(self.intersect(d, c) >= 0 for _, c in self.cone)
-
-    def is_pseudoeffective(self, d: Vec) -> bool:
-        """No nef class pairs negatively with d.  Complete by Farkas when the
-        cone generators span the lattice and the form is nondegenerate: an
-        extremal ray of the nef cone is then perpendicular to rank - 1
-        independent generators, and :meth:`_separating_nef_class` scans those."""
-        return self._separating_nef_class(d) is None
-
     def _separating_nef_class(self, d: Vec) -> Optional[tuple[str, Vec]]:
-        """A nef class w with w.d < 0, certifying d not pseudo-effective."""
+        """A nef class w with w.d < 0, certifying d not pseudo-effective.
+
+        The scan is complete by Farkas when the cone generators span the
+        lattice and the form is nondegenerate: an extremal ray of the nef
+        cone is then perpendicular to rank - 1 independent generators, and
+        every such perpendicular is tried.  So None means d is
+        pseudo-effective.
+        """
         from itertools import combinations
 
         n = self.rank()
@@ -142,13 +150,24 @@ class SurfaceModel:
     # -- Zariski decomposition -------------------------------------------
 
     def cone_gram(self) -> list[list[Fraction]]:
-        """``C_i.C_j`` over the cone generators: the upper triangle, mirrored."""
-        gens = [c for _, c in self.cone]
-        n = len(gens)
-        gram = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
+        """``C_i.C_j`` over the cone generators: the upper triangle, mirrored.
+
+        Each generator is scaled to integers once; every entry is then an
+        integer dot product against the integer-scaled form, as in
+        :meth:`intersect`.
+        """
+        scale, rows = self._integer_gram
+        parts = [_integer_parts(c) for _, c in self.cone]
+        # scale * gram * nums_j: the integer image of each scaled generator
+        images = [[sum([g * x for g, x in zip(row, nums) if x]) for row in rows]
+                  for _, nums in parts]
+        n = len(parts)
+        gram: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+        for i, (da, a) in enumerate(parts):
             for j in range(i, n):
-                gram[i][j] = gram[j][i] = self.intersect(gens[i], gens[j])
+                db, image = parts[j][0], images[j]
+                gram[i][j] = gram[j][i] = Fraction(
+                    sum([x * y for x, y in zip(a, image) if x]), scale * da * db)
         return gram
 
     def zariski_decompose(self, d: Vec) -> ZariskiDecomposition:
@@ -241,11 +260,11 @@ def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:
             continue
         m[row], m[piv] = m[piv], m[row]
         inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
+        m[row] = [x * inv if x else x for x in m[row]]
         for r in range(len(m)):
             if r != row and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
+                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[row])]
         pivots.append(col)
     return pivots
 

@@ -156,7 +156,7 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         quad = seg.quad
         if quad(t_cur) < 0:
             raise ArithmeticError(f"{model.name}: negative volume at t={t_cur}")
-        next_support = min(seg.events) if seg.events else None
+        next_support = min(seg.events.values()) if seg.events else None
         vol_root = seg.vol_root
         if vol_root is None and next_support is None:
             raise ArithmeticError(f"{model.name}: volume never reaches zero")
@@ -171,11 +171,10 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         assert next_support is not None
         breakpoints.append(next_support)
         segments.append(quad)
-        joining = [j for j, (slope, value) in seg.pairings.items()
-                   if slope > 0 and value == next_support * slope]
-        leaving = [i for i, (x0, x1) in seg.xs.items()
-                   if x1 < 0 and x0 == next_support * (-x1)]
-        support = sorted((set(seg.xs) | set(joining)) - set(leaving))
+        # the generators whose event this is: one outside the support joins
+        # it, one in the support leaves
+        hits = {k for k, r in seg.events.items() if r == next_support}
+        support = sorted(set(seg.xs) ^ hits)
         t_cur = next_support
 
         # validate the upcoming segment at an interior rational point;
@@ -226,55 +225,73 @@ class _Segment:
     ``xs[i] = (x0_i, x1_i)`` gives the coefficient ``x0_i + t*x1_i`` of each
     support generator in ``N(t)``; ``pairings[j] = (slope, value)`` gives
     ``P(t).C_j = value - t*slope`` for each generator outside the support
-    (support generators pair to 0); ``events`` are the parameters after
-    ``t_cur`` where one of those pairings or coefficients reaches zero;
-    ``vol_root`` is the first root of ``P(t)^2`` after ``t_cur``.
+    (support generators pair to 0); ``events[k]`` is the parameter after
+    ``t_cur`` where generator k's pairing (outside the support) or
+    coefficient (in it) reaches zero; ``vol_root`` is the first root of
+    ``P(t)^2`` after ``t_cur``.
     """
 
     t_cur: Fraction
     xs: dict[int, tuple[Fraction, Fraction]]
     quad: QuadraticPoly
     pairings: dict[int, tuple[Fraction, Fraction]]
-    events: list[Fraction]
+    events: dict[int, Fraction]
     vol_root: Optional[Union[Fraction, SurdSum]]
 
 
 def _segment(table: _PairingTable, support: list[int], t_cur: Fraction) -> _Segment:
+    """Sweep data of ``support`` from ``t_cur`` on: one elimination of the
+    support Gram block solves for the l0 and f rows together, and one pass
+    over the generators gives every pairing and event."""
     gram = table.gram
-    r0 = [table.l0_row[i] for i in support]
-    r1 = [table.f_row[i] for i in support]
-    if support:
-        block = [[gram[i][j] for j in support] for i in support]
-        x0 = solve_linear(block, r0)
-        x1 = solve_linear(block, r1)
-        if x0 is None or x1 is None:
-            raise ArithmeticError(f"{table.name}: singular support Gram block")
-    else:
-        x0, x1 = [], []
     # x(t) = x0 - t*x1 solves Gram x = (l0 - t f).C on the support, so
     # P(t) = p0 - t*p1 with p0 = l0 - sum x0_i C_i, p1 = f - sum x1_i C_i;
     # by Gram x0 = r0 and Gram x1 = r1:
     # p0.p0 = l0.l0 - x0.r0, p0.p1 = l0.f - x0.r1, p1.p1 = f.f - x1.r1
-    p00 = table.l0_l0 - sum(a * r for a, r in zip(x0, r0))
-    p01 = table.l0_f - sum(a * r for a, r in zip(x0, r1))
-    p11 = table.f_f - sum(a * r for a, r in zip(x1, r1))
+    p00, p01, p11 = table.l0_l0, table.l0_f, table.f_f
+    xs: dict[int, tuple[Fraction, Fraction]] = {}
+    events: dict[int, Fraction] = {}
+    x0: list[Fraction] = []
+    x1: list[Fraction] = []
+    if support:
+        r0 = [table.l0_row[i] for i in support]
+        r1 = [table.f_row[i] for i in support]
+        sols = solve_linear([[gram[i][j] for j in support] for i in support], r0, r1)
+        if sols is None:
+            raise ArithmeticError(f"{table.name}: singular support Gram block")
+        x0, x1 = sols
+        for i, a0, a1, b0, b1 in zip(support, x0, x1, r0, r1):
+            p00 -= a0 * b0
+            p01 -= a0 * b1
+            p11 -= a1 * b1
+            xs[i] = (a0, -a1)
+            if a1 > 0:
+                r = a0 / a1
+                if r > t_cur:
+                    events[i] = r
     quad = QuadraticPoly(p11, -2 * p01, p00)
-    xs = {i: (a0, -a1) for i, a0, a1 in zip(support, x0, x1)}
     pairings = {}
     for j, row in enumerate(gram):
-        if j not in xs:
-            pairings[j] = (table.f_row[j] - sum(a * row[i] for i, a in zip(support, x1)),
-                           table.l0_row[j] - sum(a * row[i] for i, a in zip(support, x0)))
-    roots = [value / slope for slope, value in pairings.values() if slope > 0]
-    roots += [a0 / (-a1) for a0, a1 in xs.values() if a1 < 0]
-    events = [r for r in roots if r > t_cur]
+        if j in xs:
+            continue
+        slope, value = table.f_row[j], table.l0_row[j]
+        for i, a0, a1 in zip(support, x0, x1):
+            g = row[i]
+            if g:
+                slope -= a1 * g
+                value -= a0 * g
+        pairings[j] = (slope, value)
+        if slope > 0:
+            r = value / slope
+            if r > t_cur:
+                events[j] = r
     vol_root = next((r for r in quad.real_roots() if r > t_cur), None)
     return _Segment(t_cur, xs, quad, pairings, events, vol_root)
 
 
 def _next_event_bound(seg: _Segment) -> Fraction:
     """A rational after ``seg.t_cur``, no later than the segment's end."""
-    cands = list(seg.events)
+    cands = list(seg.events.values())
     r = seg.vol_root
     if isinstance(r, Fraction):
         cands.append(r)

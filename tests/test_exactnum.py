@@ -334,3 +334,81 @@ class TestMixedBreakpoints:
         # a discriminant 2 or 1/2 (non-square numerator or denominator) keeps the surd
         for c0 in (F(-1, 2), F(-1, 8)):
             assert all(isinstance(r, SurdSum) for r in QuadraticPoly(F(1), F(0), c0).real_roots())
+
+
+def _random_surd(rng):
+    """A seeded sum over a few small radicands, zero terms included."""
+    return SurdSum([(rng.choice((1, 2, 3, 5, 6, 8, 12)), F(rng.randint(-5, 5), rng.randint(1, 4)))
+                    for _ in range(rng.randint(0, 4))])
+
+
+def _random_fraction(rng):
+    return F(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+class TestHash:
+    def test_rational_hashes_as_its_fraction(self):
+        assert hash(rat(F(1, 2))) == hash(F(1, 2))
+        assert len({rat(F(1, 2)), F(1, 2)}) == 1
+        assert hash(SurdSum()) == hash(0) and len({SurdSum(), 0, F(0)}) == 1
+        assert hash(rat(3)) == hash(3) and hash(-rat(F(7, 3))) == hash(F(-7, 3))
+
+    def test_fast_path_values_keep_the_hash(self):
+        assert hash(sqrt(2) - sqrt(2) + F(1, 2)) == hash(F(1, 2))
+        assert hash((sqrt(8) + 4) / 2 - sqrt(2)) == hash(2)
+        assert hash(sqrt(2) + 1) == hash(SurdSum([(1, 1), (8, F(1, 2))]))
+
+
+class TestNormalizedFastPaths:
+    """Every SurdSum built without the public constructor holds the invariant:
+    the same terms as the public constructor gives them."""
+
+    def test_sum_difference_negation_quotient(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            x, y = _random_surd(rng), _random_surd(rng)
+            q = _random_fraction(rng) or F(1)
+            for z in (x + y, x - y, -x, x / q, x + q, q - x, y / 3, SurdSum.rational(q)):
+                assert z.terms == SurdSum(z.terms).terms
+                assert all(type(c) is F and c for _, c in z.terms)
+
+    def test_integral_terms(self):
+        rng = random.Random(12)
+        f = _mixed_profile()
+        z = f.integrate(0, f.tau)
+        assert z.terms == SurdSum(z.terms).terms
+        for _ in range(50):
+            lo = F(rng.randint(0, 9), 10)
+            z = f.integrate(lo, sqrt(2))
+            assert z.terms == SurdSum(z.terms).terms and z == _naive_integral(f, lo, sqrt(2))
+
+    def test_irrational_roots_the_general_way(self):
+        rng = random.Random(13)
+        seen = 0
+        for _ in range(500):
+            c2 = _random_fraction(rng) or F(1)
+            q = QuadraticPoly(c2, _random_fraction(rng), _random_fraction(rng))
+            disc = q.c1 * q.c1 - 4 * q.c2 * q.c0
+            roots = q.real_roots()
+            if disc < 0 or all(type(r) is F for r in roots):
+                continue
+            seen += 1
+            sq = SurdSum.sqrt(disc)
+            minus, plus = (-sq - q.c1) / (2 * q.c2), (sq - q.c1) / (2 * q.c2)
+            assert roots == ([minus, plus] if c2 > 0 else [plus, minus])
+            for r in roots:
+                assert r.terms == SurdSum(r.terms).terms
+                assert q(r).is_zero()
+        assert seen > 100
+
+
+class TestHorner:
+    def test_call_and_antiderivative_match_power_form(self):
+        rng = random.Random(14)
+        for _ in range(400):
+            q = QuadraticPoly(_random_fraction(rng), _random_fraction(rng), _random_fraction(rng))
+            t = _random_fraction(rng) if rng.random() < 0.8 else rng.randint(-9, 9)
+            value, integral = q(t), q.antiderivative(t)
+            assert type(value) is F and type(integral) is F
+            assert value == q.c2 * t**2 + q.c1 * t + q.c0
+            assert integral == q.c2 * F(t)**3 / 3 + q.c1 * F(t)**2 / 2 + q.c0 * t

@@ -1,11 +1,13 @@
 """The benchmark's contract with kwall: the tracer's callables still exist,
-and every output the benchmark checks still has its committed digest."""
+every span the benchmark predicts still has calls, and every output the
+benchmark checks still has its committed digest."""
 
 import importlib
 import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,3 +90,32 @@ def test_outputs_match_benchmark_digests(monkeypatch):
         except Exception as exc:  # rendered as the benchmark child renders it
             outs.append(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
     assert checks.sha256("\n".join(outs).encode()) == ref["sha256"]
+
+
+def test_traced_spans_have_calls(monkeypatch, tmp_path):
+    """Every span the benchmark predicts for a workload is called by one
+    traced ``perfbench/child.py`` run of it."""
+    for name in ("workloads", "checks", "speed", "tracer"):
+        _load_perfbench(name, monkeypatch)
+    run = _load_perfbench("run", monkeypatch)
+    workloads = sys.modules["workloads"]
+    grid_argv = workloads.grid_argv(workloads.F1_ATLAS[3][0])
+    runs = {
+        "grid": ("cli", "--speed-out", str(tmp_path / "grid-speed.json"), "--", *grid_argv),
+        "walls": ("cli", "--speed-out", str(tmp_path / "walls-speed.json"), "--",
+                  *workloads.WALLS_ARGV),
+        "zariski": ("zariski", "--seed", "0", "--count", "64"),
+    }
+    children = {}
+    for workload, (mode, *args) in runs.items():
+        trace = tmp_path / f"{workload}-trace.json"
+        cmd = [sys.executable, os.path.join(ROOT, "perfbench", "child.py"), mode,
+               "--trace-out", str(trace), *args]
+        children[workload] = trace, subprocess.Popen(
+            cmd, cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for workload, (trace, child) in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0 and out, (workload, err.decode())
+        calls = json.loads(trace.read_text(encoding="utf-8"))["window"]["calls"]
+        idle = sorted(n for n in run.EXPECTED_CALLS[workload] if not calls[n])
+        assert not idle, (workload, idle)
