@@ -270,7 +270,7 @@ def _cmd_threshold(args, out) -> int:
     if args.bound is not None and not args.grid:
         raise UsageError("--bound applies only with --grid")
     curve = _load_curve_arg(args.curve, args.surface)
-    thr = threshold(curve, bound=args.bound or 30, cross_check_grid=args.grid)
+    thr = threshold(curve, grid=(args.bound or 30) if args.grid else None)
     payload = {
         "surface": args.surface,
         "curve": curve.to_json()["text"],

@@ -1,13 +1,11 @@
 """Parameter transforms between the wall-crossing coefficient and the
-lattice-model / cone-construction coordinates, plus arithmetic sanity
-checkers (budget formula, local index bound, exceptional-dimension audit).
+lattice-model / cone-construction coordinates, plus the
+exceptional-dimension audit of the wall atlas.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Optional, Union
 
 from .atlas import AUDIT_VERIFIED, WallAtlas, bundled_atlas
@@ -26,12 +24,6 @@ def hkl_param(c: Union[Fraction, int, str]) -> Union[Fraction, str]:
     if den == 0:
         return POLE
     return (1 - 2 * c) / den
-
-
-def hkl_param_inverse(s: Union[Fraction, int, str]) -> Fraction:
-    """c(s) = (4s+1)/(56s+2), the exact inverse of hkl_param."""
-    s = Fraction(s)
-    return (4 * s + 1) / (56 * s + 2)
 
 
 def cone_threshold(c: Union[Fraction, int, str]) -> Fraction:
@@ -104,63 +96,6 @@ def cone_report(atlas: Optional[WallAtlas] = None) -> dict:
                if v not in covered]
     return {"rows": rows, "families_covered": not missing, "missing": missing,
             "match": ok and not missing}
-
-
-# ---------------------------------------------------------------------------
-# numeric sanity checkers
-
-
-@dataclass(frozen=True)
-class TSingularity:
-    """ADE or cyclic quotient type admitting a one-parameter smoothing."""
-
-    kind: str  # "A" | "D" | "E" | "cyclic"
-    n: int
-    l: int = 0
-    a: int = 0
-
-    def __post_init__(self):
-        if self.kind in ("A", "D", "E"):
-            if self.n < 1:
-                raise ValueError("rank must be positive")
-        elif self.kind == "cyclic":
-            from math import gcd
-            if self.l < 1 or self.n < 1 or gcd(self.a, self.n) != 1:
-                raise ValueError("cyclic type needs l,n >= 1 and gcd(a, n) = 1")
-        else:
-            raise ValueError(f"unknown singularity kind {self.kind!r}")
-
-    @property
-    def milnor(self) -> int:
-        if self.kind == "cyclic":
-            return self.l - 1
-        return self.n
-
-
-def noether_budget(k2: Union[Fraction, int], rho: int,
-                   sings: tuple[TSingularity, ...] = ()) -> Fraction:
-    """10 - (K^2 + rho + sum of Milnor numbers); zero means consistent."""
-    total = Fraction(k2) + rho + sum(s.milnor for s in sings)
-    return Fraction(10) - total
-
-
-def cartier_index_max(d: Union[Fraction, int], c: Union[Fraction, str], ord_mult: int) -> int:
-    """Largest n with (4d/9)(1-2c)^2 <= (2 - c*ord)^2 / n^2, exactly."""
-    d = Fraction(d)
-    c = Fraction(c)
-    if d <= 0:
-        raise ValueError("degree must be positive")
-    if not 0 <= c < Fraction(1, 2):
-        raise ValueError("coefficient must lie in [0, 1/2)")
-    if ord_mult < 0:
-        raise ValueError("multiplicity must be nonnegative")
-    skoda = 2 - c * ord_mult
-    if skoda <= 0:
-        raise ValueError("positivity bound violated: 2 - c*ord <= 0")
-    bound = 9 * skoda**2 / (4 * d * (1 - 2 * c) ** 2)
-    # largest n with n^2 <= bound
-    floor_bound = bound.numerator // bound.denominator
-    return isqrt(floor_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,45 @@
-"""Boundary curves as monomial data, 1-PS weights, chart-local expansions,
-multiplicities and log discrepancies.
+"""Boundary curves as monomial data, 1-PS weights and chart-local expansions
+with their multiplicities.
 
-Curves live on one of the two plane models (``f1``: sextics through the
-center with multiplicity 2; ``blp114``: weighted-degree-12 curves likewise).
-Monomials are stored as (y-exponent, z-exponent) pairs; the x-exponent is
-determined by the degree.  Only the monomial support enters any invariant;
-coefficients are carried as display tags.
+Curves live on one of the two plane models of :data:`PLANES` (``f1``:
+sextics through the center with multiplicity 2; ``blp114``: weighted-degree-12
+curves likewise).  Monomials are stored as (y-exponent, z-exponent) pairs; the
+x-exponent is determined by the degree.  Only the monomial support enters any
+invariant; coefficients are carried as display tags.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional
+from math import gcd
+from typing import Iterable, NamedTuple, Optional
 
 from .volume import CHART_FAMILIES, ChartCase
 
 TAG_ONE = "one"
 TAG_GENERIC_NONZERO = "generic-nonzero"
-TAG_GENERIC = "generic"
+
+
+class Plane(NamedTuple):
+    """A plane model: the weights of (x, y, z) and the degree of its curves.
+
+    x and y have weight 1 on both models, so the degree fixes the x-exponent
+    of a monomial and the trivial 1-PS is ``weights`` itself.
+    """
+
+    weights: tuple[int, int, int]
+    degree: int
+
+
+PLANES = {"f1": Plane((1, 1, 1), 6), "blp114": Plane((1, 1, 4), 12)}
+
+
+def _plane(surface: str) -> Plane:
+    try:
+        return PLANES[surface]
+    except KeyError:
+        raise ValueError(f"unknown surface {surface!r}") from None
 
 
 class CurveSyntaxError(ValueError):
@@ -45,11 +65,30 @@ class Monomial:
 
 
 def _x_exponent(surface: str, i: int, j: int) -> int:
-    if surface == "f1":
-        return 6 - i - j
-    if surface == "blp114":
-        return 12 - i - 4 * j
-    raise ValueError(f"unknown surface {surface!r}")
+    plane = _plane(surface)
+    return plane.degree - plane.weights[1] * i - plane.weights[2] * j
+
+
+def admissible_monomials(surface: str) -> list[tuple[int, int]]:
+    """Every (i, j) of the plane's degree with multiplicity i + j >= 2 at the
+    center, by z-exponent and then y-exponent."""
+    plane = _plane(surface)
+    _, wy, wz = plane.weights
+    return [(i, j) for j in range(plane.degree // wz + 1)
+            for i in range((plane.degree - wz * j) // wy + 1) if i + j >= 2]
+
+
+def quarter_point_order(surface: str, support: Iterable[tuple[int, int]]) -> int:
+    """Order ord_F of the curve along the quarter point's valuation F.
+
+    On ``blp114`` it is 3 minus the largest z-exponent (z^3 is the pure power
+    of z of degree 12), so 0 exactly when z^3 is present; ``f1`` has no
+    quotient point, so 0."""
+    plane = _plane(surface)
+    wz = plane.weights[2]
+    if wz == 1:
+        return 0
+    return plane.degree // wz - max(j for _, j in support)
 
 
 @dataclass(frozen=True)
@@ -75,12 +114,9 @@ class CurvePair:
 
 
 def make_curve(surface: str, support: Iterable[tuple[int, int]],
-               tags: Optional[dict[tuple[int, int], str]] = None,
-               labels: Optional[dict[tuple[int, int], str]] = None) -> CurvePair:
+               tags: Optional[dict[tuple[int, int], str]] = None) -> CurvePair:
     tags = tags or {}
-    labels = labels or {}
-    monos = [Monomial(i, j, tags.get((i, j), TAG_ONE), labels.get((i, j), ""))
-             for i, j in support]
+    monos = [Monomial(i, j, tags.get((i, j), TAG_ONE)) for i, j in support]
     return _validated(surface, monos)
 
 
@@ -103,7 +139,7 @@ def _validated(surface: str, monos: list[Monomial]) -> CurvePair:
             raise CurveSyntaxError(
                 f"monomial x^{ex} y^{m.i} z^{m.j} has multiplicity < 2 at the center")
     warnings: tuple[str, ...] = ()
-    if surface == "blp114" and (0, 3) not in seen:
+    if quarter_point_order(surface, seen) > 0:
         warnings = ("z^3 absent: the pair is destabilized at the quarter point "
                     "for every coefficient (see certify quotient-point)",)
     monos.sort(key=lambda m: _render_sort_key(surface, m))
@@ -180,55 +216,6 @@ def render_curve(curve: CurvePair) -> str:
 OnePS = tuple[int, int, int]
 
 
-def _chart(surface: str, tag: str, a: int, b: int) -> ChartCase:
-    from math import gcd
-    if a <= 0 or b <= 0:
-        raise DegenerateWeightError(f"induced weights ({a},{b}) are degenerate")
-    g = gcd(a, b)
-    return ChartCase(surface, tag, a // g, b // g)
-
-
-def onePS_to_chart(lam: OnePS, surface: str) -> ChartCase:
-    """Chart case and primitive blowup weights induced by a nontrivial 1-PS."""
-    l1, l2, l3 = lam
-    if surface == "f1":
-        if l1 == l2 == l3:
-            raise DegenerateWeightError("trivial 1-PS")
-        m = min(lam)
-        mins = [k for k, v in enumerate(lam) if v == m]
-        if len(mins) > 1:
-            raise DegenerateWeightError(f"repeated minimal weight in {lam}")
-        if mins[0] == 0:
-            if l2 == l3:
-                raise DegenerateWeightError(f"weights {lam} fix the exceptional direction")
-            if l2 > l3:
-                return _chart("f1", "case2-zu", l3 - l1, l2 - l3)
-            return _chart("f1", "case2-yv", l2 - l1, l3 - l2)
-        if mins[0] == 1:
-            return _chart("f1", "case1-010", l1 - l2, l3 - l2)
-        return _chart("f1", "case1-001", l1 - l3, l2 - l3)
-    if surface == "blp114":
-        # weights are defined up to adding (k, k, 4k); normalize l2 = 0
-        p = l1 - l2
-        q = l3 - 4 * l2
-        if p == 0 and q == 0:
-            raise DegenerateWeightError("trivial 1-PS")
-        if p > 0 and q > 0:
-            return _chart("blp114", "case3p", p, q)
-        if p > 0:  # q <= 0: flip the action, landing in the (y,v) chart
-            return _chart("blp114", "case2p", p, 3 * p - q)
-        if p < 0:
-            if q > 3 * p:
-                return _chart("blp114", "case2p", -p, q - 3 * p)
-            if q == 3 * p:
-                raise DegenerateWeightError(f"weights {lam} degenerate on the chart")
-            if q > 4 * p:
-                return _chart("blp114", "case1p", q - 4 * p, 3 * p - q)
-            return _chart("blp114", "case3p", -p, -q)
-        raise DegenerateWeightError(f"weights {lam} fix the chart coordinate")
-    raise ValueError(f"unknown surface {surface!r}")
-
-
 # the 1-PS whose weight on x^e y^i z^j is the order of the monomial along D
 # (along E up to the constant 2)
 _DIVISOR_WEIGHTS = {"H_x": (1, 0, 0), "H_y": (0, 1, 0), "H_z": (0, 0, 1), "E": (0, 1, 1)}
@@ -243,6 +230,55 @@ def chart_to_onePS(chart: ChartCase) -> OnePS:
     if chart.surface == "blp114":  # normalize l2 = 0 modulo (k, k, 4k)
         return (l1 - l2, 0, l3 - 4 * l2)
     return (l1, l2, l3)
+
+
+def _reduced(plane: Plane, lam: OnePS) -> tuple[int, int]:
+    """The (x, z) weights of lam minus l2 times the trivial 1-PS."""
+    l1, l2, l3 = lam
+    return l1 - l2 * plane.weights[0], l3 - l2 * plane.weights[2]
+
+
+# per plane model, the ray w(D) of each invariant divisor modulo the trivial 1-PS
+_FAN = {surface: {d: _reduced(plane, w) for d, w in _DIVISOR_WEIGHTS.items()}
+        for surface, plane in PLANES.items()}
+
+
+def _cone_coordinates(lam: tuple[int, int], u: tuple[int, int],
+                      v: tuple[int, int]) -> tuple[int, int]:
+    """(a, b) with k*lam = a*u + b*v for some k > 0 (Cramer's rule)."""
+    det = u[0] * v[1] - u[1] * v[0]
+    a, b = lam[0] * v[1] - lam[1] * v[0], u[0] * lam[1] - u[1] * lam[0]
+    return (a, b) if det > 0 else (-a, -b)
+
+
+def onePS_to_chart(lam: OnePS, surface: str) -> ChartCase:
+    """Chart case and primitive blowup weights induced by a nontrivial 1-PS.
+
+    Modulo the trivial 1-PS the divisor weights w(D) are the rays of the
+    surface's fan.  The chart is the family whose cone {a*w(D1) + b*w(D2)}
+    holds lam in its interior, at primitive (a, b).  On ``blp114`` the closed
+    cone (H_y, H_x) is the quarter point, which carries no chart; there -lam
+    acts instead.
+    """
+    x, z = _reduced(_plane(surface), lam)
+    rays = _FAN[surface]
+    if x == z == 0:
+        raise DegenerateWeightError("trivial 1-PS")
+    if surface == "blp114" and min(_cone_coordinates((x, z), rays["H_y"], rays["H_x"])) >= 0:
+        x, z = -x, -z
+    for tag, fam in CHART_FAMILIES.items():
+        if fam.surface != surface:
+            continue
+        d1, d2 = fam.divisors
+        a, b = _cone_coordinates((x, z), rays[d1], rays[d2])
+        if a < 0 or b < 0:
+            continue
+        if a == 0 or b == 0:
+            raise DegenerateWeightError(
+                f"weights {lam} lie on the ray of {d2 if a == 0 else d1}")
+        g = gcd(a, b)
+        return ChartCase(surface, tag, a // g, b // g)
+    raise AssertionError(f"the chart cones of {surface} miss {lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +320,6 @@ def multiplicity(support: MonomialSupport, a: int, b: int) -> int:
     if a <= 0 or b <= 0:
         raise ValueError("weights must be positive")
     return min(a * e + b * f for e, f in support.points)
-
-
-def log_discrepancy(chart: ChartCase, support: MonomialSupport, c) -> Fraction:
-    """(a + b) - c * multiplicity for a smooth-center chart blowup."""
-    c = Fraction(c)
-    return Fraction(chart.a + chart.b) - c * multiplicity(support, chart.a, chart.b)
 
 
 # ---------------------------------------------------------------------------

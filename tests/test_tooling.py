@@ -1,7 +1,9 @@
 """The benchmark's contract with kwall: the tracer's callables still exist,
 every span the benchmark predicts still has calls, and every output the
-benchmark checks still has its committed digest."""
+benchmark checks still has its committed digest.  Also: every module-level
+definition in ``src/kwall`` has a caller in the package."""
 
+import ast
 import importlib
 import importlib.util
 import io
@@ -19,6 +21,33 @@ def _load_tracer():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _unreferenced_definitions(package_dir):
+    """Module-level functions and classes of the package that no code in it
+    names, other than the names ``__init__.py`` exports."""
+    defined, named = [], set()
+    for entry in sorted(os.listdir(package_dir)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, entry), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        if entry == "__init__.py":
+            named.update(alias.asname or alias.name for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) for alias in node.names)
+        defined += [(entry, node.name) for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in named]
+
+
+def test_every_definition_has_a_caller():
+    """Code only the tests call lives in the tests."""
+    assert _unreferenced_definitions(os.path.join(ROOT, "src", "kwall")) == []
 
 
 def test_tracer_targets_resolve():

@@ -1,16 +1,17 @@
+import io
+import json
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
 
-from kwall import volume
+from kwall import cli, volume
 from kwall.exactnum import QuadraticPoly, SurdSum
 from kwall.surface import builtin_surface, vscale, vsub
 from kwall.volume import (
     BLP114_CHART_TAGS,
     ChartCase,
     F1_CHART_TAGS,
-    closed_form_report,
     fixed_divisor_profile,
     fixed_divisor_s,
     s_closed_form,
@@ -273,7 +274,9 @@ class TestClosedFormComparison:
                 assert engine != SurdSum.rational(swapped)
 
     def test_report_fields(self):
-        rep = closed_form_report(ChartCase("blp114", "case2p", 1, 1))
+        out = io.StringIO()
+        assert cli.run(["sfun", "--chart", "case2p", "--a", "1", "--b", "1"], out=out) == 0
+        rep = json.loads(out.getvalue())
         assert rep["match"] is False
         assert rep["engine"] == "9/4"
         assert rep["closed_form"] == "-9/8+9/4*sqrt(2)"
