@@ -10,8 +10,8 @@ from .exactnum import (  # noqa: F401
     surd_compare,
 )
 from .surface import SurfaceModel, builtin_surface  # noqa: F401
-from .volume import ChartCase, s_closed_form, s_engine, volume_profile  # noqa: F401
-from .pairs import CurvePair, onePS_to_chart, parse_curve  # noqa: F401
+from .volume import s_closed_form, s_engine, volume_profile  # noqa: F401
+from .pairs import ChartCase, CurvePair, onePS_to_chart, parse_curve  # noqa: F401
 from .stability import (  # noqa: F401
     beta,
     enumerate_walls,

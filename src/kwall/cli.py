@@ -20,25 +20,26 @@ from . import __version__
 from .atlas import AtlasFormatError, bundled_atlas, diff_atlas, load_atlas
 from .exactnum import render_fraction, render_surd
 from .hkl import audit_dim_formula, cone_report, map_walls
-from .pairs import CurveSyntaxError, DegenerateWeightError, parse_curve, onePS_to_chart
+from .pairs import (
+    CHART_FAMILIES,
+    PLANES,
+    ChartCase,
+    CurveSyntaxError,
+    DegenerateWeightError,
+    onePS_to_chart,
+    parse_curve,
+)
 from .stability import (
-    TORIC_DIVISORS,
     audit_extra_walls,
     beta_chart,
-    beta_toric,
     enumerate_walls,
     index3_certificate,
     quotient_point_certificate,
     threshold,
+    toric_constraints,
 )
-from .surface import NotPseudoEffectiveError, builtin_ids, builtin_surface, vec
-from .volume import (
-    CHART_FAMILIES,
-    ChartCase,
-    s_closed_form,
-    s_engine,
-    volume_profile,
-)
+from .surface import FIXED_MODELS, NotPseudoEffectiveError, builtin_surface, vec
+from .volume import s_closed_form, s_engine, volume_profile
 
 
 class CheckFailure(Exception):
@@ -139,7 +140,7 @@ def _emit(payload: dict, rows: Optional[list[dict]], fmt: str, stream) -> None:
 
 
 def _cmd_walls(args, out) -> int:
-    surfaces = ["f1", "blp114"] if args.surface == "all" else [args.surface]
+    surfaces = list(PLANES) if args.surface == "all" else [args.surface]
     atlas = _load_atlas_arg(args.atlas)
     rows = []
     payload: dict = {"walls": {}}
@@ -249,8 +250,7 @@ def _cmd_beta(args, out) -> int:
             reports.append(beta_chart(curve, chart, args.c))
         except DegenerateWeightError as exc:
             note = str(exc)
-    for d in TORIC_DIVISORS:
-        reports.append(beta_toric(curve, d, args.c))
+    reports += [con.report(args.c) for con in toric_constraints(curve)]
     payload = {
         "surface": args.surface,
         "curve": curve.to_json()["text"],
@@ -284,7 +284,7 @@ def _cmd_hkl(args, out) -> int:
     atlas = _load_atlas_arg(args.atlas)
     if args.what == "map":
         rep = map_walls(atlas)
-        rows = [row for surface in ("f1", "blp114") for row in rep["images"][surface]]
+        rows = [row for rows in rep["images"].values() for row in rows]
         _emit(rep, rows, args.format, out)
         return 0 if rep["match"] else 1
     if args.what == "cone":
@@ -314,7 +314,8 @@ def _cmd_certify(args, out) -> int:
             raise UsageError("certify index3 takes no --curve or --ord")
         rep = index3_certificate(args.c)
     elif args.curve is not None:
-        rep = quotient_point_certificate(_load_curve_arg(args.curve, "blp114"), args.c)
+        surface = next(s for s, plane in PLANES.items() if plane.quarter_cone)
+        rep = quotient_point_certificate(_load_curve_arg(args.curve, surface), args.c)
     else:
         rep = quotient_point_certificate(1 if args.ord is None else args.ord, args.c)
     payload = rep.to_json()
@@ -332,8 +333,7 @@ def _cmd_surfaces(args, out) -> int:
     elif args.a is not None or args.b is not None:
         raise UsageError("--a/--b need --id")
     else:
-        models = [builtin_surface(i) for i in builtin_ids()
-                  if i in ("f1", "blp114", "index3m", "blp114-quotient-res")]
+        models = [builtin_surface(i) for i in sorted(FIXED_MODELS)]
     payload = {"surfaces": [m.to_json() for m in models]}
     rows = [{"name": m.name, "basis": ",".join(m.basis),
              "degree": render_fraction(m.degree)} for m in models]
@@ -374,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walls", parents=[common],
                        help="enumerate and confirm the wall values")
-    p.add_argument("--surface", choices=("f1", "blp114", "all"), default="all")
+    p.add_argument("--surface", choices=(*PLANES, "all"), default="all")
     p.add_argument("--audit-extra", action="store_true",
                    help="also list exact-engine candidates beyond the published tables")
     p.add_argument("--atlas", default=None)
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zariski)
 
     p = sub.add_parser("beta", parents=[common], help="beta reports for a pair")
-    p.add_argument("--surface", choices=("f1", "blp114"), required=True)
+    p.add_argument("--surface", choices=tuple(PLANES), required=True)
     p.add_argument("--curve", required=True, help="curve text or @file")
     p.add_argument("--weights", type=_weights, default=None, metavar="l1,l2,l3")
     p.add_argument("--c", type=_fraction, required=True)
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", parents=[common],
                        help="exact stability-threshold interval of a pair")
-    p.add_argument("--surface", choices=("f1", "blp114"), required=True)
+    p.add_argument("--surface", choices=tuple(PLANES), required=True)
     p.add_argument("--curve", required=True)
     p.add_argument("--bound", type=_bound, default=None,
                    help="weight bound a + b of the --grid sweep (default 30)")
@@ -468,7 +468,7 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args, out)
-    except CheckFailure as exc:
+    except (CheckFailure, ArithmeticError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except UsageError as exc:

@@ -3,7 +3,8 @@ with their multiplicities.
 
 Curves live on one of the two plane models of :data:`PLANES` (``f1``:
 sextics through the center with multiplicity 2; ``blp114``: weighted-degree-12
-curves likewise).  Monomials are stored as (y-exponent, z-exponent) pairs; the
+curves likewise).  Every fact that tells the planes apart is read off that
+record.  Monomials are stored as (y-exponent, z-exponent) pairs; the
 x-exponent is determined by the degree.  Only the monomial support enters any
 invariant; coefficients are carried as display tags.
 """
@@ -12,17 +13,48 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
-from .volume import CHART_FAMILIES, ChartCase
+from .surface import check_weights
 
 TAG_ONE = "one"
 TAG_GENERIC_NONZERO = "generic-nonzero"
 
+# the invariant divisors of both plane models, in the order of every table of them
+DIVISORS = ("H_x", "H_y", "H_z", "E")
+
+
+class ChartFamily(NamedTuple):
+    """Weighted blowups at one torus-fixed point: the weight-(a, b) valuation
+    is a*ord_D1 + b*ord_D2 for the invariant divisors ``(D1, D2)`` through the
+    center; the closed-form S-value switches branch at ``branch_ratios`` b/a.
+    """
+
+    surface: str
+    model_kind: str
+    divisors: tuple[str, str]
+    branch_ratios: tuple[Fraction, ...] = ()
+
+
+# table order is the order in which wall candidates are enumerated
+CHART_FAMILIES = {
+    "case1-010": ChartFamily("f1", "f1-case1", ("H_x", "H_z"), (Fraction(1),)),
+    "case1-001": ChartFamily("f1", "f1-case1", ("H_x", "H_y"), (Fraction(1),)),
+    "case2-zu": ChartFamily("f1", "f1-case2", ("E", "H_y")),
+    "case2-yv": ChartFamily("f1", "f1-case2", ("E", "H_z")),
+    "case1p": ChartFamily("blp114", "blp114-case1p", ("E", "H_y")),
+    "case2p": ChartFamily("blp114", "blp114-case2p", ("E", "H_z")),
+    "case3p": ChartFamily("blp114", "blp114-case3p", ("H_x", "H_z")),
+}
+
 
 class Plane(NamedTuple):
-    """A plane model: the weights of (x, y, z) and the degree of its curves.
+    """A plane model: the weights of (x, y, z), the degree of its curves, the
+    order of (x, y, z) that sorts monomials (largest exponent first) and
+    prints their factors, its chart families in enumeration order, and the
+    fan cone (D1, D2) of its quarter point, the fixed point without a chart.
 
     x and y have weight 1 on both models, so the degree fixes the x-exponent
     of a monomial and the trivial 1-PS is ``weights`` itself.
@@ -30,9 +62,17 @@ class Plane(NamedTuple):
 
     weights: tuple[int, int, int]
     degree: int
+    render_order: str
+    chart_tags: tuple[str, ...]
+    quarter_cone: Optional[tuple[str, str]]
 
 
-PLANES = {"f1": Plane((1, 1, 1), 6), "blp114": Plane((1, 1, 4), 12)}
+def _chart_tags(surface: str) -> tuple[str, ...]:
+    return tuple(t for t, fam in CHART_FAMILIES.items() if fam.surface == surface)
+
+
+PLANES = {"f1": Plane((1, 1, 1), 6, "xzy", _chart_tags("f1"), None),
+          "blp114": Plane((1, 1, 4), 12, "zyx", _chart_tags("blp114"), ("H_y", "H_x"))}
 
 
 def _plane(surface: str) -> Plane:
@@ -40,6 +80,25 @@ def _plane(surface: str) -> Plane:
         return PLANES[surface]
     except KeyError:
         raise ValueError(f"unknown surface {surface!r}") from None
+
+
+@dataclass(frozen=True)
+class ChartCase:
+    """A weighted-blowup chart with coprime positive weights (a, b)."""
+
+    surface: str  # a key of PLANES
+    tag: str
+    a: int
+    b: int
+
+    def __post_init__(self) -> None:
+        if self.tag not in CHART_FAMILIES or self.family.surface != self.surface:
+            raise ValueError(f"chart {self.tag!r} is not valid on {self.surface}")
+        check_weights(self.a, self.b)
+
+    @property
+    def family(self) -> ChartFamily:
+        return CHART_FAMILIES[self.tag]
 
 
 class CurveSyntaxError(ValueError):
@@ -82,13 +141,12 @@ def quarter_point_order(surface: str, support: Iterable[tuple[int, int]]) -> int
     """Order ord_F of the curve along the quarter point's valuation F.
 
     On ``blp114`` it is 3 minus the largest z-exponent (z^3 is the pure power
-    of z of degree 12), so 0 exactly when z^3 is present; ``f1`` has no
-    quotient point, so 0."""
+    of z of degree 12), so 0 exactly when z^3 is present; a plane without a
+    quarter point gives 0."""
     plane = _plane(surface)
-    wz = plane.weights[2]
-    if wz == 1:
+    if plane.quarter_cone is None:
         return 0
-    return plane.degree // wz - max(j for _, j in support)
+    return plane.degree // plane.weights[2] - max(j for _, j in support)
 
 
 @dataclass(frozen=True)
@@ -132,9 +190,8 @@ def _validated(surface: str, monos: list[Monomial]) -> CurvePair:
             raise CurveSyntaxError("negative exponent")
         ex = _x_exponent(surface, m.i, m.j)
         if ex < 0:
-            deg = "6" if surface == "f1" else "12 (weighted)"
             raise CurveSyntaxError(
-                f"monomial y^{m.i} z^{m.j} exceeds total degree {deg}")
+                f"monomial y^{m.i} z^{m.j} exceeds total degree {_degree_text(surface)}")
         if m.i + m.j < 2:
             raise CurveSyntaxError(
                 f"monomial x^{ex} y^{m.i} z^{m.j} has multiplicity < 2 at the center")
@@ -142,14 +199,19 @@ def _validated(surface: str, monos: list[Monomial]) -> CurvePair:
     if quarter_point_order(surface, seen) > 0:
         warnings = ("z^3 absent: the pair is destabilized at the quarter point "
                     "for every coefficient (see certify quotient-point)",)
-    monos.sort(key=lambda m: _render_sort_key(surface, m))
+    monos.sort(key=lambda m: tuple(-e for _, e in _ordered_exponents(surface, m)))
     return CurvePair(surface, tuple(monos), warnings)
 
 
-def _render_sort_key(surface: str, m: Monomial):
-    if surface == "f1":
-        return (-m.x_exp(surface), -m.j, -m.i)
-    return (-m.j, -m.i)
+def _degree_text(surface: str) -> str:
+    plane = _plane(surface)
+    return f"{plane.degree} with weights {plane.weights}"
+
+
+def _ordered_exponents(surface: str, m: Monomial) -> list[tuple[str, int]]:
+    """(variable, exponent) of each of x, y, z in the plane's render order."""
+    exps = {"x": m.x_exp(surface), "y": m.i, "z": m.j}
+    return [(var, exps[var]) for var in _plane(surface).render_order]
 
 
 _MONO_RE = re.compile(r"^(?:(?P<coeff>a\d*|\d+(?:/\d+)?)\*)?(?P<body>[xyz^\d*]+)$")
@@ -181,9 +243,8 @@ def parse_curve(text: str, surface: str) -> CurvePair:
             label = coeff
         i, j = exps["y"], exps["z"]
         if _x_exponent(surface, i, j) != exps["x"]:
-            deg = "6" if surface == "f1" else "12 with wt(z)=4"
             raise CurveSyntaxError(
-                f"monomial {chunk!r} does not have total degree {deg}")
+                f"monomial {chunk!r} does not have total degree {_degree_text(surface)}")
         monos.append(Monomial(i, j, tag, label))
     return _validated(surface, monos)
 
@@ -192,16 +253,8 @@ def render_curve(curve: CurvePair) -> str:
     """Canonical text form; ``parse_curve(render_curve(c)) == c`` up to labels."""
     parts = []
     for m in curve.monomials:
-        ex = m.x_exp(curve.surface)
-        factors = []
-        order = ("x", "z", "y") if curve.surface == "f1" else ("z", "y", "x")
-        exps = {"x": ex, "y": m.i, "z": m.j}
-        for var in order:
-            e = exps[var]
-            if e == 1:
-                factors.append(var)
-            elif e > 1:
-                factors.append(f"{var}^{e}")
+        factors = [var if e == 1 else f"{var}^{e}"
+                   for var, e in _ordered_exponents(curve.surface, m) if e]
         body = "*".join(factors) if factors else "1"
         if m.tag == TAG_ONE:
             parts.append(body)
@@ -218,18 +271,22 @@ OnePS = tuple[int, int, int]
 
 # the 1-PS whose weight on x^e y^i z^j is the order of the monomial along D
 # (along E up to the constant 2)
-_DIVISOR_WEIGHTS = {"H_x": (1, 0, 0), "H_y": (0, 1, 0), "H_z": (0, 0, 1), "E": (0, 1, 1)}
+_DIVISOR_WEIGHTS = dict(zip(DIVISORS, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))))
 
 
 def chart_to_onePS(chart: ChartCase) -> OnePS:
     """The 1-PS a*w(D1) + b*w(D2) realizing the chart valuation; inverse of
-    :func:`onePS_to_chart`."""
+    :func:`onePS_to_chart`.  On a plane with a quarter point it is reduced to
+    l2 = 0 modulo the trivial 1-PS, the form of the atlas's ``blp114`` weights.
+    """
     d1, d2 = chart.family.divisors
-    l1, l2, l3 = (chart.a * p + chart.b * q
-                  for p, q in zip(_DIVISOR_WEIGHTS[d1], _DIVISOR_WEIGHTS[d2]))
-    if chart.surface == "blp114":  # normalize l2 = 0 modulo (k, k, 4k)
-        return (l1 - l2, 0, l3 - 4 * l2)
-    return (l1, l2, l3)
+    lam = tuple(chart.a * p + chart.b * q
+                for p, q in zip(_DIVISOR_WEIGHTS[d1], _DIVISOR_WEIGHTS[d2]))
+    plane = PLANES[chart.surface]
+    if plane.quarter_cone is None:
+        return lam
+    x, z = _reduced(plane, lam)
+    return (x, 0, z)
 
 
 def _reduced(plane: Plane, lam: OnePS) -> tuple[int, int]:
@@ -256,20 +313,19 @@ def onePS_to_chart(lam: OnePS, surface: str) -> ChartCase:
 
     Modulo the trivial 1-PS the divisor weights w(D) are the rays of the
     surface's fan.  The chart is the family whose cone {a*w(D1) + b*w(D2)}
-    holds lam in its interior, at primitive (a, b).  On ``blp114`` the closed
-    cone (H_y, H_x) is the quarter point, which carries no chart; there -lam
-    acts instead.
+    holds lam in its interior, at primitive (a, b).  The closed cone of the
+    quarter point carries no chart; there -lam acts instead.
     """
-    x, z = _reduced(_plane(surface), lam)
+    plane = _plane(surface)
+    x, z = _reduced(plane, lam)
     rays = _FAN[surface]
     if x == z == 0:
         raise DegenerateWeightError("trivial 1-PS")
-    if surface == "blp114" and min(_cone_coordinates((x, z), rays["H_y"], rays["H_x"])) >= 0:
+    cone = plane.quarter_cone
+    if cone and min(_cone_coordinates((x, z), rays[cone[0]], rays[cone[1]])) >= 0:
         x, z = -x, -z
-    for tag, fam in CHART_FAMILIES.items():
-        if fam.surface != surface:
-            continue
-        d1, d2 = fam.divisors
+    for tag in plane.chart_tags:
+        d1, d2 = CHART_FAMILIES[tag].divisors
         a, b = _cone_coordinates((x, z), rays[d1], rays[d2])
         if a < 0 or b < 0:
             continue
@@ -297,7 +353,7 @@ class MonomialSupport:
 
 def divisor_orders(surface: str, i: int, j: int) -> dict[str, int]:
     """Order of the monomial with exponents (i, j) along each invariant divisor."""
-    return {"H_x": _x_exponent(surface, i, j), "H_y": i, "H_z": j, "E": i + j - 2}
+    return dict(zip(DIVISORS, (_x_exponent(surface, i, j), i, j, i + j - 2)))
 
 
 def local_points(curve: CurvePair, tag: str) -> tuple[tuple[int, int], ...]:

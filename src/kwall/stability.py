@@ -36,6 +36,10 @@ from typing import Iterable, Optional, Sequence, Union
 from . import polycheck
 from .exactnum import SurdSum, render_fraction, render_surd
 from .pairs import (
+    CHART_FAMILIES,
+    DIVISORS,
+    PLANES,
+    ChartCase,
     CurvePair,
     OnePS,
     admissible_monomials,
@@ -52,10 +56,6 @@ from .pairs import (
 )
 from .surface import builtin_surface
 from .volume import (
-    BLP114_CHART_TAGS,
-    CHART_FAMILIES,
-    ChartCase,
-    F1_CHART_TAGS,
     fixed_divisor_s,
     s_closed_form_coefficient,
     s_engine_coefficient,
@@ -63,8 +63,6 @@ from .volume import (
 )
 
 Number = Union[int, Fraction, SurdSum]
-
-TORIC_DIVISORS = ("H_x", "H_y", "H_z", "E")
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +96,6 @@ def _verdict(beta: SurdSum) -> str:
     return "destabilizing" if s < 0 else ("critical" if s == 0 else "positive")
 
 
-def beta_toric(curve: CurvePair, divisor: str, c) -> BetaReport:
-    """Beta of one of the four invariant divisors on the surface itself."""
-    return {con.name: con for con in toric_constraints(curve)}[divisor].report(c)
-
-
 def beta_chart(curve: CurvePair, chart: ChartCase, c) -> BetaReport:
     """Beta of the chart's weighted-blowup valuation, S by volume integration."""
     return chart_constraint(curve, chart).report(c)
@@ -111,7 +104,7 @@ def beta_chart(curve: CurvePair, chart: ChartCase, c) -> BetaReport:
 def beta(curve: CurvePair, valuation: Union[str, ChartCase, OnePS], c) -> BetaReport:
     """Beta report for a toric divisor name, a chart, or a 1-PS weight."""
     if isinstance(valuation, str):
-        return beta_toric(curve, valuation, c)
+        return {con.name: con for con in toric_constraints(curve)}[valuation].report(c)
     if isinstance(valuation, ChartCase):
         return beta_chart(curve, valuation, c)
     chart = onePS_to_chart(tuple(valuation), curve.surface)
@@ -167,13 +160,8 @@ class Constraint:
 
 def toric_constraints(curve: CurvePair) -> list[Constraint]:
     mults = toric_multiplicities(curve)
-    table = fixed_divisor_s(curve.surface)
-    return [Constraint(d, Fraction(1), Fraction(mults[d]), table[d])
-            for d in TORIC_DIVISORS]
-
-
-def chart_families(surface: str) -> tuple[str, ...]:
-    return F1_CHART_TAGS if surface == "f1" else BLP114_CHART_TAGS
+    return [Constraint(d, Fraction(1), Fraction(mults[d]), s0)
+            for d, s0 in fixed_divisor_s(curve.surface).items()]
 
 
 def _crossing(p: tuple[int, int], q: tuple[int, int]) -> Optional[tuple[int, int]]:
@@ -213,7 +201,7 @@ def chart_constraints(curve: CurvePair, tag: str,
 
 def all_constraints(curve: CurvePair) -> list[Constraint]:
     cons = toric_constraints(curve)
-    for tag in chart_families(curve.surface):
+    for tag in PLANES[curve.surface].chart_tags:
         cons.extend(chart_constraints(curve, tag, kink_weights(curve, tag) or [(1, 1)]))
     return cons
 
@@ -235,6 +223,13 @@ class StabilityThreshold:
         if self.classification != "point":
             return False
         return w is None or self.lower == Fraction(w)
+
+    def c_range(self) -> Optional[tuple[Fraction, Fraction]]:
+        """Closed bounds of the threshold's set of c in (0, 1/2); None if empty."""
+        if self.classification == "empty":
+            return None
+        return (Fraction(0) if self.lower is None else max(self.lower, Fraction(0)),
+                Fraction(1, 2) if self.upper is None else min(self.upper, Fraction(1, 2)))
 
     def to_json(self) -> dict:
         return {
@@ -286,7 +281,7 @@ def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshol
 
     The kink sweep is complete for these chart families (see module
     docstring); the optional grid sweep over all coprime a + b <= grid is a
-    redundant cross-check and must never tighten the result.
+    redundant cross-check and must never shrink the set of c in (0, 1/2).
     """
     if grid is not None and grid < 12:
         raise ValueError("grid bound must be at least 12")
@@ -296,11 +291,10 @@ def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshol
     if grid is not None:
         weights = [(a, b) for a in range(1, grid) for b in range(1, grid + 1 - a)
                    if gcd(a, b) == 1]
-        for tag in chart_families(curve.surface):
+        for tag in PLANES[curve.surface].chart_tags:
             cons.extend(chart_constraints(curve, tag, weights))
         swept = _intersect(cons)
-        if (swept.lower, swept.upper, swept.classification) != (
-                base.lower, base.upper, base.classification):
+        if swept.c_range() != base.c_range():
             raise ArithmeticError(
                 f"grid sweep tightened the kink threshold: {swept} vs {base}")
         guarantee += f"+grid({grid})"
@@ -325,7 +319,7 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
     for con in toric_constraints(curve):
         if con.beta_at(c) < 0:
             failures.append(f"toric {con.name}: beta({c}) = {con.beta_at(c)}")
-    for tag in chart_families(curve.surface):
+    for tag in PLANES[curve.surface].chart_tags:
         d1, d2 = CHART_FAMILIES[tag].divisors
         pts = local_points(curve, tag)
         grid = [Fraction(0)] + [Fraction(b, a) for a, b in kink_weights(curve, tag)]
@@ -465,7 +459,7 @@ def _candidate_supports(surface: str):
     seen: set[tuple[Fraction, ...]] = set()
 
     # chart-direction pairs
-    for tag in chart_families(surface):
+    for tag in PLANES[surface].chart_tags:
         d1, d2 = CHART_FAMILIES[tag].divisors
         local = {p: (orders[p][d1], orders[p][d2]) for p in monos}
         for k, p in enumerate(monos):
@@ -486,7 +480,7 @@ def _candidate_supports(surface: str):
 
     # degenerate 1-PS directions: level sets of the toric divisor orders
     emitted: set[tuple[tuple[int, int], ...]] = set()
-    for d in TORIC_DIVISORS:
+    for d in DIVISORS:
         levels: dict[int, list[tuple[int, int]]] = {}
         for p in monos:
             levels.setdefault(orders[p][d], []).append(p)
@@ -596,14 +590,11 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
     if not 0 < c < Fraction(1, 2):
         raise ValueError("coefficient must lie in (0, 1/2)")
     if isinstance(curve_or_ord, CurvePair):
-        curve = curve_or_ord
-        if curve.surface != "blp114":
-            raise ValueError("the quarter-point certificate lives on blp114")
-        ord_f = quarter_point_order(curve.surface, curve.support())
+        ord_f = quarter_point_order(curve_or_ord.surface, curve_or_ord.support())
     else:
         ord_f = int(curve_or_ord)
     if ord_f < 1:
-        raise ValueError("curve misses the quarter point (z^3 present)")
+        raise ValueError("curve misses the quarter point (ord_F(C) < 1)")
     prof = volume_profile(builtin_surface("blp114-quotient-res"))
     engine = Constraint("engine", Fraction(1, 2), Fraction(ord_f),
                         prof.raw_integral / prof.degree).report(c)

@@ -461,7 +461,7 @@ def _model_blp114_case3p(a: int, b: int) -> SurfaceModel:
         exceptional="F")
 
 
-_FIXED_MODELS = {
+FIXED_MODELS = {
     "f1": _model_f1,
     "blp114": _model_blp114,
     "index3m": _model_index3m,
@@ -479,10 +479,10 @@ _WEIGHTED_MODELS = {
 
 def builtin_surface(ident: str, a: Optional[int] = None, b: Optional[int] = None) -> SurfaceModel:
     """Builtin surface by id; weighted-blowup ids require coprime weights."""
-    if ident in _FIXED_MODELS:
+    if ident in FIXED_MODELS:
         if a is not None or b is not None:
             raise ValueError(f"{ident} takes no weights")
-        return _FIXED_MODELS[ident]()
+        return FIXED_MODELS[ident]()
     if ident in _WEIGHTED_MODELS:
         if a is None or b is None:
             raise ValueError(f"{ident} requires weights a, b")
@@ -490,6 +490,3 @@ def builtin_surface(ident: str, a: Optional[int] = None, b: Optional[int] = None
         return _WEIGHTED_MODELS[ident](a, b)
     raise ValueError(f"unknown surface id {ident!r}")
 
-
-def builtin_ids() -> list[str]:
-    return sorted(_FIXED_MODELS) + sorted(_WEIGHTED_MODELS)

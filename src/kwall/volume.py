@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .exactnum import (
     ExactDomainError,
@@ -24,60 +24,10 @@ from .exactnum import (
     SurdSum,
     render_surd,
 )
-from .surface import SurfaceModel, Vec, builtin_surface, check_weights, vsub, vscale, solve_linear
+from .pairs import DIVISORS, ChartCase
+from .surface import SurfaceModel, Vec, builtin_surface, vsub, vscale, solve_linear
 
 Number = Union[int, Fraction, SurdSum]
-
-
-# ---------------------------------------------------------------------------
-# chart families
-
-class ChartFamily(NamedTuple):
-    """Weighted blowups at one torus-fixed point: the weight-(a, b) valuation
-    is a*ord_D1 + b*ord_D2 for the invariant divisors ``(D1, D2)`` through the
-    center; the closed-form S-value switches branch at ``branch_ratios`` b/a.
-    """
-
-    surface: str
-    model_kind: str
-    divisors: tuple[str, str]
-    branch_ratios: tuple[Fraction, ...] = ()
-
-
-# table order is the order in which wall candidates are enumerated
-CHART_FAMILIES = {
-    "case1-010": ChartFamily("f1", "f1-case1", ("H_x", "H_z"), (Fraction(1),)),
-    "case1-001": ChartFamily("f1", "f1-case1", ("H_x", "H_y"), (Fraction(1),)),
-    "case2-zu": ChartFamily("f1", "f1-case2", ("E", "H_y")),
-    "case2-yv": ChartFamily("f1", "f1-case2", ("E", "H_z")),
-    "case1p": ChartFamily("blp114", "blp114-case1p", ("E", "H_y")),
-    "case2p": ChartFamily("blp114", "blp114-case2p", ("E", "H_z")),
-    "case3p": ChartFamily("blp114", "blp114-case3p", ("H_x", "H_z")),
-}
-F1_CHART_TAGS = tuple(t for t, fam in CHART_FAMILIES.items() if fam.surface == "f1")
-BLP114_CHART_TAGS = tuple(t for t, fam in CHART_FAMILIES.items() if fam.surface == "blp114")
-
-
-@dataclass(frozen=True)
-class ChartCase:
-    """A weighted-blowup chart with coprime positive weights (a, b)."""
-
-    surface: str  # "f1" | "blp114"
-    tag: str
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.tag not in CHART_FAMILIES or self.family.surface != self.surface:
-            raise ValueError(f"chart {self.tag!r} is not valid on {self.surface}")
-        check_weights(self.a, self.b)
-
-    @property
-    def family(self) -> ChartFamily:
-        return CHART_FAMILIES[self.tag]
-
-    def model(self) -> SurfaceModel:
-        return builtin_surface(self.family.model_kind, self.a, self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +269,7 @@ def s_engine_raw(chart: ChartCase) -> SurdSum:
     """Integral of the volume profile of the chart valuation (c-independent)."""
     key = (chart.family.model_kind, chart.a, chart.b)
     if key not in _raw_cache:
-        profile = volume_profile(chart.model())
-        _raw_cache[key] = profile.raw_integral
+        _raw_cache[key] = volume_profile(builtin_surface(*key)).raw_integral
     return _raw_cache[key]
 
 
@@ -387,10 +336,8 @@ def fixed_divisor_s(surface: str) -> dict[str, Fraction]:
     The blown-up point is [1,0,0] throughout, so on the plane model H_x is
     the invariant line missing the center.
     """
-    if surface not in ("f1", "blp114"):
-        raise ValueError(f"unknown surface {surface!r}")
     if surface not in _fixed_cache:
-        profiles = {d: fixed_divisor_profile(surface, d) for d in ("H_x", "H_y", "H_z", "E")}
+        profiles = {d: fixed_divisor_profile(surface, d) for d in DIVISORS}
         _fixed_cache[surface] = {d: prof.raw_integral.as_fraction() / prof.degree
                                  for d, prof in profiles.items()}
     return dict(_fixed_cache[surface])

@@ -22,6 +22,8 @@ from kwall.hkl import (
     map_walls,
 )
 from kwall.pairs import (
+    CHART_FAMILIES,
+    ChartCase,
     DegenerateWeightError,
     chart_expand,
     multiplicity,
@@ -37,9 +39,6 @@ from kwall.stability import (
 )
 from kwall.surface import builtin_surface, solve_linear
 from kwall.volume import (
-    BLP114_CHART_TAGS,
-    ChartCase,
-    F1_CHART_TAGS,
     fixed_divisor_profile,
     fixed_divisor_s,
     s_closed_form_coefficient,
@@ -118,8 +117,8 @@ def test_criterion_03_s_function_oracle_equivalence():
     The discrepancy partition is asserted exactly.
     """
     mismatch = 0
-    for tag in F1_CHART_TAGS + BLP114_CHART_TAGS:
-        surface = "f1" if tag in F1_CHART_TAGS else "blp114"
+    for tag, fam in CHART_FAMILIES.items():
+        surface = fam.surface
         for a, b in COPRIME_12:
             chart = ChartCase(surface, tag, a, b)
             engine = SurdSum._coerce(s_engine_coefficient(chart))

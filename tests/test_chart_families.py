@@ -14,6 +14,9 @@ from math import gcd
 import pytest
 
 from kwall.pairs import (
+    CHART_FAMILIES,
+    PLANES,
+    ChartCase,
     DegenerateWeightError,
     admissible_monomials,
     chart_to_onePS,
@@ -29,14 +32,7 @@ from kwall.stability import (
     confirm_wall,
     enumerate_walls,
 )
-from kwall.volume import (
-    BLP114_CHART_TAGS,
-    CHART_FAMILIES,
-    ChartCase,
-    F1_CHART_TAGS,
-    fixed_divisor_s,
-    s_engine_coefficient,
-)
+from kwall.volume import fixed_divisor_s, s_engine_coefficient
 
 # (y-exp, z-exp) -> exponents in the chart's two local coordinates
 LOCAL_MAPS = {
@@ -85,8 +81,8 @@ def charts_30():
 
 def test_tag_order():
     # the first-candidate-wins dedup of the wall enumeration depends on it
-    assert F1_CHART_TAGS == ("case1-010", "case1-001", "case2-zu", "case2-yv")
-    assert BLP114_CHART_TAGS == ("case1p", "case2p", "case3p")
+    assert PLANES["f1"].chart_tags == ("case1-010", "case1-001", "case2-zu", "case2-yv")
+    assert PLANES["blp114"].chart_tags == ("case1p", "case2p", "case3p")
 
 
 @pytest.mark.parametrize("tag", sorted(CHART_FAMILIES))

@@ -205,6 +205,26 @@ class TestBetaThresholdCommands:
         code, _ = invoke("threshold", "--surface", "f1", "--curve", "x^5*y")
         assert code == 1
 
+    def test_grid_on_empty_threshold(self):
+        plain = invoke("threshold", "--surface", "f1", "--curve", "x^4*y^2")
+        code, text = invoke("threshold", "--surface", "f1", "--curve", "x^4*y^2", "--grid")
+        data = json.loads(plain[1])
+        assert data["threshold"]["classification"] == "empty"
+        data["threshold"]["guarantee"] = "kink-complete+grid(30)"
+        assert (code, json.loads(text)) == (0, data)
+
+    def test_arithmetic_error_is_a_check_failure(self, monkeypatch, capsys):
+        import kwall.cli as cli
+
+        def fail(curve, grid=None):
+            raise ArithmeticError("sweep did not terminate")
+
+        monkeypatch.setattr(cli, "threshold", fail)
+        code, out = invoke("threshold", "--surface", "f1", "--curve", "x^4*z*y")
+        err = capsys.readouterr().err
+        assert (code, out) == (1, "")
+        assert err == "check failed: sweep did not terminate\n"
+
     def test_missing_curve_file_usage(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
         code, out = invoke("beta", "--surface", "f1", "--curve", f"@{missing}",

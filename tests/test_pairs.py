@@ -5,6 +5,8 @@ import pytest
 
 from kwall.atlas import bundled_atlas
 from kwall.pairs import (
+    PLANES,
+    ChartCase,
     CurveSyntaxError,
     DegenerateWeightError,
     MonomialSupport,
@@ -17,7 +19,6 @@ from kwall.pairs import (
     render_curve,
     toric_multiplicities,
 )
-from kwall.volume import ChartCase
 
 
 class TestParsing:
@@ -133,10 +134,9 @@ class TestChartExpand:
         assert set(sup.points) == {(4, 0), (3, 3)}
 
     def test_no_collision_on_atlas_curves(self):
-        from kwall.stability import chart_families
         for branch in bundled_atlas().branches:
             c = parse_curve(branch.curve, branch.surface)
-            for tag in chart_families(branch.surface):
+            for tag in PLANES[branch.surface].chart_tags:
                 sup = chart_expand(c, ChartCase(branch.surface, tag, 1, 1))
                 assert len(sup.points) == len(c.monomials)
 

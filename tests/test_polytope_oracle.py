@@ -14,7 +14,8 @@ from math import gcd
 import pytest
 
 from kwall.exactnum import SurdSum
-from kwall.volume import ChartCase, s_engine_raw, fixed_divisor_profile
+from kwall.pairs import ChartCase
+from kwall.volume import s_engine_raw, fixed_divisor_profile
 
 Point = tuple[F, F]
 

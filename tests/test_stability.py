@@ -8,6 +8,9 @@ import pytest
 from kwall.atlas import bundled_atlas
 from kwall.exactnum import SurdSum
 from kwall.pairs import (
+    CHART_FAMILIES,
+    PLANES,
+    ChartCase,
     DegenerateWeightError,
     admissible_monomials,
     chart_expand,
@@ -23,8 +26,6 @@ from kwall.stability import (
     audit_extra_walls,
     beta,
     beta_chart,
-    beta_toric,
-    chart_families,
     confirm_wall,
     enumerate_walls,
     index3_certificate,
@@ -34,7 +35,6 @@ from kwall.stability import (
     wall_from_chart,
     wall_values,
 )
-from kwall.volume import CHART_FAMILIES, ChartCase
 
 W_H = [F(1, 14), F(5, 58), F(1, 10), F(7, 62), F(1, 8), F(5, 34),
        F(1, 6), F(7, 38), F(1, 5), F(5, 22), F(2, 7)]
@@ -77,15 +77,15 @@ class TestBeta:
     def test_first_wall_toric_reports(self):
         c = parse_curve("x^4*z*y", "f1")
         # the quadruple line pins c <= 1/14, the fibers pin c >= 1/14
-        at_wall = beta_toric(c, "H_x", F(1, 14))
+        at_wall = beta(c, "H_x", F(1, 14))
         assert at_wall.verdict == "critical"
         assert at_wall.a_value == 1 - 4 * F(1, 14)
         assert at_wall.s_value == SurdSum.rational(F(5, 6) * (1 - F(1, 7)))
-        assert beta_toric(c, "H_x", F(1, 14) + EPS).verdict == "destabilizing"
-        assert beta_toric(c, "H_x", F(1, 14) - EPS).verdict == "positive"
+        assert beta(c, "H_x", F(1, 14) + EPS).verdict == "destabilizing"
+        assert beta(c, "H_x", F(1, 14) - EPS).verdict == "positive"
         for d in ("H_y", "H_z", "E"):
-            assert beta_toric(c, d, F(1, 14)).verdict == "critical"
-            assert beta_toric(c, d, F(1, 14) - EPS).verdict == "destabilizing"
+            assert beta(c, d, F(1, 14)).verdict == "critical"
+            assert beta(c, d, F(1, 14) - EPS).verdict == "destabilizing"
 
     def test_unigonal_wall_chart_vanishes(self):
         c = parse_curve("z^3+z^2*x^4", "blp114")
@@ -192,6 +192,40 @@ class TestThresholds:
     def test_bound_validation(self):
         with pytest.raises(ValueError):
             threshold(parse_curve("x^4*z*y", "f1"), grid=4)
+
+    @pytest.mark.parametrize("surface", ["f1", "blp114"])
+    def test_grid_agrees_on_seeded_supports(self, surface):
+        # 1-3 admissible monomials; most thresholds here are empty, and the
+        # grid's extra constraints move the raw bounds of an empty one
+        from kwall.pairs import make_curve
+        rng = random.Random(0)
+        monos = admissible_monomials(surface)
+        empty = 0
+        for _ in range(60):
+            curve = make_curve(surface, rng.sample(monos, rng.randint(1, 3)))
+            base = threshold(curve)
+            swept = threshold(curve, grid=12)
+            assert swept.to_json() == {**base.to_json(), "guarantee": "kink-complete+grid(12)"}
+            empty += base.classification == "empty"
+        assert empty >= 40
+
+    def test_tighter_grid_constraint_raises(self, monkeypatch):
+        # a grid valuation that cuts the point threshold {5/58} away
+        import kwall.stability as st
+        curve = parse_curve("x^4*z^2+x^3*y^3", "f1")
+        grid = [(a, b) for a in range(1, 12) for b in range(1, 13 - a) if gcd(a, b) == 1]
+        sweep = st.chart_constraints
+
+        def tightened(curve, tag, weights):
+            cons = sweep(curve, tag, weights)
+            if weights == grid:  # beta = 1 - 20c: c <= 1/20 < 5/58
+                cons.append(Constraint("tight", F(1), F(20), F(0)))
+            return cons
+
+        monkeypatch.setattr(st, "chart_constraints", tightened)
+        assert threshold(curve).is_point(F(5, 58))
+        with pytest.raises(ArithmeticError, match="grid sweep tightened"):
+            threshold(curve, grid=12)
 
     def test_verifier_two_sided(self):
         c = parse_curve("x^4*z^2+x^3*y^3", "f1")
@@ -422,7 +456,7 @@ class TestValuationRecord:
         for surface in ("f1", "blp114"):
             monos = admissible_monomials(surface)
             orders = {p: divisor_orders(surface, *p) for p in monos}
-            for tag in chart_families(surface):
+            for tag in PLANES[surface].chart_tags:
                 d1, d2 = CHART_FAMILIES[tag].divisors
                 local = [(orders[p][d1], orders[p][d2]) for p in monos]
                 for k, p in enumerate(local):

@@ -9,10 +9,10 @@ import pytest
 from kwall.surface import (
     NotPseudoEffectiveError,
     SurfaceModel,
+    _WEIGHTED_MODELS,
     _kernel_vector,
     _negative_definite,
     _rref,
-    builtin_ids,
     builtin_surface,
     fmt_vec,
     solve_linear,
@@ -114,10 +114,6 @@ class TestBuiltins:
             builtin_surface("f1", 1, 1)
         with pytest.raises(ValueError):
             builtin_surface("nope")
-
-    def test_builtin_ids_listing(self):
-        ids = builtin_ids()
-        assert "f1" in ids and "blp114-case3p" in ids
 
     def test_to_json_shape(self):
         data = builtin_surface("blp114").to_json()
@@ -453,7 +449,7 @@ def _coprime_weights(limit):
 
 
 def _weighted_kinds():
-    return [i for i in builtin_ids() if i not in ALL_FIXED]
+    return sorted(_WEIGHTED_MODELS)
 
 
 def _caratheodory_coordinates(m, d):

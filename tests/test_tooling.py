@@ -1,7 +1,8 @@
 """The benchmark's contract with kwall: the tracer's callables still exist,
 every span the benchmark predicts still has calls, and every output the
 benchmark checks still has its committed digest.  Also: every module-level
-definition in ``src/kwall`` has a caller in the package."""
+definition in ``src/kwall`` has a caller in the package, and no layer
+restates a per-plane fact that ``pairs.PLANES`` records."""
 
 import ast
 import importlib
@@ -48,6 +49,36 @@ def _unreferenced_definitions(package_dir):
 def test_every_definition_has_a_caller():
     """Code only the tests call lives in the tests."""
     assert _unreferenced_definitions(os.path.join(ROOT, "src", "kwall")) == []
+
+
+def _plane_restatements(package_dir):
+    """Sites that restate what ``pairs.PLANES`` records: comparisons against a
+    plane name in the modules that read the record, and imports of the
+    ``volume`` or ``stability`` layers from ``pairs``, which owns it."""
+    sites = []
+    for module in ("pairs", "stability", "volume", "cli"):
+        with open(os.path.join(package_dir, f"{module}.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                values = [e for op in operands
+                          for e in (op.elts if isinstance(op, (ast.Tuple, ast.List, ast.Set))
+                                    else [op])]
+                if any(isinstance(v, ast.Constant) and v.value in ("f1", "blp114")
+                       for v in values):
+                    sites.append(f"{module}:{node.lineno}: compares a plane name")
+            elif module == "pairs" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                base = getattr(node, "module", None) or ""
+                names = {base} | {f"{base}.{a.name}" for a in node.names}
+                if any(layer in name.split(".") for name in names
+                       for layer in ("volume", "stability")):
+                    sites.append(f"{module}:{node.lineno}: imports a higher layer")
+    return sites
+
+
+def test_plane_facts_live_in_the_plane_record():
+    assert _plane_restatements(os.path.join(ROOT, "src", "kwall")) == []
 
 
 def test_tracer_targets_resolve():

@@ -7,11 +7,9 @@ import pytest
 
 from kwall import cli, volume
 from kwall.exactnum import QuadraticPoly, SurdSum
+from kwall.pairs import CHART_FAMILIES, ChartCase
 from kwall.surface import builtin_surface, vscale, vsub
 from kwall.volume import (
-    BLP114_CHART_TAGS,
-    ChartCase,
-    F1_CHART_TAGS,
     fixed_divisor_profile,
     fixed_divisor_s,
     s_closed_form,
@@ -39,12 +37,9 @@ COPRIME_12 = [(a, b) for a in range(1, 13) for b in range(1, 13) if gcd(a, b) ==
 
 
 def all_charts(limit_pairs=COPRIME_12):
-    for tag in F1_CHART_TAGS:
+    for tag, fam in CHART_FAMILIES.items():
         for a, b in limit_pairs:
-            yield ChartCase("f1", tag, a, b)
-    for tag in BLP114_CHART_TAGS:
-        for a, b in limit_pairs:
-            yield ChartCase("blp114", tag, a, b)
+            yield ChartCase(fam.surface, tag, a, b)
 
 
 def reference_raw(tag: str, a: int, b: int) -> F:
@@ -145,9 +140,9 @@ class TestSpecialModels:
 
 
 class TestEngineAgainstReference:
-    @pytest.mark.parametrize("tag", F1_CHART_TAGS + BLP114_CHART_TAGS)
+    @pytest.mark.parametrize("tag", tuple(CHART_FAMILIES))
     def test_engine_equals_reference_closed_form(self, tag):
-        surface = "f1" if tag in F1_CHART_TAGS else "blp114"
+        surface = CHART_FAMILIES[tag].surface
         for a, b in COPRIME_12:
             chart = ChartCase(surface, tag, a, b)
             assert s_engine_raw(chart) == SurdSum.rational(reference_raw(tag, a, b)), \
@@ -157,7 +152,8 @@ class TestEngineAgainstReference:
         for chart in [ChartCase("f1", "case1-010", 5, 2),
                       ChartCase("blp114", "case2p", 2, 3),
                       ChartCase("blp114", "case3p", 3, 8)]:
-            prof = volume_profile(chart.model())
+            prof = volume_profile(
+                builtin_surface(chart.family.model_kind, chart.a, chart.b))
             prev = SurdSum.rational(8)
             assert value_at(prof.profile, 0) == prev
             bps = prof.profile.breakpoints
@@ -171,12 +167,12 @@ class TestEngineAgainstReference:
 
 
 ORACLE_WEIGHTS = [(1, 1), (2, 3), (5, 2), (3, 7)]
-CHART_FAMILIES = ("f1-case1", "f1-case2", "blp114-case1p", "blp114-case2p", "blp114-case3p")
+MODEL_KINDS = ("f1-case1", "f1-case2", "blp114-case1p", "blp114-case2p", "blp114-case3p")
 FIXED_IDS = ("f1", "blp114", "index3m", "blp114-quotient-res")
 
 
 def _oracle_cases():
-    for kind in CHART_FAMILIES:
+    for kind in MODEL_KINDS:
         for a, b in ORACLE_WEIGHTS:
             yield builtin_surface(kind, a, b), None
     for ident in FIXED_IDS:
@@ -305,10 +301,10 @@ class TestClosedFormComparison:
 class TestHomogeneityAndContinuity:
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_closed_form_homogeneity(self, k):
-        for tag in F1_CHART_TAGS + BLP114_CHART_TAGS:
+        for tag in CHART_FAMILIES:
             for a, b in [(1, 1), (2, 1), (1, 3), (1, 4), (3, 2), (1, 5)]:
                 base = _scaled_closed_coefficient(tag, a, b)
-                surface = "f1" if tag in F1_CHART_TAGS else "blp114"
+                surface = CHART_FAMILIES[tag].surface
                 assert base == s_closed_form_coefficient(ChartCase(surface, tag, a, b))
                 scaled = _scaled_closed_coefficient(tag, k * a, k * b)
                 assert scaled == base * k, (tag, a, b, k)
@@ -334,7 +330,7 @@ class TestHomogeneityAndContinuity:
     def test_engine_reference_homogeneous(self):
         # the derived engine forms are degree-1 homogeneous by inspection;
         # assert it numerically at non-coprime weights
-        for tag in F1_CHART_TAGS + BLP114_CHART_TAGS:
+        for tag in CHART_FAMILIES:
             for a, b in [(1, 2), (2, 1), (1, 5)]:
                 base = reference_raw(tag, a, b)
                 for k in (2, 3, 5):
