@@ -31,15 +31,15 @@ from .pairs import (
 )
 from .stability import (
     audit_extra_walls,
-    beta_chart,
+    chart_constraint,
     enumerate_walls,
     index3_certificate,
     quotient_point_certificate,
     threshold,
     toric_constraints,
 )
-from .surface import FIXED_MODELS, NotPseudoEffectiveError, builtin_surface, vec
-from .volume import s_closed_form, s_engine, volume_profile
+from .surface import DEGREE, FIXED_MODELS, NotPseudoEffectiveError, builtin_surface, vec
+from .volume import s_closed_form_coefficient, s_engine_coefficient, volume_profile
 
 
 class CheckFailure(Exception):
@@ -190,8 +190,8 @@ def _chart_from_args(args) -> ChartCase:
 
 def _cmd_sfun(args, out) -> int:
     chart = _chart_from_args(args)
-    engine = s_engine(chart, args.c)
-    formula = s_closed_form(chart, args.c)
+    engine = s_engine_coefficient(chart) * (1 - 2 * args.c)
+    formula = s_closed_form_coefficient(chart) * (1 - 2 * args.c)
     payload = {
         "chart": {"surface": chart.surface, "tag": chart.tag,
                   "a": chart.a, "b": chart.b},
@@ -247,7 +247,7 @@ def _cmd_beta(args, out) -> int:
     if args.weights is not None:
         try:
             chart = onePS_to_chart(args.weights, args.surface)
-            reports.append(beta_chart(curve, chart, args.c))
+            reports.append(chart_constraint(curve, chart).report(args.c))
         except DegenerateWeightError as exc:
             note = str(exc)
     reports += [con.report(args.c) for con in toric_constraints(curve)]
@@ -298,6 +298,10 @@ def _cmd_hkl(args, out) -> int:
 
 def _cmd_tables(args, out) -> int:
     if args.emit:
+        if args.atlas is not None:
+            raise UsageError("--atlas applies only with --check")
+        if args.format != "json":
+            raise UsageError("tables --emit writes JSON only")
         out.write(bundled_atlas().dumps())
         return 0
     other = _load_atlas_arg(args.atlas)
@@ -336,7 +340,7 @@ def _cmd_surfaces(args, out) -> int:
         models = [builtin_surface(i) for i in sorted(FIXED_MODELS)]
     payload = {"surfaces": [m.to_json() for m in models]}
     rows = [{"name": m.name, "basis": ",".join(m.basis),
-             "degree": render_fraction(m.degree)} for m in models]
+             "degree": render_fraction(DEGREE)} for m in models]
     _emit(payload, rows, args.format, out)
     return 0
 

@@ -389,11 +389,6 @@ def render_surd(x: Number) -> str:
     return "".join(parts)
 
 
-def surd_compare(x: Number, y: Number) -> int:
-    """Exact three-way comparison: -1, 0 or +1."""
-    return (SurdSum._coerce(x) - y).sign()
-
-
 # ---------------------------------------------------------------------------
 # quadratic polynomials and piecewise profiles
 
@@ -513,8 +508,3 @@ class PiecewiseQuadratic:
                     for d, q in terms:
                         total[d] = total[d] + sign * q if d in total else sign * q
         return SurdSum._normalized(tuple((d, q) for d, q in sorted(total.items()) if q))
-
-
-def integrate_piecewise(f: PiecewiseQuadratic, lo: Number, hi: Number) -> SurdSum:
-    """Exact integral of a piecewise quadratic over ``[lo, hi]``."""
-    return f.integrate(lo, hi)

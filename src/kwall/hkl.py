@@ -6,10 +6,11 @@ exceptional-dimension audit of the wall atlas.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .atlas import AUDIT_VERIFIED, WallAtlas, bundled_atlas
 from .exactnum import render_fraction
+from .pairs import PLANES
 
 POLE = "pole"
 
@@ -37,13 +38,27 @@ CONE_FAMILY_F1 = tuple(Fraction(11 + n, 27 + n) for n in range(1, 6)) + tuple(
 CONE_FAMILY_BLP114 = tuple(Fraction(36 + m, 52 + m) for m in (1, 3, 4, 7))
 
 
+class HklPlane(NamedTuple):
+    """What the parameter transforms say about one plane's walls: the report
+    key of their images under s(c), the printed cone family of their images
+    under (4c+1)/3, and the walls whose cone image that family omits."""
+
+    images: str
+    cone_family: tuple[Fraction, ...]
+    unlisted: tuple[Fraction, ...] = ()
+
+
+HKL_PLANES = {"f1": HklPlane("hyperelliptic_images", CONE_FAMILY_F1, (Fraction(2, 7),)),
+              "blp114": HklPlane("unigonal_images", CONE_FAMILY_BLP114)}
+
+
 def map_walls(atlas: Optional[WallAtlas] = None) -> dict:
     """Image of every wall under s(c), checked against the predicted set."""
     atlas = atlas or bundled_atlas()
     report: dict = {"pole": None, "images": {}, "match": True, "diffs": []}
     predicted = sorted(Fraction(1, n) for n in PREDICTED_INVERSES)
     images: list[Fraction] = []
-    for surface in ("f1", "blp114"):
+    for surface in PLANES:
         rows = []
         for w in atlas.walls(surface):
             s = hkl_param(w)
@@ -63,12 +78,9 @@ def map_walls(atlas: Optional[WallAtlas] = None) -> dict:
             f"images {sorted(map(str, multiset))} != predicted "
             f"{sorted(map(str, expected_multiset))}"]
     report["predicted"] = [f"1/{n}" for n in PREDICTED_INVERSES]
-    report["hyperelliptic_images"] = sorted(
-        (render_fraction(hkl_param(w)) for w in atlas.walls("f1")
-         if hkl_param(w) != POLE), key=lambda s: Fraction(s), reverse=True)
-    report["unigonal_images"] = sorted(
-        (render_fraction(hkl_param(w)) for w in atlas.walls("blp114")),
-        key=lambda s: Fraction(s), reverse=True)
+    for surface, rows in report["images"].items():
+        report[HKL_PLANES[surface].images] = sorted(
+            (row["s"] for row in rows if row["s"] != POLE), key=Fraction, reverse=True)
     return report
 
 
@@ -77,11 +89,11 @@ def cone_report(atlas: Optional[WallAtlas] = None) -> dict:
     atlas = atlas or bundled_atlas()
     rows = []
     ok = True
-    for surface, family in (("f1", CONE_FAMILY_F1), ("blp114", CONE_FAMILY_BLP114)):
-        walls = atlas.walls(surface)
-        for w in walls:
+    for surface in PLANES:
+        hkl = HKL_PLANES[surface]
+        for w in atlas.walls(surface):
             img = cone_threshold(w)
-            listed = img in family
+            listed = img in hkl.cone_family
             rows.append({
                 "surface": surface,
                 "wall": render_fraction(w),
@@ -89,11 +101,11 @@ def cone_report(atlas: Optional[WallAtlas] = None) -> dict:
                 "listed": listed,
                 "note": "" if listed else "image not in the printed families",
             })
-            if not listed and not (surface == "f1" and w == Fraction(2, 7)):
+            if not listed and w not in hkl.unlisted:
                 ok = False
     covered = {Fraction(r["image"]) for r in rows if r["listed"]}
-    missing = [render_fraction(v) for v in CONE_FAMILY_F1 + CONE_FAMILY_BLP114
-               if v not in covered]
+    missing = [render_fraction(v) for surface in PLANES
+               for v in HKL_PLANES[surface].cone_family if v not in covered]
     return {"rows": rows, "families_covered": not missing, "missing": missing,
             "match": ok and not missing}
 

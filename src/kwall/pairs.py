@@ -29,7 +29,9 @@ DIVISORS = ("H_x", "H_y", "H_z", "E")
 class ChartFamily(NamedTuple):
     """Weighted blowups at one torus-fixed point: the weight-(a, b) valuation
     is a*ord_D1 + b*ord_D2 for the invariant divisors ``(D1, D2)`` through the
-    center; the closed-form S-value switches branch at ``branch_ratios`` b/a.
+    center.  ``branch_ratios`` are extra ratios b/a the threshold sweep checks
+    on every curve: the a = b split of the case1 families.  The closed-form
+    branch points (b = 3a of case2p, b = 3a and 4a of case3p) are not listed.
     """
 
     surface: str
@@ -341,16 +343,6 @@ def onePS_to_chart(lam: OnePS, surface: str) -> ChartCase:
 # chart-local monomial expansion
 
 
-@dataclass(frozen=True)
-class MonomialSupport:
-    chart_tag: str
-    points: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if not self.points:
-            raise ValueError("empty local support")
-
-
 def divisor_orders(surface: str, i: int, j: int) -> dict[str, int]:
     """Order of the monomial with exponents (i, j) along each invariant divisor."""
     return dict(zip(DIVISORS, (_x_exponent(surface, i, j), i, j, i + j - 2)))
@@ -364,18 +356,18 @@ def local_points(curve: CurvePair, tag: str) -> tuple[tuple[int, int], ...]:
     return tuple(dict.fromkeys((o[d1], o[d2]) for o in orders))
 
 
-def chart_expand(curve: CurvePair, chart: ChartCase) -> MonomialSupport:
+def chart_expand(curve: CurvePair, chart: ChartCase) -> tuple[tuple[int, int], ...]:
     """Exact local exponents of the curve in the chart coordinates."""
     if chart.surface != curve.surface:
         raise ValueError("chart and curve live on different surfaces")
-    return MonomialSupport(chart.tag, local_points(curve, chart.tag))
+    return local_points(curve, chart.tag)
 
 
-def multiplicity(support: MonomialSupport, a: int, b: int) -> int:
-    """min(a*e + b*f) over the local support."""
+def multiplicity(points: Iterable[tuple[int, int]], a: int, b: int) -> int:
+    """min(a*e + b*f) over the local exponents ``points``."""
     if a <= 0 or b <= 0:
         raise ValueError("weights must be positive")
-    return min(a * e + b * f for e, f in support.points)
+    return min(a * e + b * f for e, f in points)
 
 
 # ---------------------------------------------------------------------------

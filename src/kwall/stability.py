@@ -50,7 +50,6 @@ from .pairs import (
     local_points,
     make_curve,
     multiplicity,
-    onePS_to_chart,
     quarter_point_order,
     toric_multiplicities,
 )
@@ -94,21 +93,6 @@ class BetaReport:
 def _verdict(beta: SurdSum) -> str:
     s = beta.sign()
     return "destabilizing" if s < 0 else ("critical" if s == 0 else "positive")
-
-
-def beta_chart(curve: CurvePair, chart: ChartCase, c) -> BetaReport:
-    """Beta of the chart's weighted-blowup valuation, S by volume integration."""
-    return chart_constraint(curve, chart).report(c)
-
-
-def beta(curve: CurvePair, valuation: Union[str, ChartCase, OnePS], c) -> BetaReport:
-    """Beta report for a toric divisor name, a chart, or a 1-PS weight."""
-    if isinstance(valuation, str):
-        return {con.name: con for con in toric_constraints(curve)}[valuation].report(c)
-    if isinstance(valuation, ChartCase):
-        return beta_chart(curve, valuation, c)
-    chart = onePS_to_chart(tuple(valuation), curve.surface)
-    return beta_chart(curve, chart, c)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +158,8 @@ def _crossing(p: tuple[int, int], q: tuple[int, int]) -> Optional[tuple[int, int
 
 
 def kink_weights(curve: CurvePair, tag: str) -> list[tuple[int, int]]:
-    """Primitive (a, b) where the local multiplicity or the S-branch kinks."""
+    """Primitive (a, b), by increasing b/a, where the local multiplicity kinks
+    (two local exponents cross) or the family lists a ``branch_ratios`` entry."""
     pts = local_points(curve, tag)
     ratios = set(CHART_FAMILIES[tag].branch_ratios)
     for k, p in enumerate(pts):
@@ -192,17 +177,11 @@ def chart_constraint(curve: CurvePair, chart: ChartCase) -> Constraint:
                       Fraction(m), s_engine_coefficient(chart))
 
 
-def chart_constraints(curve: CurvePair, tag: str,
-                      weights: Iterable[tuple[int, int]]) -> list[Constraint]:
-    """One constraint per chart valuation ``tag(a, b)``, (a, b) in ``weights``."""
-    return [chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
-            for a, b in weights]
-
-
 def all_constraints(curve: CurvePair) -> list[Constraint]:
     cons = toric_constraints(curve)
     for tag in PLANES[curve.surface].chart_tags:
-        cons.extend(chart_constraints(curve, tag, kink_weights(curve, tag) or [(1, 1)]))
+        cons += [chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
+                 for a, b in kink_weights(curve, tag) or [(1, 1)]]
     return cons
 
 
@@ -291,8 +270,8 @@ def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshol
     if grid is not None:
         weights = [(a, b) for a in range(1, grid) for b in range(1, grid + 1 - a)
                    if gcd(a, b) == 1]
-        for tag in PLANES[curve.surface].chart_tags:
-            cons.extend(chart_constraints(curve, tag, weights))
+        cons += [chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
+                 for tag in PLANES[curve.surface].chart_tags for a, b in weights]
         swept = _intersect(cons)
         if swept.c_range() != base.c_range():
             raise ArithmeticError(
@@ -537,13 +516,6 @@ def _wall_candidates(surface: str, source: str) -> list[WallCandidate]:
     return [records[key] for key in sorted(records)]
 
 
-def wall_values(surface: str, source: str = "published") -> list[Fraction]:
-    """Sorted distinct confirmed wall values."""
-    vals = sorted({r.candidate.w
-                   for r in enumerate_walls(surface, source=source) if r.confirmed})
-    return vals
-
-
 def audit_extra_walls(surface: str, published: list[WallRecord]) -> list[WallRecord]:
     """Point-threshold candidates found by the exact engine beyond the
     published enumeration ``published = enumerate_walls(surface)``.
@@ -570,9 +542,8 @@ def index3_certificate(c) -> BetaReport:
     if not 0 < c < Fraction(1, 2):
         raise ValueError("coefficient must lie in (0, 1/2)")
     prof = volume_profile(builtin_surface("index3m"))
-    rep = Constraint("index3:qF", Fraction(1, 3), Fraction(2, 3),
-                     prof.raw_integral / prof.degree).report(
-                         c, note="A = 1/3 - 2c/3, S = 8/9 (1-2c)")
+    rep = Constraint("index3:qF", Fraction(1, 3), Fraction(2, 3), prof.s0).report(
+        c, note="A = 1/3 - 2c/3, S = 8/9 (1-2c)")
     assert rep.beta == SurdSum.rational(Fraction(10, 9) * c - Fraction(5, 9))
     return rep
 
@@ -596,8 +567,7 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
     if ord_f < 1:
         raise ValueError("curve misses the quarter point (ord_F(C) < 1)")
     prof = volume_profile(builtin_surface("blp114-quotient-res"))
-    engine = Constraint("engine", Fraction(1, 2), Fraction(ord_f),
-                        prof.raw_integral / prof.degree).report(c)
+    engine = Constraint("engine", Fraction(1, 2), Fraction(ord_f), prof.s0).report(c)
     if engine.verdict != "destabilizing":
         raise AssertionError("engine cross-check failed to destabilize")
     note = (f"ord_F(C) = {ord_f}; engine S = {render_surd(engine.s_value)} "

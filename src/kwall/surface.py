@@ -21,6 +21,11 @@ from .exactnum import render_fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
+# the pairs live on degree-8 del Pezzo surfaces: the anticanonical class of
+# every model (pulled back to its blowups and resolutions) squares to 8, and
+# every S-value is a volume integral divided by it
+DEGREE = Fraction(8)
+
 
 def vec(*entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
@@ -81,7 +86,6 @@ class SurfaceModel:
     gram: Mat
     cone: tuple[tuple[str, Vec], ...]
     anticanonical: Vec
-    degree: Fraction
     classes: dict[str, Vec] = field(default_factory=dict)
     exceptional: Optional[str] = None
 
@@ -228,7 +232,7 @@ class SurfaceModel:
                 {"name": n, "coords": [render_fraction(x) for x in c]} for n, c in self.cone
             ],
             "anticanonical": [render_fraction(x) for x in self.anticanonical],
-            "degree": render_fraction(self.degree),
+            "degree": render_fraction(DEGREE),
             "classes": {k: [render_fraction(x) for x in v] for k, v in sorted(self.classes.items())},
         }
 
@@ -309,7 +313,7 @@ def _model_f1() -> SurfaceModel:
     return SurfaceModel(
         name="f1", basis=("H", "E"), gram=gram,
         cone=(("E", e), ("fiber", fiber)),
-        anticanonical=vec(3, -1), degree=Fraction(8), classes=classes)
+        anticanonical=vec(3, -1), classes=classes)
 
 
 def _model_blp114() -> SurfaceModel:
@@ -321,7 +325,7 @@ def _model_blp114() -> SurfaceModel:
     return SurfaceModel(
         name="blp114", basis=("H_y", "E"), gram=gram,
         cone=(("H_y", hy), ("E", e)),
-        anticanonical=vec(6, 5), degree=Fraction(8), classes=classes)
+        anticanonical=vec(6, 5), classes=classes)
 
 
 def _model_index3m() -> SurfaceModel:
@@ -337,8 +341,7 @@ def _model_index3m() -> SurfaceModel:
     return SurfaceModel(
         name="index3m", basis=("F1", "F2", "E1", "E2"), gram=gram,
         cone=(("F1", f1), ("F2", f2), ("E1", e1), ("E2", e2)),
-        anticanonical=anti, degree=Fraction(8), classes=classes,
-        exceptional="qF")
+        anticanonical=anti, classes=classes, exceptional="qF")
 
 
 def _model_blp114_quotient_res() -> SurfaceModel:
@@ -351,8 +354,7 @@ def _model_blp114_quotient_res() -> SurfaceModel:
     return SurfaceModel(
         name="blp114-quotient-res", basis=("F", "E", "H_y"), gram=gram,
         cone=(("F", f), ("E", e), ("H_y", hy)),
-        anticanonical=anti, degree=Fraction(8),
-        classes={"F": f, "E": e, "H_y": hy}, exceptional="F")
+        anticanonical=anti, classes={"F": f, "E": e, "H_y": hy}, exceptional="F")
 
 
 def check_weights(a: int, b: int) -> None:
@@ -381,8 +383,7 @@ def _model_f1_case1(a: int, b: int) -> SurfaceModel:
     return SurfaceModel(
         name=f"f1-case1({a},{b})", basis=("F", "Ebar", "Hzbar"), gram=gram,
         cone=(("F", f), ("Ebar", ebar), ("Hzbar", hz), ("Hxbar", hx)),
-        anticanonical=anti, degree=Fraction(8),
-        classes={"F": f, "Ebar": ebar, "Hzbar": hz, "Hxbar": hx},
+        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Hzbar": hz, "Hxbar": hx},
         exceptional="F")
 
 
@@ -401,8 +402,7 @@ def _model_f1_case2(a: int, b: int) -> SurfaceModel:
     return SurfaceModel(
         name=f"f1-case2({a},{b})", basis=("F", "Ebar", "Lbar"), gram=gram,
         cone=(("F", f), ("Ebar", ebar), ("Lbar", lbar)),
-        anticanonical=anti, degree=Fraction(8),
-        classes={"F": f, "Ebar": ebar, "Lbar": lbar},
+        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Lbar": lbar},
         exceptional="F")
 
 
@@ -418,9 +418,8 @@ def _model_blp114_case1p(a: int, b: int) -> SurfaceModel:
     return SurfaceModel(
         name=f"blp114-case1p({a},{b})", basis=("F", "Ebar", "Hybar"), gram=gram,
         cone=(("F", f), ("Ebar", ebar), ("Hybar", hy)),
-        anticanonical=anti, degree=Fraction(8),
-        classes={"F": f, "Ebar": ebar, "Hybar": hy,
-                 "Hzbar": vec(3 * a + 4 * b, 3, 4)},
+        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Hybar": hy,
+                                     "Hzbar": vec(3 * a + 4 * b, 3, 4)},
         exceptional="F")
 
 
@@ -437,8 +436,7 @@ def _model_blp114_case2p(a: int, b: int) -> SurfaceModel:
     return SurfaceModel(
         name=f"blp114-case2p({a},{b})", basis=("F", "Ebar", "Hybar"), gram=gram,
         cone=(("F", f), ("Ebar", ebar), ("Hybar", hy), ("Hzbar", hz)),
-        anticanonical=anti, degree=Fraction(8),
-        classes={"F": f, "Ebar": ebar, "Hybar": hy, "Hzbar": hz},
+        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Hybar": hy, "Hzbar": hz},
         exceptional="F")
 
 
@@ -456,7 +454,7 @@ def _model_blp114_case3p(a: int, b: int) -> SurfaceModel:
     return SurfaceModel(
         name=f"blp114-case3p({a},{b})", basis=("F", "Hxbar", "Ebar"), gram=gram,
         cone=(("F", f), ("Hxbar", hx), ("Ebar", ebar), ("Hybar", hy), ("Hzbar", hz)),
-        anticanonical=anti, degree=Fraction(8),
+        anticanonical=anti,
         classes={"F": f, "Hxbar": hx, "Ebar": ebar, "Hybar": hy, "Hzbar": hz},
         exceptional="F")
 

@@ -1,11 +1,12 @@
 """Radial volume profiles t -> vol(L0 - t*F), pseudo-effective thresholds,
 and the S-function of invariant divisorial valuations.
 
-Two independent routes to every S-value are kept side by side:
+Two independent routes to every chart S-coefficient (S with the (1 - 2c)
+factor stripped) are kept side by side:
 
-* :func:`s_engine` integrates the exact volume profile obtained from Zariski
-  decompositions on the chart's surface model (no formula input at all);
-* :func:`s_closed_form` evaluates the tabulated closed-form expressions.
+* :func:`s_engine_coefficient` integrates the exact volume profile from
+  Zariski decompositions on the chart's surface model (no formula input);
+* :func:`s_closed_form_coefficient` evaluates the tabulated closed forms.
 
 The two agree on most weight branches; where they differ the engine is
 authoritative, and ``kwall sfun`` prints both values side by side.
@@ -25,7 +26,7 @@ from .exactnum import (
     render_surd,
 )
 from .pairs import DIVISORS, ChartCase
-from .surface import SurfaceModel, Vec, builtin_surface, vsub, vscale, solve_linear
+from .surface import DEGREE, SurfaceModel, Vec, builtin_surface, vsub, vscale, solve_linear
 
 Number = Union[int, Fraction, SurdSum]
 
@@ -36,21 +37,24 @@ Number = Union[int, Fraction, SurdSum]
 
 @dataclass
 class SProfile:
-    """Exact volume profile of L0 - t*F together with its normalization."""
+    """Exact volume profile of L0 - t*F and its integral."""
 
     model_name: str
     f_name: str
     profile: PiecewiseQuadratic
     raw_integral: SurdSum
-    degree: Fraction
 
     @property
     def tau(self) -> SurdSum:
         return self.profile.tau
 
+    @property
+    def s0(self) -> SurdSum:
+        """S with the (1 - 2c) factor stripped: the integral over the degree."""
+        return self.raw_integral / DEGREE
+
     def s_at(self, c: Fraction) -> SurdSum:
-        c = Fraction(c)
-        return self.raw_integral * (Fraction(1) - 2 * c) / self.degree
+        return self.s0 * (1 - 2 * Fraction(c))
 
     def to_json(self, c: Optional[Fraction] = None) -> dict:
         out = {
@@ -116,7 +120,7 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
             profile = PiecewiseQuadratic(breakpoints, segments)
             profile.check_continuity()
             raw = profile.integrate(0, vol_root)
-            return SProfile(model.name, f_name, profile, raw, model.degree)
+            return SProfile(model.name, f_name, profile, raw)
 
         assert next_support is not None
         breakpoints.append(next_support)
@@ -273,20 +277,9 @@ def s_engine_raw(chart: ChartCase) -> SurdSum:
     return _raw_cache[key]
 
 
-def s_engine(chart: ChartCase, c: Fraction) -> SurdSum:
-    """S-value by direct volume integration: raw * (1 - 2c) / degree."""
-    c = Fraction(c)
-    return s_engine_raw(chart) * (1 - 2 * c) / Fraction(8)
-
-
 def s_engine_coefficient(chart: ChartCase) -> SurdSum:
-    """S with the (1-2c) factor stripped: s_engine(c) = coeff * (1-2c)."""
-    return s_engine_raw(chart) / Fraction(8)
-
-
-def s_closed_form(chart: ChartCase, c: Fraction) -> SurdSum:
-    """Tabulated closed-form S-value, exact branch selection included."""
-    return s_closed_form_coefficient(chart) * SurdSum.rational(1 - 2 * Fraction(c))
+    """S by volume integration, with the (1-2c) factor stripped."""
+    return s_engine_raw(chart) / DEGREE
 
 
 def s_closed_form_coefficient(chart: ChartCase) -> SurdSum:
@@ -338,8 +331,7 @@ def fixed_divisor_s(surface: str) -> dict[str, Fraction]:
     """
     if surface not in _fixed_cache:
         profiles = {d: fixed_divisor_profile(surface, d) for d in DIVISORS}
-        _fixed_cache[surface] = {d: prof.raw_integral.as_fraction() / prof.degree
-                                 for d, prof in profiles.items()}
+        _fixed_cache[surface] = {d: prof.s0.as_fraction() for d, prof in profiles.items()}
     return dict(_fixed_cache[surface])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 from kwall.cli import run
-from kwall.pairs import parse_curve
+from kwall.pairs import CHART_FAMILIES, parse_curve
 from kwall.stability import threshold
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -160,6 +161,9 @@ IGNORED_FLAGS = {
     "surfaces-b-without-id": ["surfaces", "--b", "1"],
     "bound-without-grid": ["threshold", "--surface", "f1", "--curve", "x^3*z^3+x*y^5",
                            "--bound", "20"],
+    "emit-with-atlas": ["tables", "--emit", "--atlas", "/nonexistent"],
+    "emit-csv": ["tables", "--emit", "--format", "csv"],
+    "emit-md": ["tables", "--emit", "--format", "md"],
 }
 
 
@@ -346,3 +350,149 @@ class TestCertifyProfileSurfaces:
         assert proc.returncode == 0
         assert proc.stdout == invoke("surfaces")[1]
         assert "index3m" in proc.stdout
+
+
+# SHA-256 of stdout and the exit code of CLI outputs that the benchmark's
+# digests do not cover; any change to one of these outputs must be deliberate
+OUTPUT_DIGESTS = {
+    "sfun --chart case1-010 --a 1 --b 1 --c 0 --approx 10":
+        (0, "1b737e2374eb28f99d2b55071d738000f0dcc7223ec8a2937340d014bd893d56"),
+    "sfun --chart case1-010 --a 1 --b 1 --c 1/7 --approx 10":
+        (0, "e610f49dae1a9511d05a7d7240437bde1c1377c47abbf11e28c87c3503052f63"),
+    "sfun --chart case1-010 --a 2 --b 1 --c 0 --approx 10":
+        (0, "0694dab7cc3e387cf650ef0fef55cd2a0dfce53c063beeec937573f30bb9fcc5"),
+    "sfun --chart case1-010 --a 2 --b 1 --c 1/7 --approx 10":
+        (0, "a5e65a802c21658be7ff9c9f3843c3e998062d29a2bca482fa1facccf27f771a"),
+    "sfun --chart case1-010 --a 1 --b 5 --c 0 --approx 10":
+        (0, "35e9514218075664ba3fb5dbcc8be655caa97e13fce51ff23616b19a4179240a"),
+    "sfun --chart case1-010 --a 1 --b 5 --c 1/7 --approx 10":
+        (0, "ed81a13860ba4e84652ff8bbdf77a7c8c1f6f24fc90b82a94f077550320ca444"),
+    "sfun --chart case1-001 --a 1 --b 1 --c 0 --approx 10":
+        (0, "59676e5fe5f97a6fed480a79e6fe690f6d3f44ce34fbd15c2b438bc06453de5f"),
+    "sfun --chart case1-001 --a 1 --b 1 --c 1/7 --approx 10":
+        (0, "1a21d7e344f9e9448fd1a4d3eee862a784788d68d6c0e7ef15a09b89ec965cd4"),
+    "sfun --chart case1-001 --a 2 --b 1 --c 0 --approx 10":
+        (0, "f09008ed8a94fac27ec0b9c7aea02d4eaecab2d20605087752ae38877473c658"),
+    "sfun --chart case1-001 --a 2 --b 1 --c 1/7 --approx 10":
+        (0, "5d54e0bcfffdedfaac9acc94b973c95b9a1e06b4f3788f1e867a23be2906979f"),
+    "sfun --chart case1-001 --a 1 --b 5 --c 0 --approx 10":
+        (0, "d193c543e99cd3eabef392932dc01ccc02116fe45fb97b96d1da188928a04bd4"),
+    "sfun --chart case1-001 --a 1 --b 5 --c 1/7 --approx 10":
+        (0, "5460734361e43891817b103958c70924704b0befced8a4a87e949abbb01314d6"),
+    "sfun --chart case2-zu --a 1 --b 1 --c 0 --approx 10":
+        (0, "9c41f30a0efc2323a8ce42d289ca94fb8e5c61f33c66297f9cf768bbd1ad6aaf"),
+    "sfun --chart case2-zu --a 1 --b 1 --c 1/7 --approx 10":
+        (0, "87266d60f02f87e90c63ae175bd66647b21c09521f50fd12273d2671c8657478"),
+    "sfun --chart case2-zu --a 2 --b 1 --c 0 --approx 10":
+        (0, "b80cfc959b89d979ea6f4e32b508459328a76ed218fcfe15022d1c454b1f67b9"),
+    "sfun --chart case2-zu --a 2 --b 1 --c 1/7 --approx 10":
+        (0, "01c8f940242e96cae893f9b74b42a6f6d2dbaf89ed97e84db80af8c7ed2a86d3"),
+    "sfun --chart case2-zu --a 1 --b 5 --c 0 --approx 10":
+        (0, "bcdfed40a7f05e1448717c8554cd30d740fb7408d899b4aeb10a00416b27372d"),
+    "sfun --chart case2-zu --a 1 --b 5 --c 1/7 --approx 10":
+        (0, "7584db093a55bccc470d75cfabcb9235cd4dfeeb0921981bd2983f053075400b"),
+    "sfun --chart case2-yv --a 1 --b 1 --c 0 --approx 10":
+        (0, "9d1bd5bb7fd310e6d6aa78a50940ee4ccad1c6552046d6f2274b6f6993ec7115"),
+    "sfun --chart case2-yv --a 1 --b 1 --c 1/7 --approx 10":
+        (0, "85865e5ef21311cef8e727f2410c250eff08c0b7898a8fd9612cc23065b31449"),
+    "sfun --chart case2-yv --a 2 --b 1 --c 0 --approx 10":
+        (0, "a24dcc1d2a4a0ef6a929f7b8d675a9179ccc90ad2fa0d524dcd7a2d12fd5e246"),
+    "sfun --chart case2-yv --a 2 --b 1 --c 1/7 --approx 10":
+        (0, "db9ae24d09f202a54264ba2959d08e003078f3931220b9193ffaca3d3fb828c3"),
+    "sfun --chart case2-yv --a 1 --b 5 --c 0 --approx 10":
+        (0, "2995091ca93aa8e7b87e8cd893a00315f63a97a88410f18f3969cdb698125f99"),
+    "sfun --chart case2-yv --a 1 --b 5 --c 1/7 --approx 10":
+        (0, "6148c23bdb8cb8126b292723cb3f6b45e84e90a40d324e32f2ef3b66906c68fa"),
+    "sfun --chart case1p --a 1 --b 1 --c 0 --approx 10":
+        (0, "4d8c1dbfc559473aa2fb4c2797963d710499062c648b3edd2898f6bfb384cfef"),
+    "sfun --chart case1p --a 1 --b 1 --c 1/7 --approx 10":
+        (0, "91261786e029ee682ca9017a05f2cc364f6170dcd197f7d3f936275832c468e6"),
+    "sfun --chart case1p --a 2 --b 1 --c 0 --approx 10":
+        (0, "dee83369113069d7ed3af942e90fe4bc71d33cd23ac34ae0ba5389b1efbbec91"),
+    "sfun --chart case1p --a 2 --b 1 --c 1/7 --approx 10":
+        (0, "9a6e9e9dcc1b374be3e304fc27a7e1f238f4275e577a1f7bc9300f9713b6210c"),
+    "sfun --chart case1p --a 1 --b 5 --c 0 --approx 10":
+        (0, "d593d79972e3c798b671f351af039cda65089704ca2a35aa3331031909b3577f"),
+    "sfun --chart case1p --a 1 --b 5 --c 1/7 --approx 10":
+        (0, "024d4551f821d4f81c3fa2ca10786225f73f33dd14bd481ebd6859985214e238"),
+    "sfun --chart case2p --a 1 --b 1 --c 0 --approx 10":
+        (0, "53a661f31b19c0c984f057b60d3754abdabedd9e5fe212923b30d8261255af9b"),
+    "sfun --chart case2p --a 1 --b 1 --c 1/7 --approx 10":
+        (0, "9157a78c62cebf4e675e1ffec3e3065694b9d7c6ca8f4ebc75e0c607fe1a14b5"),
+    "sfun --chart case2p --a 2 --b 1 --c 0 --approx 10":
+        (0, "94c307058c4362f1a932cc1fda2aa77bb0d9675314b15a161194d1b5a9eaa7aa"),
+    "sfun --chart case2p --a 2 --b 1 --c 1/7 --approx 10":
+        (0, "85ad94004c48080f3581007979ad1f8428b39a4114663730a0c91118475228c8"),
+    "sfun --chart case2p --a 1 --b 5 --c 0 --approx 10":
+        (0, "a0fc366e52ae26d4a2b2cb69378e254be02ab2a075655dfaec9f3adc353d0694"),
+    "sfun --chart case2p --a 1 --b 5 --c 1/7 --approx 10":
+        (0, "dc6da33a210d8cd01bdb17b52bc15e3a2d59c15c7cac3a561cb94ca59e69b042"),
+    "sfun --chart case3p --a 1 --b 1 --c 0 --approx 10":
+        (0, "439da27ce72a2a5eeb1856960e5f79eba32c2be05baf73ff19b89a792423a9e6"),
+    "sfun --chart case3p --a 1 --b 1 --c 1/7 --approx 10":
+        (0, "1fc046916cc031ae7d448f6418f5f508b0b90bf382b95513515bffa5b244e9eb"),
+    "sfun --chart case3p --a 2 --b 1 --c 0 --approx 10":
+        (0, "082413946f2e95b602c1bb547ec73590be7d214f18118b2a8ccb10faf70cbbc9"),
+    "sfun --chart case3p --a 2 --b 1 --c 1/7 --approx 10":
+        (0, "78090cf759a173f91cafb33045fee5deb1c45d3c567ad191efe217b3e33f5cf4"),
+    "sfun --chart case3p --a 1 --b 5 --c 0 --approx 10":
+        (0, "8118faea032f75a4692a813fae60ae768bef753f3a2f6f12e591ba9dbc628642"),
+    "sfun --chart case3p --a 1 --b 5 --c 1/7 --approx 10":
+        (0, "2de70fcd67273df05fdf47b484af15583be2d7a54fa711af873ca6b1cf58161b"),
+    "surfaces":
+        (0, "074c81325378f86a65812fd72fe23d9e3c57a10b8d41f80ad674b467cac93ab8"),
+    "surfaces --format csv":
+        (0, "8f048980ae6119e9582a2b264137c39744908240431c8d18fd007bca25d7a0f9"),
+    "profile --surface index3m":
+        (0, "60e913ef1d80e6da646a3b1b6cba7d8f7133f4336513ac7d0481e268b48a5988"),
+    "profile --surface blp114-quotient-res":
+        (0, "f464662ef0680c3ebbcb89e30085ee24183fc0f6417c61220c3bc83d414c6f29"),
+    "profile --surface f1 --divisor E --c 1/5":
+        (0, "65a5913f5ade9f25b86bca29f7eebf3ad1e113c3349d1253d687090998a96728"),
+    "certify index3 --c 1/4":
+        (0, "77df1c1bad1e59ad7276d6bad29709863e54d0f3df745beab3af13a293a1b789"),
+    "certify quotient-point --c 1/4 --curve z^2*x^4+y^4*x^8":
+        (0, "06e83c5640ed2c82afc4c0031d34d73107fc43d613573a10567131d38f03b14f"),
+    "hkl map":
+        (0, "22bf00994ec118f8eb615c3623df60ffa586c310a1d7b2ca194be791dbc20b98"),
+    "hkl cone":
+        (0, "571b3d1c39320133b53cfe1e3bffeaba03013f458c32aacb867f98580ee90d27"),
+    "hkl audit":
+        (0, "2dd1ee04fa93bb678bd6d2a23200990b9556c5459708b7f808a7f88f4c9b9cee"),
+    "tables --emit":
+        (0, "3af06c91732aaff3c835dba4921d43a162142532c3aab4796d5d716d6bc379de"),
+    "beta --surface f1 --curve x^4*z^2+x^3*y^3 --weights 0,2,3 --c 5/58":
+        (0, "122dcd5af9a52bb1994845a0a439c023dee19695229ca48577ded0a3b63d5f47"),
+    "beta --surface blp114 --curve z^3+z^2*x^4 --weights 1,0,4 --c 29/106":
+        (0, "1d2e5789a6005f9153375d41f2d36274cdf14dc2a123676d01e8ba603b06a18f"),
+}
+
+
+def _digest_commands():
+    for tag in CHART_FAMILIES:
+        for a, b in ((1, 1), (2, 1), (1, 5)):
+            for c in ("0", "1/7"):
+                yield ["sfun", "--chart", tag, "--a", str(a), "--b", str(b),
+                       "--c", c, "--approx", "10"]
+    yield from (
+        ["surfaces"], ["surfaces", "--format", "csv"],
+        ["profile", "--surface", "index3m"],
+        ["profile", "--surface", "blp114-quotient-res"],
+        ["profile", "--surface", "f1", "--divisor", "E", "--c", "1/5"],
+        ["certify", "index3", "--c", "1/4"],
+        ["certify", "quotient-point", "--c", "1/4", "--curve", "z^2*x^4+y^4*x^8"],
+        ["hkl", "map"], ["hkl", "cone"], ["hkl", "audit"],
+        ["tables", "--emit"],
+        ["beta", "--surface", "f1", "--curve", "x^4*z^2+x^3*y^3",
+         "--weights", "0,2,3", "--c", "5/58"],
+        ["beta", "--surface", "blp114", "--curve", "z^3+z^2*x^4",
+         "--weights", "1,0,4", "--c", "29/106"])
+
+
+def test_output_digests():
+    """Every pinned command prints the same bytes with the same exit code."""
+    seen = {}
+    for argv in _digest_commands():
+        code, text = invoke(*argv)
+        seen[" ".join(argv)] = (code, hashlib.sha256(text.encode()).hexdigest())
+    assert seen == OUTPUT_DIGESTS

@@ -217,10 +217,12 @@ class TestDimensionAudit:
 
 class TestAtlas:
     def test_walls_match_enumeration(self):
-        from kwall.stability import wall_values
+        from kwall.stability import enumerate_walls
         atlas = bundled_atlas()
-        assert atlas.walls("f1") == wall_values("f1")
-        assert atlas.walls("blp114") == wall_values("blp114")
+        for surface in ("f1", "blp114"):
+            records = enumerate_walls(surface)
+            assert atlas.walls(surface) == sorted({r.candidate.w for r in records
+                                                   if r.confirmed})
 
     def test_json_round_trip(self):
         atlas = bundled_atlas()

@@ -24,16 +24,15 @@ from kwall.stability import (
     Constraint,
     _crossing,
     audit_extra_walls,
-    beta,
-    beta_chart,
+    chart_constraint,
     confirm_wall,
     enumerate_walls,
     index3_certificate,
     quotient_point_certificate,
     threshold,
+    toric_constraints,
     verify_semistable_at,
     wall_from_chart,
-    wall_values,
 )
 
 W_H = [F(1, 14), F(5, 58), F(1, 10), F(7, 62), F(1, 8), F(5, 34),
@@ -73,32 +72,40 @@ def wall_formula(branch: str, a: int, b: int, m: int):
     return w if 0 < w < F(1, 2) else None
 
 
+def toric(curve):
+    return {con.name: con for con in toric_constraints(curve)}
+
+
+def confirmed_walls(surface):
+    return sorted({r.candidate.w for r in enumerate_walls(surface) if r.confirmed})
+
+
 class TestBeta:
     def test_first_wall_toric_reports(self):
-        c = parse_curve("x^4*z*y", "f1")
+        cons = toric(parse_curve("x^4*z*y", "f1"))
         # the quadruple line pins c <= 1/14, the fibers pin c >= 1/14
-        at_wall = beta(c, "H_x", F(1, 14))
+        at_wall = cons["H_x"].report(F(1, 14))
         assert at_wall.verdict == "critical"
         assert at_wall.a_value == 1 - 4 * F(1, 14)
         assert at_wall.s_value == SurdSum.rational(F(5, 6) * (1 - F(1, 7)))
-        assert beta(c, "H_x", F(1, 14) + EPS).verdict == "destabilizing"
-        assert beta(c, "H_x", F(1, 14) - EPS).verdict == "positive"
+        assert cons["H_x"].report(F(1, 14) + EPS).verdict == "destabilizing"
+        assert cons["H_x"].report(F(1, 14) - EPS).verdict == "positive"
         for d in ("H_y", "H_z", "E"):
-            assert beta(c, d, F(1, 14)).verdict == "critical"
-            assert beta(c, d, F(1, 14) - EPS).verdict == "destabilizing"
+            assert cons[d].report(F(1, 14)).verdict == "critical"
+            assert cons[d].report(F(1, 14) - EPS).verdict == "destabilizing"
 
     def test_unigonal_wall_chart_vanishes(self):
         c = parse_curve("z^3+z^2*x^4", "blp114")
-        rep = beta(c, (1, 0, 4), F(29, 106))
+        rep = chart_constraint(c, onePS_to_chart((1, 0, 4), "blp114")).report(F(29, 106))
         assert rep.verdict == "critical"
         assert rep.a_value == 5 - 12 * F(29, 106)
         assert rep.s_value == SurdSum.rational(F(91, 24) * (1 - F(29, 53)))
 
-    def test_beta_dispatch(self):
+    def test_chart_and_divisor_reports(self):
         c = parse_curve("x^4*z^2+x^3*y^3", "f1")
         chart = ChartCase("f1", "case2-yv", 2, 1)
-        assert beta(c, chart, F(5, 58)).verdict == "critical"
-        assert beta(c, "E", F(5, 58)).beta == SurdSum.rational(F(2, 58))
+        assert chart_constraint(c, chart).report(F(5, 58)).verdict == "critical"
+        assert toric(c)["E"].report(F(5, 58)).beta == SurdSum.rational(F(2, 58))
 
 
 class TestWallFormula:
@@ -213,16 +220,14 @@ class TestThresholds:
         # a grid valuation that cuts the point threshold {5/58} away
         import kwall.stability as st
         curve = parse_curve("x^4*z^2+x^3*y^3", "f1")
-        grid = [(a, b) for a in range(1, 12) for b in range(1, 13 - a) if gcd(a, b) == 1]
-        sweep = st.chart_constraints
+        constraint = st.chart_constraint
 
-        def tightened(curve, tag, weights):
-            cons = sweep(curve, tag, weights)
-            if weights == grid:  # beta = 1 - 20c: c <= 1/20 < 5/58
-                cons.append(Constraint("tight", F(1), F(20), F(0)))
-            return cons
+        def tightened(curve, chart):
+            if (chart.a, chart.b) == (11, 1):  # a weight only the grid sweeps
+                return Constraint("tight", F(1), F(20), F(0))  # c <= 1/20 < 5/58
+            return constraint(curve, chart)
 
-        monkeypatch.setattr(st, "chart_constraints", tightened)
+        monkeypatch.setattr(st, "chart_constraint", tightened)
         assert threshold(curve).is_point(F(5, 58))
         with pytest.raises(ArithmeticError, match="grid sweep tightened"):
             threshold(curve, grid=12)
@@ -254,8 +259,8 @@ class TestThresholds:
 
 class TestEnumeration:
     def test_wall_sets(self):
-        assert wall_values("f1") == sorted(W_H)
-        assert wall_values("blp114") == sorted(W_U)
+        assert confirmed_walls("f1") == sorted(W_H)
+        assert confirmed_walls("blp114") == sorted(W_U)
 
     def test_confirmed_records_include_table_centers(self):
         recs = enumerate_walls("f1")
@@ -271,7 +276,7 @@ class TestEnumeration:
                 continue
             w = rec.candidate.w
             curve = rec.candidate.curve
-            rep = beta_chart(curve, rec.candidate.chart, w)
+            rep = chart_constraint(curve, rec.candidate.chart).report(w)
             assert rep.verdict == "critical"
             ok_up, _ = verify_semistable_at(curve, w + EPS)
             ok_down, _ = verify_semistable_at(curve, w - EPS)
@@ -279,7 +284,7 @@ class TestEnumeration:
 
     def test_order_independence(self, monkeypatch):
         import kwall.stability as st
-        base = wall_values("f1")
+        base = confirmed_walls("f1")
         orig = st.admissible_monomials
 
         def shuffled(surface):

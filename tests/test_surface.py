@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from kwall.surface import (
+    DEGREE,
     NotPseudoEffectiveError,
     SurfaceModel,
     _WEIGHTED_MODELS,
@@ -60,7 +61,7 @@ class TestBuiltins:
         assert m.intersect(e, e) == -1
         assert m.anticanonical == vadd(vscale(3, hz), vscale(2, e))
         assert m.self_intersection(m.anticanonical) == 8
-        assert m.degree == 8
+        assert DEGREE == 8
 
     def test_blp114_lattice(self):
         m = builtin_surface("blp114")
@@ -93,7 +94,7 @@ class TestBuiltins:
 
     def test_all_models_have_degree_8(self):
         for m in all_models():
-            assert m.self_intersection(m.anticanonical) == m.degree == 8
+            assert m.self_intersection(m.anticanonical) == DEGREE == 8
             assert is_nef(m, m.anticanonical)
 
     def test_gram_symmetric(self):
@@ -273,8 +274,8 @@ class TestZariski:
                 shuffled = SurfaceModel(
                     name=m.name, basis=m.basis, gram=m.gram,
                     cone=tuple(m.cone[i] for i in perm),
-                    anticanonical=m.anticanonical, degree=m.degree,
-                    classes=m.classes, exceptional=m.exceptional)
+                    anticanonical=m.anticanonical, classes=m.classes,
+                    exceptional=m.exceptional)
                 z = shuffled.zariski_decompose(d)
                 assert z.positive == base.positive
                 assert dict(z.negative_support) == dict(base.negative_support)
@@ -434,7 +435,7 @@ class TestLinearAlgebra:
         m = SurfaceModel(
             name="inconsistent", basis=("A", "B"), gram=(vec(1, -2), vec(-2, 1)),
             cone=(("A", vec(1, 0)), ("B", vec(0, 1))),
-            anticanonical=vec(1, 1), degree=F(1))
+            anticanonical=vec(1, 1))
         with pytest.raises(ArithmeticError,
                            match="^inconsistent: support Gram block not negative definite$"):
             m.zariski_decompose(vec(0, 1))

@@ -26,16 +26,17 @@ def _load_tracer():
 
 def _unreferenced_definitions(package_dir):
     """Module-level functions and classes of the package that no code in it
-    names, other than the names ``__init__.py`` exports."""
+    names.  A re-export from ``__init__.py`` is not a caller.
+
+    The guard matches names, not bindings: a definition escapes it when any
+    name or attribute elsewhere spells the same, such as a local variable (a
+    function ``beta`` would pass because ``Constraint.report`` binds one)."""
     defined, named = [], set()
     for entry in sorted(os.listdir(package_dir)):
         if not entry.endswith(".py"):
             continue
         with open(os.path.join(package_dir, entry), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        if entry == "__init__.py":
-            named.update(alias.asname or alias.name for node in ast.walk(tree)
-                         if isinstance(node, ast.ImportFrom) for alias in node.names)
         defined += [(entry, node.name) for node in tree.body if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
         for node in ast.walk(tree):
@@ -56,7 +57,7 @@ def _plane_restatements(package_dir):
     plane name in the modules that read the record, and imports of the
     ``volume`` or ``stability`` layers from ``pairs``, which owns it."""
     sites = []
-    for module in ("pairs", "stability", "volume", "cli"):
+    for module in ("pairs", "stability", "volume", "cli", "hkl"):
         with open(os.path.join(package_dir, f"{module}.py"), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):

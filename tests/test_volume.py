@@ -12,9 +12,7 @@ from kwall.surface import builtin_surface, vscale, vsub
 from kwall.volume import (
     fixed_divisor_profile,
     fixed_divisor_s,
-    s_closed_form,
     s_closed_form_coefficient,
-    s_engine,
     s_engine_coefficient,
     s_engine_raw,
     volume_profile,
@@ -66,7 +64,7 @@ def reference_raw(tag: str, a: int, b: int) -> F:
 
 def closed_form_matches_engine(chart: ChartCase) -> bool:
     """Whether the tabulated formula branch agrees with the engine."""
-    return s_closed_form(chart, F(0)) == SurdSum._coerce(s_engine_coefficient(chart))
+    return s_closed_form_coefficient(chart) == SurdSum._coerce(s_engine_coefficient(chart))
 
 
 class TestFixedDivisorProfiles:
@@ -278,24 +276,26 @@ class TestClosedFormComparison:
         assert rep["closed_form"] == "-9/8+9/4*sqrt(2)"
 
     def test_spec_values(self):
-        assert s_closed_form(ChartCase("f1", "case2-yv", 2, 1), F(0)) \
+        assert s_closed_form_coefficient(ChartCase("f1", "case2-yv", 2, 1)) \
             == SurdSum.rational(F(41, 12))
-        assert s_closed_form(ChartCase("f1", "case1-010", 1, 1), F(0)) \
+        assert s_closed_form_coefficient(ChartCase("f1", "case1-010", 1, 1)) \
             == SurdSum.rational(F(23, 12))
-        assert s_closed_form(ChartCase("blp114", "case3p", 1, 4), F(0)) \
+        assert s_closed_form_coefficient(ChartCase("blp114", "case3p", 1, 4)) \
             == SurdSum.rational(F(91, 24))
-        assert s_closed_form(ChartCase("blp114", "case2p", 1, 3), F(0)) \
+        assert s_closed_form_coefficient(ChartCase("blp114", "case2p", 1, 3)) \
             == SurdSum.rational(F(79, 24))
-        assert s_engine(ChartCase("blp114", "case1p", 1, 1), F(0)) \
+        assert s_engine_coefficient(ChartCase("blp114", "case1p", 1, 1)) \
             == SurdSum.rational(F(189, 48))
-        assert s_engine(ChartCase("f1", "case2-yv", 2, 1), F(5, 58)) \
+        assert s_engine_coefficient(ChartCase("f1", "case2-yv", 2, 1)) \
+            * (1 - 2 * F(5, 58)) \
             == SurdSum.rational(F(82, 29))
 
     def test_s_at_half_vanishes(self):
         for chart in [ChartCase("f1", "case2-zu", 3, 2),
                       ChartCase("blp114", "case3p", 2, 7)]:
-            assert s_engine(chart, F(1, 2)).is_zero()
-            assert s_closed_form(chart, F(1, 2)).is_zero()
+            model = builtin_surface(chart.family.model_kind, chart.a, chart.b)
+            assert volume_profile(model).s_at(F(1, 2)).is_zero()
+            assert (s_closed_form_coefficient(chart) * (1 - 2 * F(1, 2))).is_zero()
 
 
 class TestHomogeneityAndContinuity:
