@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exactnum import render_fraction
+from .pairs import parse_curve
 
 
 @dataclass(frozen=True)
@@ -139,6 +140,7 @@ class AtlasFormatError(ValueError):
 
 
 def atlas_from_json(data: dict) -> WallAtlas:
+    """An atlas from its JSON form; every center curve must parse on its surface."""
     try:
         branches = []
         for row in data["branches"]:
@@ -154,7 +156,16 @@ def atlas_from_json(data: dict) -> WallAtlas:
                 nl_dim=row["nl_dim"],
                 crossing=row.get("crossing", "flip"),
             ))
+        for k, branch in enumerate(branches):
+            try:
+                parse_curve(branch.curve, branch.surface)
+            except ValueError as exc:
+                raise AtlasFormatError(
+                    f"branch {k}: center curve {branch.curve!r} on "
+                    f"{branch.surface}: {exc}") from exc
         return WallAtlas(tuple(branches), version=data.get("version", 0))
+    except AtlasFormatError:
+        raise
     except KeyError as exc:
         raise AtlasFormatError(f"atlas field {exc.args[0]!r} is missing") from exc
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:

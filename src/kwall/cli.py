@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -141,6 +142,8 @@ def _emit(payload: dict, rows: Optional[list[dict]], fmt: str, stream) -> None:
 
 def _cmd_walls(args, out) -> int:
     surfaces = list(PLANES) if args.surface == "all" else [args.surface]
+    if args.atlas is not None and args.format == "json":
+        raise UsageError("walls --atlas applies only with --format csv|md")
     atlas = _load_atlas_arg(args.atlas)
     rows = []
     payload: dict = {"walls": {}}
@@ -304,6 +307,8 @@ def _cmd_tables(args, out) -> int:
             raise UsageError("tables --emit writes JSON only")
         out.write(bundled_atlas().dumps())
         return 0
+    if args.atlas is None and os.environ.get("KWALL_ATLAS") is None:
+        raise UsageError("tables --check needs --atlas FILE or KWALL_ATLAS")
     other = _load_atlas_arg(args.atlas)
     diffs = diff_atlas(bundled_atlas(), other)
     payload = {"match": not diffs, "diffs": diffs}

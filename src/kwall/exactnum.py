@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Iterable, Sequence, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 Number = Union[int, Fraction, "SurdSum"]
@@ -401,10 +401,17 @@ class QuadraticPoly:
     c1: Fraction
     c0: Fraction
 
+    def _parts(self) -> tuple[tuple[int, int], ...]:
+        """``(numerator, denominator)`` of ``c2``, ``c1`` and ``c0``."""
+        return tuple((c.numerator, c.denominator) for c in (self.c2, self.c1, self.c0))
+
     def __call__(self, t: Number) -> Number:
         if isinstance(t, (int, Fraction)):
-            # Horner's form: the same rational with fewer normalizations
-            return (self.c2 * t + self.c1) * t + self.c0
+            # over the integers, with t = n/d: one normalization
+            (p2, q2), (p1, q1), (p0, q0) = self._parts()
+            n, d = t.numerator, t.denominator
+            return Fraction(p2 * q1 * q0 * n * n + p1 * q2 * q0 * n * d + p0 * q2 * q1 * d * d,
+                            q2 * q1 * q0 * d * d)
         return t * t * self.c2 + t * self.c1 + self.c0
 
     def antiderivative(self, t: Number) -> Number:
@@ -412,30 +419,43 @@ class QuadraticPoly:
             return ((self.c2 * t / 3 + self.c1 / 2) * t + self.c0) * t
         return t**3 * Fraction(self.c2, 3) + t**2 * Fraction(self.c1, 2) + t * self.c0
 
+    def integral(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """The integral over ``[lo, hi]`` as one Fraction: with
+        ``lo = A/D`` and ``hi = B/D``, it is ``(B - A)/D`` times
+        ``c2 (A^2 + AB + B^2)/(3 D^2) + c1 (A + B)/(2 D) + c0``."""
+        (p2, q2), (p1, q1), (p0, q0) = self._parts()
+        d = lo.denominator * hi.denominator
+        a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+        inner = (2 * p2 * q1 * q0 * (a * a + a * b + b * b)
+                 + 3 * p1 * q2 * q0 * (a + b) * d + 6 * p0 * q2 * q1 * d * d)
+        return Fraction((b - a) * inner, 6 * q2 * q1 * q0 * d ** 3)
+
     def real_roots(self) -> list[Union[Fraction, SurdSum]]:
         """Sorted real roots as exact values: ``Fraction`` when rational."""
         if self.c2 == 0:
             if self.c1 == 0:
                 return []
             return [Fraction(-self.c0) / self.c1]
-        disc = self.c1 * self.c1 - 4 * self.c2 * self.c0
+        # the same roots as a*t^2 + b*t + c over the integers
+        (p2, q2), (p1, q1), (p0, q0) = self._parts()
+        scale = lcm(q2, q1, q0)
+        a, b, c = p2 * (scale // q2), p1 * (scale // q1), p0 * (scale // q0)
+        disc = b * b - 4 * a * c
         if disc < 0:
             return []
-        num, den = isqrt(disc.numerator), isqrt(disc.denominator)
-        two_c2 = 2 * self.c2
-        if num * num == disc.numerator and den * den == disc.denominator:
-            sq = Fraction(num, den)
-            minus, plus = (-sq - self.c1) / two_c2, (sq - self.c1) / two_c2
+        s = isqrt(disc)
+        if s * s == disc:
+            minus, plus = Fraction(-b - s, 2 * a), Fraction(s - b, 2 * a)
         else:
-            # sqrt(disc) = s*sqrt(f), f squarefree and > 1: the roots are the
-            # two-term surds -c1/(2c2) -+ (s/(2c2))*sqrt(f)
-            ((f, s),) = SurdSum.sqrt(disc).terms
-            centre, half = -self.c1 / two_c2, s / two_c2
+            # sqrt(disc) = k*sqrt(f), f squarefree and > 1: the roots are the
+            # two-term surds -b/(2a) -+ (k/(2a))*sqrt(f)
+            ((f, k),) = SurdSum.sqrt(disc).terms
+            centre, half = Fraction(-b, 2 * a), k / (2 * a)
             head = ((1, centre),) if centre else ()
             minus = SurdSum._normalized(head + ((f, -half),))
             plus = SurdSum._normalized(head + ((f, half),))
-        # sqrt(disc) >= 0, so the order of the two roots is the sign of c2
-        return [minus, plus] if self.c2 > 0 else [plus, minus]
+        # sqrt(disc) >= 0, so the order of the two roots is the sign of a
+        return [minus, plus] if a > 0 else [plus, minus]
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.c2, self.c1, self.c0)
@@ -478,11 +498,16 @@ class PiecewiseQuadratic:
     def tau(self) -> SurdSum:
         return self.breakpoints[-1]
 
-    def check_continuity(self) -> None:
+    def check_continuity(self, starts: Optional[Sequence[Number]] = None) -> None:
+        """Raise unless adjacent segments agree at their common breakpoint.
+
+        ``starts[k]``, when given, is segment k's value at its start, which
+        the caller has already computed; otherwise it is evaluated here.
+        """
         for k in range(len(self.segments) - 1):
             b = self._points[k + 1]
             left = self.segments[k](b)
-            right = self.segments[k + 1](b)
+            right = starts[k + 1] if starts is not None else self.segments[k + 1](b)
             if left != right:
                 raise ExactDomainError(f"discontinuous at {b}: {left} != {right}")
 
@@ -493,18 +518,22 @@ class PiecewiseQuadratic:
             raise ExactDomainError("reversed integration bounds")
         if lo < 0 or hi > self._points[-1]:
             raise ExactDomainError("integration bounds outside [0, tau]")
-        # rational antiderivative values sum as one Fraction; the normalized
-        # terms of irrational ones are summed by radicand
+        # a segment with rational ends is one Fraction; the normalized terms
+        # of irrational antiderivative values are summed by radicand
         total: dict[int, Fraction] = {1: Fraction(0)}
         for k, seg in enumerate(self.segments):
             a = self._points[k]
             b = self._points[k + 1]
             left = a if a > lo else lo
             right = b if b < hi else hi
-            if left < right:
-                for x, sign in ((right, 1), (left, -1)):
-                    value = seg.antiderivative(x)
-                    terms = ((1, value),) if isinstance(value, Fraction) else value.terms
-                    for d, q in terms:
-                        total[d] = total[d] + sign * q if d in total else sign * q
+            if not left < right:
+                continue
+            if type(left) is Fraction and type(right) is Fraction:
+                total[1] += seg.integral(left, right)
+                continue
+            for x, sign in ((right, 1), (left, -1)):
+                value = seg.antiderivative(x)
+                terms = ((1, value),) if isinstance(value, Fraction) else value.terms
+                for d, q in terms:
+                    total[d] = total[d] + sign * q if d in total else sign * q
         return SurdSum._normalized(tuple((d, q) for d, q in sorted(total.items()) if q))

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from .exactnum import render_fraction
 
@@ -40,25 +41,24 @@ def vscale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def solve_linear(rows: Sequence[Sequence[int]], *rhs: Sequence[int]
+                 ) -> Optional[tuple]:
+    """Solve the square integer system ``rows x = b`` for every right-hand
+    side ``b`` by one fraction-free Gauss-Jordan elimination of
+    ``[rows | b_1 ... b_k]``.
 
-
-def solve_linear(rows: Sequence[Sequence[Fraction]], *rhs: Sequence[Fraction]
-                 ) -> Union[None, list[Fraction], tuple[list[Fraction], ...]]:
-    """Solve the square rational system ``rows x = b`` for every right-hand
-    side ``b`` by one Gauss-Jordan elimination of ``[rows | b_1 ... b_k]``.
-
-    Returns the solution list for a single right-hand side, the tuple of
-    solution lists for several, and None when ``rows`` is singular.
+    Returns ``(det, x_1, ..., x_k)``: ``det = |det rows| > 0`` and integer
+    numerators ``x_k`` with ``rows (x_k / det) = b_k``; None when ``rows`` is
+    singular.
     """
     n = len(rows)
-    aug = [[_fraction(x) for x in row] + [_fraction(b[r]) for b in rhs]
-           for r, row in enumerate(rows)]
-    if len(_rref(aug, n)) != n:
+    aug = [list(row) + [b[r] for b in rhs] for r, row in enumerate(rows)]
+    pivots = _eliminate(aug, n)
+    if len(pivots) != n:
         return None
-    sols = tuple([row[n + k] for row in aug] for k in range(len(rhs)))
-    return sols[0] if len(sols) == 1 else sols
+    det = pivots[-1][1] if pivots else 1
+    sign = 1 if det > 0 else -1
+    return (sign * det, *([sign * row[n + k] for row in aug] for k in range(len(rhs))))
 
 
 class NotPseudoEffectiveError(ValueError):
@@ -77,6 +77,36 @@ class ZariskiDecomposition:
     @property
     def support_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.negative_support)
+
+
+@dataclass(frozen=True)
+class PairingTable:
+    """Integer intersection numbers of the cone generators ``C_j`` and of a
+    few extra classes ``v_k``.
+
+    The form is scaled to integers once (``scale * gram``), each generator to
+    its numerators ``gens[j]`` over ``dens[j]``, and the extra classes to
+    numerators ``classes[k]`` over one common ``den``.  Every entry is then an
+    integer dot product against the scaled form:
+
+    * ``images[j] = scale * gram * gens[j]``;
+    * ``gram[i][j] = scale * dens[i] * dens[j] * C_i.C_j``;
+    * ``rows[k][j] = scale * den * dens[j] * v_k.C_j``.
+
+    So if ``gram x = rows[k]`` on a support, with ``x = u / det``, then
+    ``v_k`` pairs with the support as ``sum_i (dens[i] * u_i / (det * den)) C_i``
+    does, and ``det * rows[k][j] - sum_i u_i gram[i][j]`` is
+    ``det * scale * den * dens[j]`` times the pairing of the rest with ``C_j``.
+    """
+
+    scale: int
+    den: int
+    dens: tuple[int, ...]
+    gens: list[list[int]]
+    classes: list[list[int]]
+    images: list[list[int]]
+    gram: list[list[int]]
+    rows: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -136,13 +166,12 @@ class SurfaceModel:
         """
         from itertools import combinations
 
-        n = self.rank()
+        images = self.pairing_table().images
         gens = list(self.cone)
-        for subset in combinations(range(len(gens)), n - 1):
-            # row i holds C_i.e_b over the basis, so w = sum w_b e_b solves w.C_i = 0
-            rows = [[sum(x * row[b] for x, row in zip(gens[i][1], self.gram) if x) for b in range(n)]
-                    for i in subset]
-            w = _kernel_vector(rows)
+        for subset in combinations(range(len(gens)), self.rank() - 1):
+            # image i is a positive multiple of C_i.e_b over the basis, so
+            # w = sum w_b e_b solves w.C_i = 0
+            w = _kernel_vector([images[i] for i in subset])
             if w is None:
                 continue
             for cand in (w, vscale(-1, w)):
@@ -153,26 +182,25 @@ class SurfaceModel:
 
     # -- Zariski decomposition -------------------------------------------
 
-    def cone_gram(self) -> list[list[Fraction]]:
-        """``C_i.C_j`` over the cone generators: the upper triangle, mirrored.
-
-        Each generator is scaled to integers once; every entry is then an
-        integer dot product against the integer-scaled form, as in
-        :meth:`intersect`.
-        """
-        scale, rows = self._integer_gram
+    def pairing_table(self, *classes: Vec) -> PairingTable:
+        """The integer pairings of the cone generators with each other and
+        with ``classes``: each vector is scaled to integers once, and the
+        Gram matrix takes the upper triangle, mirrored."""
+        n = self.rank()
+        if any(len(v) != n for v in classes):
+            raise ValueError(f"{self.name}: dimension mismatch")
+        scale, form = self._integer_gram
         parts = [_integer_parts(c) for _, c in self.cone]
-        # scale * gram * nums_j: the integer image of each scaled generator
-        images = [[sum([g * x for g, x in zip(row, nums) if x]) for row in rows]
-                  for _, nums in parts]
-        n = len(parts)
-        gram: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-        for i, (da, a) in enumerate(parts):
-            for j in range(i, n):
-                db, image = parts[j][0], images[j]
-                gram[i][j] = gram[j][i] = Fraction(
-                    sum([x * y for x, y in zip(a, image) if x]), scale * da * db)
-        return gram
+        gens = [nums for _, nums in parts]
+        images = [[_dot(row, nums) for row in form] for nums in gens]
+        gram = [[0] * len(gens) for _ in gens]
+        for i, a in enumerate(gens):
+            for j in range(i, len(gens)):
+                gram[i][j] = gram[j][i] = _dot(a, images[j])
+        den, flat = _integer_parts([x for v in classes for x in v])
+        nums = [flat[k:k + n] for k in range(0, len(flat), n)]
+        return PairingTable(scale, den, tuple(d for d, _ in parts), gens, nums, images,
+                            gram, [[_dot(v, image) for image in images] for v in nums])
 
     def zariski_decompose(self, d: Vec) -> ZariskiDecomposition:
         """Unique D = P + N with P nef, P.N_i = 0, Gram(N) negative definite.
@@ -192,32 +220,39 @@ class SurfaceModel:
             f"{sep[0]} = {fmt_vec(sep[1])} pairs negatively", sep)
 
     def _zariski_iteration(self, d: Vec) -> ZariskiDecomposition:
-        """Grow the support by the generators P meets negatively until none is left."""
-        gram = self.cone_gram()
-        dc = [self.intersect(d, c) for _, c in self.cone]
+        """Grow the support by the generators P meets negatively until none is
+        left, over the integer pairing table of ``d``."""
+        table = self.pairing_table(d)
+        gram, (dc,) = table.gram, table.rows
         support = {j for j, v in enumerate(dc) if v < 0}
         for _ in range(len(dc) + 2):
             idx = sorted(support)
             block = [[gram[i][j] for j in idx] for i in idx]
-            coeffs = solve_linear(block, [dc[i] for i in idx]) if idx else []
-            if coeffs is None:
+            sol = solve_linear(block, [dc[i] for i in idx]) if idx else (1, [])
+            if sol is None:
                 raise ArithmeticError(
                     f"{self.name}: singular Gram block for support {idx}")
-            # P.C_j = d.C_j - sum x_i C_i.C_j
+            det, coeffs = sol
+            # det * scale * den * dens_j * P.C_j = det * dc_j - sum_i u_i gram_ij
             violated = {j for j, row in enumerate(gram) if j not in support
-                        and dc[j] < sum(x * row[i] for i, x in zip(idx, coeffs))}
+                        and det * dc[j] < sum(u * row[i] for i, u in zip(idx, coeffs))}
             if not violated:
-                if any(x < 0 for x in coeffs):
+                if any(u < 0 for u in coeffs):
                     raise ArithmeticError(
                         f"{self.name}: negative Zariski coefficient; cone data inconsistent")
                 if not _negative_definite(block):
                     raise ArithmeticError(
                         f"{self.name}: support Gram block not negative definite")
-                p = d
-                for i, x in zip(idx, coeffs):
-                    p = vsub(p, vscale(x, self.cone[i][1]))
-                negative = tuple((self.cone[i][0], x) for i, x in zip(idx, coeffs) if x != 0)
-                return ZariskiDecomposition(positive=p, negative_support=negative)
+                # N = sum dens_i * u_i / (det * den) C_i and P = d - N
+                den = det * table.den
+                p = [det * x for x in table.classes[0]]
+                for i, u in zip(idx, coeffs):
+                    if u:
+                        p = [x - u * g for x, g in zip(p, table.gens[i])]
+                negative = tuple((self.cone[i][0], Fraction(table.dens[i] * u, den))
+                                 for i, u in zip(idx, coeffs) if u)
+                return ZariskiDecomposition(
+                    positive=tuple(Fraction(x, den) for x in p), negative_support=negative)
             support |= violated
         raise ArithmeticError(f"{self.name}: Zariski iteration did not stabilize")
 
@@ -243,60 +278,76 @@ def _integer_parts(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in v]
 
 
+def _dot(a: Iterable[int], b: Iterable[int]) -> int:
+    return sum(map(mul, a, b))
+
+
 def fmt_vec(v: Vec) -> str:
     return "(" + ",".join(render_fraction(x) for x in v) + ")"
 
 
-def _rref(m: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan: bring the first ``ncols`` columns of ``m`` to reduced row
-    echelon form in place; return the pivot columns (pivot k in row k)."""
-    pivots: list[int] = []
+def _eliminate(m: list[list[int]], ncols: int, swap: bool = True) -> list[tuple[int, int]]:
+    """Fraction-free Gauss-Jordan elimination of the first ``ncols`` columns
+    of the integer rows ``m``, in place: Bareiss's integer-preserving step
+    (Math. Comp. 1968) applied to every other row, as in Montante's method.
+
+    Returns ``(column, pivot)`` for pivot k in row k.  Every division is exact,
+    and afterwards each pivot row is its reduced row echelon row times the
+    last pivot, which is the determinant of the pivot minor up to the sign
+    of the row swaps.  With ``swap=False`` the elimination stops at the first
+    zero on the diagonal, and pivot k is the leading principal minor of
+    order k + 1 (Sylvester's identity).
+    """
+    pivots: list[tuple[int, int]] = []
+    prev = 1
     for col in range(ncols):
         row = len(pivots)
         if row == len(m):
             break
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv if x else x for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y if y else x for x, y in zip(m[r], m[row])]
-        pivots.append(col)
+        if not m[row][col]:
+            if not swap:
+                break
+            piv = next((r for r in range(row + 1, len(m)) if m[r][col]), None)
+            if piv is None:
+                continue
+            m[row], m[piv] = m[piv], m[row]
+        top = m[row]
+        p = top[col]
+        for r, other in enumerate(m):
+            if r != row:
+                f = other[col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(other, top)]
+        prev = p
+        pivots.append((col, p))
     return pivots
 
 
-def _negative_definite(block: list[list[Fraction]]) -> bool:
-    """Sylvester's criterion in LDL^T form: elimination without row swaps
-    meets only negative pivots (pivot k is the ratio of leading minors k, k-1)."""
+def _negative_definite(block: list[list[int]]) -> bool:
+    """Sylvester's criterion on an integer symmetric block: elimination
+    without row swaps meets leading principal minors of signs -, +, -, ..."""
     m = [list(r) for r in block]
-    for k, pivot_row in enumerate(m):
-        if pivot_row[k] >= 0:
-            return False
-        for r in range(k + 1, len(m)):
-            f = m[r][k] / pivot_row[k]
-            m[r] = [x - f * y for x, y in zip(m[r], pivot_row)]
-    return True
+    pivots = _eliminate(m, len(m), swap=False)
+    return len(pivots) == len(m) and all((p < 0) == (k % 2 == 0)
+                                         for k, (_, p) in enumerate(pivots))
 
 
-def _kernel_vector(rows: list[list[Fraction]]) -> Optional[Vec]:
-    """A nonzero rational vector orthogonal to the given row functionals: the
-    first free column set to 1, the other free columns to 0."""
+def _kernel_vector(rows: list[list[int]]) -> Optional[Vec]:
+    """A nonzero rational vector orthogonal to the given integer row
+    functionals: the first free column set to 1, the other free columns to 0."""
     if not rows:
         return None
     n = len(rows[0])
     m = [list(r) for r in rows]
-    pivots = _rref(m, n)
-    free = [c for c in range(n) if c not in pivots]
+    pivots = _eliminate(m, n)
+    cols = [c for c, _ in pivots]
+    free = [c for c in range(n) if c not in cols]
     if not free:
         return None
+    last = pivots[-1][1] if pivots else 1
     sol = [Fraction(0)] * n
     sol[free[0]] = Fraction(1)
-    for r, c in enumerate(pivots):
-        sol[c] = -m[r][free[0]]
+    for r, c in enumerate(cols):
+        sol[c] = Fraction(-m[r][free[0]], last)
     return tuple(sol)
 
 

@@ -26,7 +26,17 @@ from .exactnum import (
     render_surd,
 )
 from .pairs import DIVISORS, ChartCase
-from .surface import DEGREE, SurfaceModel, Vec, builtin_surface, vsub, vscale, solve_linear
+from .surface import (
+    DEGREE,
+    PairingTable,
+    SurfaceModel,
+    Vec,
+    _dot,
+    builtin_surface,
+    solve_linear,
+    vscale,
+    vsub,
+)
 
 Number = Union[int, Fraction, SurdSum]
 
@@ -95,22 +105,28 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         f_vec = model.cone_class(f)
     else:
         f_name, f_vec = "custom", f
-    table = _pairing_table(model, l0, f_vec)
-    if any(x < 0 for x in table.l0_row):
+    table = model.pairing_table(l0, f_vec)
+    if any(x < 0 for x in table.rows[0]):
         raise ExactDomainError(f"{model.name}: profile origin class is not nef")
-    if table.l0_l0 <= 0:
+    sweep = _Sweep(model.name, table, model.intersect(l0, l0),
+                   model.intersect(l0, f_vec), model.intersect(f_vec, f_vec))
+    if sweep.l0_l0 <= 0:
         raise ExactDomainError(f"{model.name}: profile origin class is not big")
 
     t_cur = Fraction(0)
     breakpoints: list[Number] = [t_cur]
     segments: list[QuadraticPoly] = []
-    seg = _segment(table, [], t_cur)
+    starts: list[Fraction] = []
+    seg = _segment(sweep, [], t_cur)
 
     for _ in range(8 * len(model.cone) + 8):
         quad = seg.quad
-        if quad(t_cur) < 0:
+        start = quad(t_cur)
+        if start < 0:
             raise ArithmeticError(f"{model.name}: negative volume at t={t_cur}")
-        next_support = min(seg.events.values()) if seg.events else None
+        starts.append(start)
+        first = _first(seg.events.values())
+        next_support = Fraction(*first) if first else None
         vol_root = seg.vol_root
         if vol_root is None and next_support is None:
             raise ArithmeticError(f"{model.name}: volume never reaches zero")
@@ -118,148 +134,135 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
             breakpoints.append(vol_root)
             segments.append(quad)
             profile = PiecewiseQuadratic(breakpoints, segments)
-            profile.check_continuity()
+            profile.check_continuity(starts)
             raw = profile.integrate(0, vol_root)
             return SProfile(model.name, f_name, profile, raw)
 
-        assert next_support is not None
+        assert first is not None
         breakpoints.append(next_support)
         segments.append(quad)
         # the generators whose event this is: one outside the support joins
         # it, one in the support leaves
-        hits = {k for k, r in seg.events.items() if r == next_support}
-        support = sorted(set(seg.xs) ^ hits)
+        hits = {k for k, (a, b) in seg.events.items() if a * first[1] == first[0] * b}
+        support = sorted(set(seg.support) ^ hits)
         t_cur = next_support
 
         # validate the upcoming segment at an interior rational point;
         # on failure recompute the support from an honest decomposition
-        seg = _segment(table, support, t_cur)
-        sample = (t_cur + _next_event_bound(seg)) / 2
+        seg = _segment(sweep, support, t_cur)
+        sample = _sample(seg)
         if not _segment_valid(seg, sample):
             z = model.zariski_decompose(
-                vsub(l0, vscale(sample, f_vec)))
+                vsub(l0, vscale(Fraction(*sample), f_vec)))
             support = sorted(i for i, (n, _) in enumerate(model.cone)
                              if n in z.support_names)
-            seg = _segment(table, support, t_cur)
+            seg = _segment(sweep, support, t_cur)
     raise ArithmeticError(f"{model.name}: profile sweep did not terminate")
 
 
 @dataclass(frozen=True)
-class _PairingTable:
-    """Every intersection number one profile sweep needs.
-
-    ``gram[i][j] = C_i.C_j`` over the cone generators, ``l0_row[j] = l0.C_j``
-    and ``f_row[j] = f.C_j``.  On a fixed support every pairing of
-    ``P(t) = l0 - t*f - sum x_i(t) C_i`` is a combination of these numbers.
-    """
+class _Sweep:
+    """Every intersection number one profile sweep needs: the model's
+    integer pairing table of ``(l0, f)`` and the three squares of the pair."""
 
     name: str
-    gram: list[list[Fraction]]
-    l0_row: list[Fraction]
-    f_row: list[Fraction]
+    table: PairingTable
     l0_l0: Fraction
     l0_f: Fraction
     f_f: Fraction
 
 
-def _pairing_table(model: SurfaceModel, l0: Vec, f_vec: Vec) -> _PairingTable:
-    gens = [c for _, c in model.cone]
-    return _PairingTable(
-        model.name, model.cone_gram(),
-        [model.intersect(l0, c) for c in gens],
-        [model.intersect(f_vec, c) for c in gens],
-        model.intersect(l0, l0), model.intersect(l0, f_vec),
-        model.intersect(f_vec, f_vec))
-
-
 @dataclass(frozen=True)
 class _Segment:
-    """Sweep data of one support set, from ``t_cur`` on.
+    """Sweep data of one support set, from ``t_cur`` on, as integers.
 
-    ``xs[i] = (x0_i, x1_i)`` gives the coefficient ``x0_i + t*x1_i`` of each
-    support generator in ``N(t)``; ``pairings[j] = (slope, value)`` gives
-    ``P(t).C_j = value - t*slope`` for each generator outside the support
-    (support generators pair to 0); ``events[k]`` is the parameter after
-    ``t_cur`` where generator k's pairing (outside the support) or
-    coefficient (in it) reaches zero; ``vol_root`` is the first root of
+    With ``det > 0`` the determinant of the support block of the pairing
+    table's Gram, each generator k has a line ``lines[k] = (a, b)``: in the
+    support, ``C_k`` has the coefficient ``dens[k] * (a - t*b) / (det * den)``
+    in ``N(t)``; outside it, ``P(t).C_k = (a - t*b) / (det * scale * den *
+    dens[k])`` (support generators pair to 0).  So each line is its quantity
+    up to a positive factor, and
+    ``events[k] = (a, b)`` with ``b > 0`` is the parameter ``a / b`` after
+    ``t_cur`` where it reaches zero.  ``vol_root`` is the first root of
     ``P(t)^2`` after ``t_cur``.
     """
 
     t_cur: Fraction
-    xs: dict[int, tuple[Fraction, Fraction]]
+    support: tuple[int, ...]
+    det: int
+    lines: dict[int, tuple[int, int]]
     quad: QuadraticPoly
-    pairings: dict[int, tuple[Fraction, Fraction]]
-    events: dict[int, Fraction]
+    events: dict[int, tuple[int, int]]
     vol_root: Optional[Union[Fraction, SurdSum]]
 
 
-def _segment(table: _PairingTable, support: list[int], t_cur: Fraction) -> _Segment:
-    """Sweep data of ``support`` from ``t_cur`` on: one elimination of the
-    support Gram block solves for the l0 and f rows together, and one pass
-    over the generators gives every pairing and event."""
-    gram = table.gram
-    # x(t) = x0 - t*x1 solves Gram x = (l0 - t f).C on the support, so
-    # P(t) = p0 - t*p1 with p0 = l0 - sum x0_i C_i, p1 = f - sum x1_i C_i;
-    # by Gram x0 = r0 and Gram x1 = r1:
-    # p0.p0 = l0.l0 - x0.r0, p0.p1 = l0.f - x0.r1, p1.p1 = f.f - x1.r1
-    p00, p01, p11 = table.l0_l0, table.l0_f, table.f_f
-    xs: dict[int, tuple[Fraction, Fraction]] = {}
-    events: dict[int, Fraction] = {}
-    x0: list[Fraction] = []
-    x1: list[Fraction] = []
+def _segment(sweep: _Sweep, support: list[int], t_cur: Fraction) -> _Segment:
+    """Sweep data of ``support`` from ``t_cur`` on: one fraction-free
+    elimination of the support Gram block solves for the l0 and f rows
+    together, and one pass over the generators gives every line and event."""
+    table = sweep.table
+    gram, (r0, r1) = table.gram, table.rows
+    # x(t) = (u0 - t*u1) / det solves gram x = r0 - t*r1 on the support, so
+    # P(t) = p0 - t*p1 with p0.p0 = l0.l0 - u0.r0 / e, p0.p1 = l0.f - u0.r1 / e
+    # and p1.p1 = f.f - u1.r1 / e, where e = det * scale * den^2
+    det, u0, u1 = 1, [], []
     if support:
-        r0 = [table.l0_row[i] for i in support]
-        r1 = [table.f_row[i] for i in support]
-        sols = solve_linear([[gram[i][j] for j in support] for i in support], r0, r1)
-        if sols is None:
-            raise ArithmeticError(f"{table.name}: singular support Gram block")
-        x0, x1 = sols
-        for i, a0, a1, b0, b1 in zip(support, x0, x1, r0, r1):
-            p00 -= a0 * b0
-            p01 -= a0 * b1
-            p11 -= a1 * b1
-            xs[i] = (a0, -a1)
-            if a1 > 0:
-                r = a0 / a1
-                if r > t_cur:
-                    events[i] = r
-    quad = QuadraticPoly(p11, -2 * p01, p00)
-    pairings = {}
+        sol = solve_linear([[gram[i][j] for j in support] for i in support],
+                           [r0[i] for i in support], [r1[i] for i in support])
+        if sol is None:
+            raise ArithmeticError(f"{sweep.name}: singular support Gram block")
+        det, u0, u1 = sol
+    lines = dict(zip(support, zip(u0, u1)))
     for j, row in enumerate(gram):
-        if j in xs:
-            continue
-        slope, value = table.f_row[j], table.l0_row[j]
-        for i, a0, a1 in zip(support, x0, x1):
-            g = row[i]
-            if g:
-                slope -= a1 * g
-                value -= a0 * g
-        pairings[j] = (slope, value)
-        if slope > 0:
-            r = value / slope
-            if r > t_cur:
-                events[j] = r
+        if j not in lines:
+            a, b = det * r0[j], det * r1[j]
+            for i, x0, x1 in zip(support, u0, u1):
+                g = row[i]
+                if g:
+                    a -= x0 * g
+                    b -= x1 * g
+            lines[j] = (a, b)
+    num, den = t_cur.numerator, t_cur.denominator
+    events = {k: (a, b) for k, (a, b) in lines.items() if b > 0 and a * den > num * b}
+    e = det * table.scale * table.den * table.den
+    quad = QuadraticPoly(
+        sweep.f_f - Fraction(_dot(u1, (r1[i] for i in support)), e),
+        -2 * (sweep.l0_f - Fraction(_dot(u0, (r1[i] for i in support)), e)),
+        sweep.l0_l0 - Fraction(_dot(u0, (r0[i] for i in support)), e))
     vol_root = next((r for r in quad.real_roots() if r > t_cur), None)
-    return _Segment(t_cur, xs, quad, pairings, events, vol_root)
+    return _Segment(t_cur, tuple(support), det, lines, quad, events, vol_root)
 
 
-def _next_event_bound(seg: _Segment) -> Fraction:
-    """A rational after ``seg.t_cur``, no later than the segment's end."""
+def _first(ratios) -> Optional[tuple[int, int]]:
+    """The least ``a / b`` of the pairs ``(a, b)`` with ``b > 0``, or None."""
+    best = None
+    for a, b in ratios:
+        if best is None or a * best[1] < best[0] * b:
+            best = (a, b)
+    return best
+
+
+def _sample(seg: _Segment) -> tuple[int, int]:
+    """A rational ``a / b`` inside the segment: halfway from ``t_cur`` to
+    its first event or rational volume root, or to a rational lower bound of
+    an irrational root (to ``t_cur + 1`` when there is none of these)."""
+    t = seg.t_cur
     cands = list(seg.events.values())
     r = seg.vol_root
     if isinstance(r, Fraction):
-        cands.append(r)
+        cands.append((r.numerator, r.denominator))
     elif r is not None:
         lo, _ = r.enclosure(64)
-        if lo > seg.t_cur:
-            cands.append(lo)
-    return min(cands) if cands else seg.t_cur + 1
+        if lo > t:
+            cands.append((lo.numerator, lo.denominator))
+    a, b = _first(cands) or (t.numerator + t.denominator, t.denominator)
+    return t.numerator * b + a * t.denominator, 2 * t.denominator * b
 
 
-def _segment_valid(seg: _Segment, sample: Fraction) -> bool:
+def _segment_valid(seg: _Segment, sample: tuple[int, int]) -> bool:
     """Whether ``P(sample)`` is nef and ``N(sample)`` effective on the support."""
-    return (all(x0 + x1 * sample >= 0 for x0, x1 in seg.xs.values())
-            and all(value - sample * slope >= 0 for slope, value in seg.pairings.values()))
+    num, den = sample
+    return all(a * den >= num * b for a, b in seg.lines.values())
 
 
 # ---------------------------------------------------------------------------

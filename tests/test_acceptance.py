@@ -37,13 +37,14 @@ from kwall.stability import (
     threshold,
     wall_from_chart,
 )
-from kwall.surface import builtin_surface, solve_linear
+from kwall.surface import builtin_surface
 from kwall.volume import (
     fixed_divisor_profile,
     fixed_divisor_s,
     s_closed_form_coefficient,
     s_engine_coefficient,
 )
+from linalg_reference import fraction_solve
 
 W_H = [F(1, 14), F(5, 58), F(1, 10), F(7, 62), F(1, 8), F(5, 34),
        F(1, 6), F(7, 38), F(1, 5), F(5, 22), F(2, 7)]
@@ -269,7 +270,7 @@ def _oracle_vol(model, d):
         for subset in itertools.combinations(range(len(gens)), size):
             block = [[model.intersect(gens[i][1], gens[j][1]) for j in subset]
                      for i in subset]
-            coeffs = solve_linear(block, [model.intersect(d, gens[i][1]) for i in subset])
+            coeffs = fraction_solve(block, [model.intersect(d, gens[i][1]) for i in subset])
             if coeffs is None or any(x < 0 for x in coeffs):
                 continue
             p = d

@@ -274,6 +274,57 @@ class TestHklCommands:
         assert len(data["anomalies"]) == 2
 
 
+def _rewritten_atlas(tmp_path, curve="x^6"):
+    """The bundled atlas with every center curve rewritten to ``curve``."""
+    _, text = invoke("tables", "--emit")
+    data = json.loads(text)
+    for branch in data["branches"]:
+        branch["curve"] = curve
+    path = tmp_path / "rewritten.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestAtlasFlags:
+    def test_walls_json_with_atlas_usage(self, tmp_path, capsys):
+        """The atlas feeds only the csv/md rows of ``walls``."""
+        _, text = invoke("tables", "--emit")
+        path = tmp_path / "atlas.json"
+        path.write_text(text, encoding="utf-8")
+        assert_usage_error(capsys, "walls", "--surface", "f1", "--atlas", str(path))
+        assert_usage_error(capsys, "walls", "--surface", "all", "--format", "json",
+                           "--atlas", str(path))
+
+    def test_walls_csv_reads_atlas(self, tmp_path):
+        _, text = invoke("tables", "--emit")
+        path = tmp_path / "atlas.json"
+        path.write_text(text, encoding="utf-8")
+        assert invoke("walls", "--surface", "f1", "--format", "csv",
+                      "--atlas", str(path)) == invoke("walls", "--surface", "f1",
+                                                      "--format", "csv")
+
+    @pytest.mark.parametrize("argv", [
+        ("walls", "--surface", "f1", "--format", "csv"),
+        ("tables", "--check"),
+        ("hkl", "map"),
+    ])
+    def test_unparsable_center_curves_usage(self, tmp_path, capsys, argv):
+        path = _rewritten_atlas(tmp_path)
+        code, out = invoke(*argv, "--atlas", str(path))
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot load atlas: branch 0: center curve 'x^6' on f1")
+        assert err.count("\n") == 1, err
+
+    def test_bundled_center_curves_parse(self):
+        from kwall.atlas import bundled_atlas
+
+        branches = bundled_atlas().branches
+        assert len(branches) == 20
+        for branch in branches:
+            assert parse_curve(branch.curve, branch.surface).surface == branch.surface
+
+
 class TestTablesCommands:
     def test_emit_check_round_trip(self, tmp_path):
         code, text = invoke("tables", "--emit")
@@ -293,6 +344,20 @@ class TestTablesCommands:
         code, out = invoke("tables", "--check", "--atlas", str(path))
         assert code == 1
         assert json.loads(out)["diffs"]
+
+    def test_check_without_atlas_usage(self, capsys, monkeypatch):
+        """Without --atlas or KWALL_ATLAS there is nothing to compare the
+        bundled atlas with."""
+        monkeypatch.delenv("KWALL_ATLAS", raising=False)
+        assert_usage_error(capsys, "tables", "--check")
+
+    def test_check_reads_environment_atlas(self, tmp_path, monkeypatch):
+        _, text = invoke("tables", "--emit")
+        path = tmp_path / "atlas.json"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setenv("KWALL_ATLAS", str(path))
+        code, out = invoke("tables", "--check")
+        assert code == 0 and json.loads(out)["match"] is True
 
     @pytest.mark.parametrize("text", ["{}", "{not json", "[]",
                                       '{"branches": [{"wall": "1/x"}]}'])

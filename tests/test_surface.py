@@ -13,13 +13,13 @@ from kwall.surface import (
     _WEIGHTED_MODELS,
     _kernel_vector,
     _negative_definite,
-    _rref,
     builtin_surface,
     fmt_vec,
     solve_linear,
     vec,
     vscale,
 )
+from linalg_reference import fraction_solve, rref
 
 ALL_FIXED = ["f1", "blp114", "index3m", "blp114-quotient-res"]
 CHART_SAMPLES = [("f1-case1", 2, 1), ("f1-case1", 1, 3), ("f1-case2", 2, 1),
@@ -225,7 +225,7 @@ class TestZariski:
             for subset in itertools.combinations(range(len(gens)), size):
                 block = [[m.intersect(gens[i][1], gens[j][1]) for j in subset]
                          for i in subset]
-                coeffs = solve_linear(block, [m.intersect(d, gens[i][1]) for i in subset])
+                coeffs = fraction_solve(block, [m.intersect(d, gens[i][1]) for i in subset])
                 if coeffs is None or any(x < 0 for x in coeffs):
                     continue
                 p = d
@@ -314,6 +314,15 @@ def _det(rows):
     return det
 
 
+def _integer_scaled(rows):
+    """A positive integer multiple of a rational matrix."""
+    den = 1
+    for row in rows:
+        for x in row:
+            den = den * F(x).denominator // gcd(den, F(x).denominator)
+    return [[int(x * den) for x in row] for row in rows]
+
+
 def _sylvester_negative_definite(rows):
     """Every leading minor k is nonzero with sign (-1)^k."""
     for k in range(1, len(rows) + 1):
@@ -367,7 +376,7 @@ class TestLinearAlgebra:
                     for j in range(i, n):
                         m[i][j] = m[j][i] = F(rng.randint(-6, 3), rng.randint(1, 3))
                 expected = None
-            got = _negative_definite(m)
+            got = _negative_definite(_integer_scaled(m))
             assert got == _sylvester_negative_definite(m), m
             if expected is not None:
                 assert got == expected, m
@@ -375,18 +384,21 @@ class TestLinearAlgebra:
         assert seen[True] >= 240 and seen[False] >= 720
 
     def test_pivot_rule_leaves_input(self):
-        m = [[F(-2), F(1)], [F(1), F(-2)]]
+        m = [[-2, 1], [1, -2]]
         assert _negative_definite(m)
-        assert m == [[F(-2), F(1)], [F(1), F(-2)]]
+        assert m == [[-2, 1], [1, -2]]
         assert _negative_definite([])
-        assert not _negative_definite([[F(0), F(1)], [F(1), F(-1)]])
+        assert not _negative_definite([[0, 1], [1, -1]])
 
     def test_solve_linear(self):
         rows = [[F(0), F(2), F(1)], [F(1), F(1), F(0)], [F(3), F(0), F(1, 2)]]
-        x = solve_linear(rows, [F(1), F(2), F(3)])
+        # the same system over the integers: the last row doubled
+        det, x = solve_linear([[0, 2, 1], [1, 1, 0], [6, 0, 1]], [1, 2, 6])
+        assert det > 0
+        x = [F(u, det) for u in x]
         assert [sum(a * b for a, b in zip(row, x)) for row in rows] == [1, 2, 3]
-        assert solve_linear([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
-        assert solve_linear([], []) == []
+        assert solve_linear([[1, 2], [2, 4]], [1, 2]) is None
+        assert solve_linear([], []) == (1, [])
 
     def test_solve_linear_several_right_hand_sides(self):
         rng = random.Random(21)
@@ -396,38 +408,91 @@ class TestLinearAlgebra:
                         for _ in range(n)]
                 b0, b1 = ([F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
                           for _ in range(2))
-                single = solve_linear(rows, b0), solve_linear(rows, b1)
-                both = solve_linear(rows, b0, b1)
+                # the same systems over the integers: [rows | b0 b1] scaled
+                aug = _integer_scaled([row + [x, y] for row, x, y in zip(rows, b0, b1)])
+                block, c0, c1 = [r[:n] for r in aug], [r[n] for r in aug], [r[n + 1] for r in aug]
+                single = solve_linear(block, c0), solve_linear(block, c1)
+                both = solve_linear(block, c0, c1)
                 if single[0] is None:
                     assert single[1] is None and both is None
+                    assert fraction_solve(rows, b0) is None
                 else:
-                    assert both == single
-        singular = [[F(1), F(2)], [F(2), F(4)]]
-        assert solve_linear(singular, [F(1), F(2)], [F(0), F(1)]) is None
-        assert solve_linear([], [], []) == ([], [])
+                    assert both == (single[0][0], single[0][1], single[1][1])
+                    det, x0, x1 = both
+                    assert [F(u, det) for u in x0] == fraction_solve(rows, b0)
+                    assert [F(u, det) for u in x1] == fraction_solve(rows, b1)
+        singular = [[1, 2], [2, 4]]
+        assert solve_linear(singular, [1, 2], [0, 1]) is None
+        assert solve_linear([], [], []) == (1, [], [])
+
+    def test_solve_linear_matches_fraction_reference(self):
+        """Seeded systems, some singular and some needing row swaps: the
+        fraction-free solution over ``det`` is the rational solution, and
+        ``det`` is the absolute determinant."""
+        rng = random.Random(1968)
+        seen = {"singular": 0, "swap": 0, "regular": 0}
+        for case in range(600):
+            n = rng.randint(1, 5)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if case % 4 == 1 and n > 1:  # a repeated combination of two rows
+                i, j = rng.sample(range(n), 2)
+                k = rng.randrange(n)
+                rows[k] = [2 * x - 3 * y for x, y in zip(rows[i], rows[j])]
+                if k in (i, j):
+                    rows[k] = [0] * n
+            if case % 4 == 2:  # a zero leading entry forces a swap
+                rows[0][0] = 0
+            b = [rng.randint(-20, 20) for _ in range(n)]
+            got = solve_linear(rows, b)
+            want = fraction_solve(rows, b)
+            if want is None:
+                assert got is None, rows
+                seen["singular"] += 1
+                continue
+            det, x = got
+            assert det == abs(_det([[F(v) for v in row] for row in rows])) and det > 0
+            assert [F(u, det) for u in x] == want, rows
+            seen["swap" if rows[0][0] == 0 else "regular"] += 1
+        assert min(seen.values()) >= 50, seen
 
     def test_kernel_vector_first_free_column(self):
-        assert _kernel_vector([[F(1), F(2), F(3)]]) == (F(-2), F(1), F(0))
-        assert _kernel_vector([[F(0), F(1), F(0)], [F(0), F(0), F(2)]]) == (F(1), F(0), F(0))
-        assert _kernel_vector([[F(1), F(1)], [F(2), F(2)]]) == (F(-1), F(1))
-        assert _kernel_vector([[F(1), F(0)], [F(0), F(1)]]) is None
+        assert _kernel_vector([[1, 2, 3]]) == (F(-2), F(1), F(0))
+        assert _kernel_vector([[0, 1, 0], [0, 0, 2]]) == (F(1), F(0), F(0))
+        assert _kernel_vector([[1, 1], [2, 2]]) == (F(-1), F(1))
+        assert _kernel_vector([[1, 0], [0, 1]]) is None
         assert _kernel_vector([]) is None
+
+    def test_kernel_vector_matches_fraction_reference(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            m = [[F(x) for x in row] for row in rows]
+            pivots = rref(m, n)
+            free = [c for c in range(n) if c not in pivots]
+            want = None
+            if free:
+                want = [F(0)] * n
+                want[free[0]] = F(1)
+                for r, c in enumerate(pivots):
+                    want[c] = -m[r][free[0]]
+                want = tuple(want)
+            assert _kernel_vector(rows) == want, rows
 
     def test_cone_gram(self):
         for m in all_models():
-            gram = m.cone_gram()
-            assert gram == [[m.intersect(ci, cj) for _, cj in m.cone] for _, ci in m.cone]
+            _assert_pairing_table(m)
 
     def test_cone_gram_every_model(self):
-        """The integer-scaled Gram equals the pairwise intersect table on every
-        fixed model and every chart model with a + b <= 12."""
+        """The integer cone Gram and rows of the pairing table equal the
+        pairwise intersect table on every fixed model and every chart model
+        with a + b <= 12."""
         models = [builtin_surface(i) for i in ALL_FIXED]
         models += [builtin_surface(kind, a, b) for kind in _weighted_kinds()
                    for a, b in _coprime_weights(12)]
         for m in models:
-            gram = m.cone_gram()
-            assert gram == [[m.intersect(ci, cj) for _, cj in m.cone] for _, ci in m.cone], m.name
-            assert all(type(x) is F for row in gram for x in row)
+            table = _assert_pairing_table(m)
+            assert all(type(x) is int for row in table.gram + table.rows for x in row)
 
     def test_inconsistent_cone_data_raises(self):
         # A^2 = B^2 = 1, A.B = -2: the Zariski iteration on B ends on the
@@ -443,6 +508,25 @@ class TestLinearAlgebra:
 
 # ---------------------------------------------------------------------------
 # the check-first decomposition, kept as the oracle for the iterate-first one
+
+
+def _assert_pairing_table(m):
+    """Check every entry of the model's pairing table of its anticanonical
+    and exceptional-or-first classes against ``intersect``."""
+    extra = (m.anticanonical, m.cone[-1][1])
+    table = m.pairing_table(*extra)
+    gens = [c for _, c in m.cone]
+    assert [F(x, table.dens[j]) for j, g in enumerate(table.gens) for x in g] == \
+        [x for g in gens for x in g], m.name
+    for i, ci in enumerate(gens):
+        for j, cj in enumerate(gens):
+            assert F(table.gram[i][j], table.scale * table.dens[i] * table.dens[j]) \
+                == m.intersect(ci, cj), m.name
+    for v, nums, row in zip(extra, table.classes, table.rows):
+        assert [F(x, table.den) for x in nums] == list(v), m.name
+        for j, cj in enumerate(gens):
+            assert F(row[j], table.scale * table.den * table.dens[j]) == m.intersect(v, cj)
+    return table
 
 
 def _coprime_weights(limit):
@@ -462,7 +546,7 @@ def _caratheodory_coordinates(m, d):
     for size in range(1, min(m.rank(), len(gens)) + 1):
         for subset in itertools.combinations(range(len(gens)), size):
             aug = [[gens[i][1][row] for i in subset] + [d[row]] for row in range(len(d))]
-            if len(_rref(aug, size)) < size or any(r[size] != 0 for r in aug[size:]):
+            if len(rref(aug, size)) < size or any(r[size] != 0 for r in aug[size:]):
                 continue
             sol = [r[size] for r in aug[:size]]
             if all(x >= 0 for x in sol):
@@ -479,13 +563,13 @@ def _check_first_decompose(m, d):
                 f"{m.name}: class not pseudo-effective; nef class "
                 f"{sep[0]} = {fmt_vec(sep[1])} pairs negatively", sep)
         raise NotPseudoEffectiveError(f"{m.name}: class not pseudo-effective")
-    gram = m.cone_gram()
+    gram = [[m.intersect(ci, cj) for _, cj in m.cone] for _, ci in m.cone]
     dc = [m.intersect(d, c) for _, c in m.cone]
     support = {j for j, v in enumerate(dc) if v < 0}
     for _ in range(len(dc) + 2):
         idx = sorted(support)
         block = [[gram[i][j] for j in idx] for i in idx]
-        coeffs = solve_linear(block, [dc[i] for i in idx]) if idx else []
+        coeffs = fraction_solve(block, [dc[i] for i in idx]) if idx else []
         if coeffs is None:
             raise ArithmeticError(f"{m.name}: singular Gram block for support {idx}")
         violated = {j for j, row in enumerate(gram) if j not in support
@@ -494,7 +578,7 @@ def _check_first_decompose(m, d):
             if any(x < 0 for x in coeffs):
                 raise ArithmeticError(
                     f"{m.name}: negative Zariski coefficient; cone data inconsistent")
-            if not _negative_definite(block):
+            if not _sylvester_negative_definite(block):
                 raise ArithmeticError(f"{m.name}: support Gram block not negative definite")
             p = d
             for i, x in zip(idx, coeffs):
@@ -551,5 +635,5 @@ def test_cone_generators_span_the_lattice():
     assert len(models) == 4 + 5 * 277
     for m in models:
         n = m.rank()
-        assert len(_rref([list(c) for _, c in m.cone], n)) == n, m.name
-        assert len(_rref([list(row) for row in m.gram], n)) == n, m.name
+        assert len(rref([list(c) for _, c in m.cone], n)) == n, m.name
+        assert len(rref([list(row) for row in m.gram], n)) == n, m.name

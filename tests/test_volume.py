@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -7,8 +8,8 @@ import pytest
 
 from kwall import cli, volume
 from kwall.exactnum import QuadraticPoly, SurdSum
-from kwall.pairs import CHART_FAMILIES, ChartCase
-from kwall.surface import builtin_surface, vscale, vsub
+from kwall.pairs import CHART_FAMILIES, DIVISORS, ChartCase
+from kwall.surface import FIXED_MODELS, _WEIGHTED_MODELS, builtin_surface, vscale, vsub
 from kwall.volume import (
     fixed_divisor_profile,
     fixed_divisor_s,
@@ -190,9 +191,9 @@ class TestPairingTableOracle:
         recorded = []
         original = volume._segment
 
-        def spy(table, support, t_cur):
-            seg = original(table, support, t_cur)
-            recorded.append((list(support), seg))
+        def spy(sweep, support, t_cur):
+            seg = original(sweep, support, t_cur)
+            recorded.append((list(support), sweep.table, seg))
             return seg
 
         monkeypatch.setattr(volume, "_segment", spy)
@@ -210,12 +211,22 @@ class TestPairingTableOracle:
             gens = [c for _, c in model.cone]
             recorded = self._recorded_segments(monkeypatch, model, f)
             assert recorded, model.name
-            for support, seg in recorded:
-                assert sorted(seg.xs) == support
+            for support, table, seg in recorded:
+                assert list(seg.support) == support
+                assert sorted(seg.lines) == list(range(len(gens)))
                 supports_seen += bool(support)
+                # the integer lines as the old Fraction records: the
+                # coefficient x0_i + t*x1_i of C_i in N(t), and
+                # P(t).C_j = value - t*slope outside the support
+                xs = {i: (F(table.dens[i] * a, seg.det * table.den),
+                          -F(table.dens[i] * b, seg.det * table.den))
+                      for i, (a, b) in seg.lines.items() if i in support}
+                pairings = {j: (F(b, seg.det * table.scale * table.den * table.dens[j]),
+                                F(a, seg.det * table.scale * table.den * table.dens[j]))
+                            for j, (a, b) in seg.lines.items() if j not in support}
                 # P(t) = l0 - t*f - sum (x0_i + t*x1_i) C_i = p0 - t*p1
                 p0, p1 = l0, f_vec
-                for i, (x0, x1) in seg.xs.items():
+                for i, (x0, x1) in xs.items():
                     p0 = vsub(p0, vscale(x0, gens[i]))
                     p1 = vadd(p1, vscale(x1, gens[i]))
                 dot = model.intersect
@@ -223,10 +234,13 @@ class TestPairingTableOracle:
                                                  dot(p0, p0)), model.name
                 for i in support:
                     assert dot(p0, gens[i]) == 0 and dot(p1, gens[i]) == 0
-                assert sorted(seg.pairings) == [j for j in range(len(gens))
-                                                if j not in support]
-                for j, pair in seg.pairings.items():
+                assert sorted(pairings) == [j for j in range(len(gens))
+                                            if j not in support]
+                for j, pair in pairings.items():
                     assert pair == (dot(p1, gens[j]), dot(p0, gens[j])), (model.name, j)
+                # every event is a line reaching zero after the segment start
+                for k, (a, b) in seg.events.items():
+                    assert seg.lines[k] == (a, b) and b > 0 and F(a, b) > seg.t_cur
         assert supports_seen > 0
 
 
@@ -370,3 +384,61 @@ class TestProfileJson:
         assert data["s_at_c"] == "7/6"
         assert data["segments"][0] == {"from": "0", "to": "2",
                                        "poly": ["-1", "-2", "8"]}
+
+
+# SHA-256 over the JSON of every builtin profile, recorded before the sweep
+# moved to integer arithmetic
+BUILTIN_PROFILES_SHA256 = "e59c999dc2c0638b4dc79388cc9367d5af858e8651c11d447b7d592e87993d86"
+
+
+def test_builtin_profile_digest():
+    """Every builtin profile, byte for byte: the 5 chart kinds at every
+    coprime a + b <= 30, the default profiles of the fixed models, and every
+    toric-divisor profile on f1 and blp114."""
+    profiles = [volume_profile(builtin_surface(kind, a, s - a))
+                for kind in sorted(_WEIGHTED_MODELS)
+                for s in range(2, 31) for a in range(1, s) if gcd(a, s - a) == 1]
+    profiles += [volume_profile(builtin_surface(ident)) for ident in FIXED_MODELS
+                 if builtin_surface(ident).exceptional is not None]
+    for surface in ("f1", "blp114"):
+        model = builtin_surface(surface)
+        profiles += [volume_profile(model, f=model.cone_class(d)) for d in DIVISORS]
+    assert len(profiles) == 1395
+    digest = hashlib.sha256()
+    for prof in profiles:
+        digest.update(json.dumps(prof.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == BUILTIN_PROFILES_SHA256
+
+
+def test_zariski_fallback_rebuilds_the_same_profile(monkeypatch):
+    """With every segment check failing, each support after an event comes
+    from an honest Zariski decomposition at the sample point, and the
+    profiles are unchanged."""
+    cases = [(builtin_surface(kind, a, b), None) for kind in sorted(_WEIGHTED_MODELS)
+             for a, b in [(1, 1), (2, 1), (1, 2), (3, 5), (7, 2), (1, 9), (11, 4)]]
+    for surface in ("f1", "blp114"):
+        model = builtin_surface(surface)
+        cases += [(model, model.cone_class(d)) for d in DIVISORS]
+    want = [volume_profile(m, f=f).to_json() for m, f in cases]
+    samples = []
+
+    def failing(seg, sample):
+        samples.append(F(*sample))
+        assert seg.t_cur < samples[-1]
+        return False
+
+    monkeypatch.setattr(volume, "_segment_valid", failing)
+    assert [volume_profile(m, f=f).to_json() for m, f in cases] == want
+    assert len(samples) > len(cases)
+
+
+@pytest.mark.parametrize("divisor,tau,raw", [
+    ("F1", "2/5*sqrt(10)", "32/15*sqrt(10)"),
+    ("E1", "-2/3+2/3*sqrt(19)", "-448/81+304/81*sqrt(19)"),
+    ("E2", "-2/3+2/3*sqrt(19)", "-448/81+304/81*sqrt(19)"),
+])
+def test_surd_breakpoint_profiles(divisor, tau, raw):
+    """No builtin chart or toric profile ends at a surd, but these index3m
+    profiles do, so they take the surd route of the integration."""
+    data = volume_profile(builtin_surface("index3m"), f=divisor).to_json()
+    assert (data["tau"], data["raw_integral"]) == (tau, raw)
