@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .atlas import AtlasFormatError, bundled_atlas, diff_atlas, load_atlas
-from .exactnum import render_fraction, render_surd
+from .exactnum import SurdSum, render_fraction, render_surd
 from .hkl import audit_dim_formula, cone_report, map_walls
 from .pairs import (
     CHART_FAMILIES,
@@ -193,7 +193,7 @@ def _chart_from_args(args) -> ChartCase:
 
 def _cmd_sfun(args, out) -> int:
     chart = _chart_from_args(args)
-    engine = s_engine_coefficient(chart) * (1 - 2 * args.c)
+    engine = SurdSum._coerce(s_engine_coefficient(chart) * (1 - 2 * args.c))
     formula = s_closed_form_coefficient(chart) * (1 - 2 * args.c)
     payload = {
         "chart": {"surface": chart.surface, "tag": chart.tag,

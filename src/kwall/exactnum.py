@@ -1,5 +1,7 @@
 """Exact arithmetic kernel: rationals, sums of quadratic surds, quadratic
 polynomials and piecewise-quadratic functions with exact integration.
+Piecewise functions have rational breakpoints and integrate to a ``Fraction``;
+a surd appears only as a root of a quadratic or in a closed form.
 
 Every value is exact.  A :class:`SurdSum` is a finite sum ``sum(q_i * sqrt(d_i))``
 with rational ``q_i`` and pairwise distinct squarefree natural ``d_i`` (the
@@ -405,19 +407,12 @@ class QuadraticPoly:
         """``(numerator, denominator)`` of ``c2``, ``c1`` and ``c0``."""
         return tuple((c.numerator, c.denominator) for c in (self.c2, self.c1, self.c0))
 
-    def __call__(self, t: Number) -> Number:
-        if isinstance(t, (int, Fraction)):
-            # over the integers, with t = n/d: one normalization
-            (p2, q2), (p1, q1), (p0, q0) = self._parts()
-            n, d = t.numerator, t.denominator
-            return Fraction(p2 * q1 * q0 * n * n + p1 * q2 * q0 * n * d + p0 * q2 * q1 * d * d,
-                            q2 * q1 * q0 * d * d)
-        return t * t * self.c2 + t * self.c1 + self.c0
-
-    def antiderivative(self, t: Number) -> Number:
-        if isinstance(t, (int, Fraction)):
-            return ((self.c2 * t / 3 + self.c1 / 2) * t + self.c0) * t
-        return t**3 * Fraction(self.c2, 3) + t**2 * Fraction(self.c1, 2) + t * self.c0
+    def __call__(self, t: RationalLike) -> Fraction:
+        # over the integers, with t = n/d: one normalization
+        (p2, q2), (p1, q1), (p0, q0) = self._parts()
+        n, d = t.numerator, t.denominator
+        return Fraction(p2 * q1 * q0 * n * n + p1 * q2 * q0 * n * d + p0 * q2 * q1 * d * d,
+                        q2 * q1 * q0 * d * d)
 
     def integral(self, lo: Fraction, hi: Fraction) -> Fraction:
         """The integral over ``[lo, hi]`` as one Fraction: with
@@ -461,28 +456,15 @@ class QuadraticPoly:
         return (self.c2, self.c1, self.c0)
 
 
-def rational_or_surd(x: Number) -> Union[Fraction, "SurdSum"]:
-    """``x`` as a ``Fraction`` when it is rational, else as a ``SurdSum``.
-
-    Rational values then take the plain ``Fraction`` paths of comparisons and
-    of :class:`QuadraticPoly`.
-    """
-    if isinstance(x, SurdSum):
-        return x.as_fraction() if x.is_rational() else x
-    return Fraction(x)
-
-
 class PiecewiseQuadratic:
     """Quadratic segments over consecutive intervals ``[b_k, b_{k+1}]``.
 
-    Breakpoints are exact (rational or quadratic surd), strictly increasing,
-    and start at 0; the final breakpoint is the profile end ``tau``.
-    ``breakpoints`` holds them as ``SurdSum``; evaluation works on rational
-    breakpoints as ``Fraction``.
+    Breakpoints are rational, strictly increasing, and start at 0; the final
+    breakpoint is the profile end ``tau``.
     """
 
-    def __init__(self, breakpoints: Sequence[Number], segments: Sequence[QuadraticPoly]):
-        points = [rational_or_surd(b) for b in breakpoints]
+    def __init__(self, breakpoints: Sequence[RationalLike], segments: Sequence[QuadraticPoly]):
+        points = [Fraction(b) for b in breakpoints]
         if len(points) != len(segments) + 1:
             raise ExactDomainError("need one more breakpoint than segments")
         if points and points[0] != 0:
@@ -490,50 +472,35 @@ class PiecewiseQuadratic:
         for a, b in zip(points, points[1:]):
             if not a < b:
                 raise ExactDomainError("breakpoints must increase strictly")
-        self._points = points
-        self.breakpoints = [SurdSum._coerce(b) for b in points]
+        self.breakpoints = points
         self.segments = list(segments)
 
     @property
-    def tau(self) -> SurdSum:
+    def tau(self) -> Fraction:
         return self.breakpoints[-1]
 
-    def check_continuity(self, starts: Optional[Sequence[Number]] = None) -> None:
+    def check_continuity(self, starts: Optional[Sequence[Fraction]] = None) -> None:
         """Raise unless adjacent segments agree at their common breakpoint.
 
         ``starts[k]``, when given, is segment k's value at its start, which
         the caller has already computed; otherwise it is evaluated here.
         """
         for k in range(len(self.segments) - 1):
-            b = self._points[k + 1]
+            b = self.breakpoints[k + 1]
             left = self.segments[k](b)
             right = starts[k + 1] if starts is not None else self.segments[k + 1](b)
             if left != right:
                 raise ExactDomainError(f"discontinuous at {b}: {left} != {right}")
 
-    def integrate(self, lo: Number, hi: Number) -> SurdSum:
-        lo = rational_or_surd(lo)
-        hi = rational_or_surd(hi)
+    def integrate(self, lo: RationalLike, hi: RationalLike) -> Fraction:
+        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ExactDomainError("reversed integration bounds")
-        if lo < 0 or hi > self._points[-1]:
+        if lo < 0 or hi > self.tau:
             raise ExactDomainError("integration bounds outside [0, tau]")
-        # a segment with rational ends is one Fraction; the normalized terms
-        # of irrational antiderivative values are summed by radicand
-        total: dict[int, Fraction] = {1: Fraction(0)}
-        for k, seg in enumerate(self.segments):
-            a = self._points[k]
-            b = self._points[k + 1]
-            left = a if a > lo else lo
-            right = b if b < hi else hi
-            if not left < right:
-                continue
-            if type(left) is Fraction and type(right) is Fraction:
-                total[1] += seg.integral(left, right)
-                continue
-            for x, sign in ((right, 1), (left, -1)):
-                value = seg.antiderivative(x)
-                terms = ((1, value),) if isinstance(value, Fraction) else value.terms
-                for d, q in terms:
-                    total[d] = total[d] + sign * q if d in total else sign * q
-        return SurdSum._normalized(tuple((d, q) for d, q in sorted(total.items()) if q))
+        total = Fraction(0)
+        for a, b, seg in zip(self.breakpoints, self.breakpoints[1:], self.segments):
+            left, right = max(a, lo), min(b, hi)
+            if left < right:
+                total += seg.integral(left, right)
+        return total

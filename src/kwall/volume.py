@@ -1,6 +1,12 @@
 """Radial volume profiles t -> vol(L0 - t*F), pseudo-effective thresholds,
 and the S-function of invariant divisorial valuations.
 
+A profile is rational: its breakpoints, its end ``tau`` and its integral are
+``Fraction``s.  The Zariski chambers of a surface with a rational polyhedral
+effective cone are rational polyhedral (Bauer-Kuronya-Szemberg), so every
+breakpoint is rational, and the sweep raises ``ArithmeticError`` when the
+volume reaches zero at an irrational point before the next support event.
+
 Two independent routes to every chart S-coefficient (S with the (1 - 2c)
 factor stripped) are kept side by side:
 
@@ -23,7 +29,7 @@ from .exactnum import (
     PiecewiseQuadratic,
     QuadraticPoly,
     SurdSum,
-    render_surd,
+    render_fraction,
 )
 from .pairs import DIVISORS, ChartCase
 from .surface import (
@@ -38,8 +44,6 @@ from .surface import (
     vsub,
 )
 
-Number = Union[int, Fraction, SurdSum]
-
 
 # ---------------------------------------------------------------------------
 # volume profiles
@@ -52,18 +56,18 @@ class SProfile:
     model_name: str
     f_name: str
     profile: PiecewiseQuadratic
-    raw_integral: SurdSum
+    raw_integral: Fraction
 
     @property
-    def tau(self) -> SurdSum:
+    def tau(self) -> Fraction:
         return self.profile.tau
 
     @property
-    def s0(self) -> SurdSum:
+    def s0(self) -> Fraction:
         """S with the (1 - 2c) factor stripped: the integral over the degree."""
         return self.raw_integral / DEGREE
 
-    def s_at(self, c: Fraction) -> SurdSum:
+    def s_at(self, c: Fraction) -> Fraction:
         return self.s0 * (1 - 2 * Fraction(c))
 
     def to_json(self, c: Optional[Fraction] = None) -> dict:
@@ -72,17 +76,17 @@ class SProfile:
             "valuation": self.f_name,
             "segments": [
                 {
-                    "from": render_surd(self.profile.breakpoints[k]),
-                    "to": render_surd(self.profile.breakpoints[k + 1]),
+                    "from": render_fraction(self.profile.breakpoints[k]),
+                    "to": render_fraction(self.profile.breakpoints[k + 1]),
                     "poly": [str(x) for x in seg.coeffs()],
                 }
                 for k, seg in enumerate(self.profile.segments)
             ],
-            "tau": render_surd(self.profile.tau),
-            "raw_integral": render_surd(self.raw_integral),
+            "tau": render_fraction(self.profile.tau),
+            "raw_integral": render_fraction(self.raw_integral),
         }
         if c is not None:
-            out["s_at_c"] = render_surd(self.s_at(c))
+            out["s_at_c"] = render_fraction(self.s_at(c))
         return out
 
 
@@ -114,12 +118,22 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         raise ExactDomainError(f"{model.name}: profile origin class is not big")
 
     t_cur = Fraction(0)
-    breakpoints: list[Number] = [t_cur]
+    support: list[int] = []
+    breakpoints = [t_cur]
     segments: list[QuadraticPoly] = []
     starts: list[Fraction] = []
-    seg = _segment(sweep, [], t_cur)
 
     for _ in range(8 * len(model.cone) + 8):
+        # validate the segment from t_cur at an interior rational point; on
+        # failure recompute the support from an honest decomposition
+        seg = _segment(sweep, support, t_cur)
+        sample = _sample(seg)
+        if not _segment_valid(seg, sample):
+            z = model.zariski_decompose(
+                vsub(l0, vscale(Fraction(*sample), f_vec)))
+            support = sorted(i for i, (n, _) in enumerate(model.cone)
+                             if n in z.support_names)
+            seg = _segment(sweep, support, t_cur)
         quad = seg.quad
         start = quad(t_cur)
         if start < 0:
@@ -131,6 +145,9 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         if vol_root is None and next_support is None:
             raise ArithmeticError(f"{model.name}: volume never reaches zero")
         if vol_root is not None and (next_support is None or vol_root <= next_support):
+            # Zariski chambers are rational polyhedral, so tau is rational
+            if not isinstance(vol_root, Fraction):
+                raise ArithmeticError(f"{model.name}: irrational volume root {vol_root}")
             breakpoints.append(vol_root)
             segments.append(quad)
             profile = PiecewiseQuadratic(breakpoints, segments)
@@ -146,17 +163,6 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         hits = {k for k, (a, b) in seg.events.items() if a * first[1] == first[0] * b}
         support = sorted(set(seg.support) ^ hits)
         t_cur = next_support
-
-        # validate the upcoming segment at an interior rational point;
-        # on failure recompute the support from an honest decomposition
-        seg = _segment(sweep, support, t_cur)
-        sample = _sample(seg)
-        if not _segment_valid(seg, sample):
-            z = model.zariski_decompose(
-                vsub(l0, vscale(Fraction(*sample), f_vec)))
-            support = sorted(i for i, (n, _) in enumerate(model.cone)
-                             if n in z.support_names)
-            seg = _segment(sweep, support, t_cur)
     raise ArithmeticError(f"{model.name}: profile sweep did not terminate")
 
 
@@ -184,7 +190,9 @@ class _Segment:
     up to a positive factor, and
     ``events[k] = (a, b)`` with ``b > 0`` is the parameter ``a / b`` after
     ``t_cur`` where it reaches zero.  ``vol_root`` is the first root of
-    ``P(t)^2`` after ``t_cur``.
+    ``P(t)^2`` after ``t_cur``.  It may be a surd when an event comes
+    first or the support is not yet validated; a root the profile ends at
+    is rational.
     """
 
     t_cur: Fraction
@@ -269,10 +277,10 @@ def _segment_valid(seg: _Segment, sample: tuple[int, int]) -> bool:
 # S-functions of chart valuations
 
 
-_raw_cache: dict[tuple[str, int, int], SurdSum] = {}
+_raw_cache: dict[tuple[str, int, int], Fraction] = {}
 
 
-def s_engine_raw(chart: ChartCase) -> SurdSum:
+def s_engine_raw(chart: ChartCase) -> Fraction:
     """Integral of the volume profile of the chart valuation (c-independent)."""
     key = (chart.family.model_kind, chart.a, chart.b)
     if key not in _raw_cache:
@@ -280,7 +288,7 @@ def s_engine_raw(chart: ChartCase) -> SurdSum:
     return _raw_cache[key]
 
 
-def s_engine_coefficient(chart: ChartCase) -> SurdSum:
+def s_engine_coefficient(chart: ChartCase) -> Fraction:
     """S by volume integration, with the (1-2c) factor stripped."""
     return s_engine_raw(chart) / DEGREE
 
@@ -334,7 +342,7 @@ def fixed_divisor_s(surface: str) -> dict[str, Fraction]:
     """
     if surface not in _fixed_cache:
         profiles = {d: fixed_divisor_profile(surface, d) for d in DIVISORS}
-        _fixed_cache[surface] = {d: prof.s0.as_fraction() for d, prof in profiles.items()}
+        _fixed_cache[surface] = {d: prof.s0 for d, prof in profiles.items()}
     return dict(_fixed_cache[surface])
 
 

@@ -147,6 +147,19 @@ def test_profile_without_default_divisor_usage(capsys, surface):
     assert_usage_error(capsys, "profile", "--surface", surface)
 
 
+@pytest.mark.parametrize("argv,tau,raw", [
+    (["--surface", "index3m", "--divisor", "F1"], "4/3", "64/9"),
+    (["--surface", "index3m", "--divisor", "F2"], "20/3", "176/9"),
+    (["--surface", "f1-case2", "--a", "1", "--b", "1", "--divisor", "Ebar"], "2", "28/3"),
+    (["--surface", "blp114-quotient-res", "--divisor", "H_y"], "6", "53/3"),
+], ids=["index3m-F1", "index3m-F2", "f1-case2-Ebar", "blp114-quotient-res-H_y"])
+def test_profile_divisor_ends_rational(argv, tau, raw):
+    """Profiles whose first segment needs a support generator at t = 0+."""
+    code, text = invoke("profile", *argv)
+    data = json.loads(text)
+    assert code == 0 and (data["tau"], data["raw_integral"]) == (tau, raw)
+
+
 IGNORED_FLAGS = {
     "sfun-approx-negative": ["sfun", "--chart", "case2-yv", "--a", "2", "--b", "1",
                              "--approx", "-2"],

@@ -174,9 +174,8 @@ class TestRendering:
 class TestQuadraticAndPiecewise:
     def test_eval_types(self):
         q = QuadraticPoly(F(-4), F(0), F(8))
-        assert q(F(1, 2)) == F(7)
-        v = q(sqrt(2))
-        assert isinstance(v, SurdSum) and v.is_zero()
+        assert q(F(1, 2)) == F(7) and type(q(F(1, 2))) is F
+        assert q(2) == F(-8) and type(q(2)) is F
 
     def test_quadratic_root_constructor(self):
         assert QuadraticPoly(F(1), F(0), F(-2)).real_roots()[1] == sqrt(2)
@@ -191,8 +190,6 @@ class TestQuadraticAndPiecewise:
     def test_paper_integrals(self):
         seg = PiecewiseQuadratic([0, 2], [QuadraticPoly(F(-1), F(-2), F(8))])
         assert seg.integrate(0, 2) == rat(F(28, 3))
-        surd_seg = PiecewiseQuadratic([0, sqrt(2)], [QuadraticPoly(F(-4), F(0), F(8))])
-        assert surd_seg.integrate(0, surd_seg.tau) == sqrt(2) * F(16, 3)
         cubic = PiecewiseQuadratic([0, F(4, 3)], [QuadraticPoly(F(-9, 2), F(0), F(8))])
         assert cubic.integrate(0, F(4, 3)) == rat(F(64, 9))
 
@@ -230,65 +227,65 @@ class TestQuadraticAndPiecewise:
             PiecewiseQuadratic([0, 0], [QuadraticPoly(F(0), F(0), F(1))])
 
 
+def _power_antiderivative(q, t):
+    return q.c2 * t**3 / 3 + q.c1 * t**2 / 2 + q.c0 * t
+
+
 def _naive_integral(f, lo, hi):
-    """Integral with every bound and breakpoint taken as a SurdSum."""
-    lo, hi = SurdSum._coerce(lo), SurdSum._coerce(hi)
-    total = SurdSum()
-    for k, seg in enumerate(f.segments):
-        left = max(SurdSum._coerce(f.breakpoints[k]), lo)
-        right = min(SurdSum._coerce(f.breakpoints[k + 1]), hi)
+    """Integral by the power-form antiderivative, segment by segment."""
+    total = F(0)
+    for a, b, seg in zip(f.breakpoints, f.breakpoints[1:], f.segments):
+        left, right = max(a, F(lo)), min(b, F(hi))
         if left < right:
-            total = total + seg.antiderivative(right) - seg.antiderivative(left)
+            total += _power_antiderivative(seg, right) - _power_antiderivative(seg, left)
     return total
 
 
 def _mixed_profile():
-    # breakpoints 0, 1, sqrt(2), 3/2, 1+sqrt(3), 3; each segment differs from
-    # the previous one by a multiple of the breakpoint's minimal polynomial
+    # breakpoints 0, 1, 5/4, 3/2, 5/2, 3; each segment differs from the
+    # previous one by a multiple of a product of (t - breakpoint)
     q0 = QuadraticPoly(F(0), F(-1), F(8))
-    q1 = QuadraticPoly(q0.c2 - F(1, 2), q0.c1 + 1, q0.c0 - F(1, 2))       # -(t-1)^2/2
-    q2 = QuadraticPoly(q1.c2 - 1, q1.c1, q1.c0 + 2)                       # -(t^2-2)
-    q3 = QuadraticPoly(q2.c2, q2.c1 + 3, q2.c0 - F(9, 2))                 # 3(t-3/2)
-    q4 = QuadraticPoly(q3.c2 + F(1, 3), q3.c1 - F(2, 3), q3.c0 - F(2, 3))  # (t^2-2t-2)/3
-    bps = [0, 1, sqrt(2), F(3, 2), sqrt(3) + 1, 3]
+    q1 = QuadraticPoly(q0.c2 - F(1, 2), q0.c1 + 1, q0.c0 - F(1, 2))          # -(t-1)^2/2
+    q2 = QuadraticPoly(q1.c2 - 1, q1.c1 + F(13, 4), q1.c0 - F(5, 2))          # -(t-5/4)(t-2)
+    q3 = QuadraticPoly(q2.c2, q2.c1 + 3, q2.c0 - F(9, 2))                     # 3(t-3/2)
+    q4 = QuadraticPoly(q3.c2 + F(1, 3), q3.c1 - F(5, 3), q3.c0 + F(25, 12))  # (t-5/2)^2/3
+    bps = [0, 1, F(5, 4), F(3, 2), F(5, 2), 3]
     return PiecewiseQuadratic(bps, [q0, q1, q2, q3, q4])
 
 
 class TestMixedBreakpoints:
-    def test_public_types_stay_surd(self):
+    def test_public_types_are_fractions(self):
         f = _mixed_profile()
-        assert all(isinstance(b, SurdSum) for b in f.breakpoints)
-        assert isinstance(f.tau, SurdSum) and f.tau == rat(3)
-        assert isinstance(f.integrate(0, 1), SurdSum)
-        assert isinstance(f.integrate(0, F(1, 2)), SurdSum)
+        assert all(type(b) is F for b in f.breakpoints)
+        assert type(f.tau) is F and f.tau == 3
+        assert type(f.integrate(0, 1)) is F
+        assert type(f.integrate(0, F(1, 2))) is F
 
     def test_continuity_matches_naive(self):
         f = _mixed_profile()
         f.check_continuity()
         for k in range(len(f.segments) - 1):
             b = f.breakpoints[k + 1]
-            assert SurdSum._coerce(f.segments[k](b)) == SurdSum._coerce(f.segments[k + 1](b))
+            q, r = f.segments[k], f.segments[k + 1]
+            assert q.c2 * b * b + q.c1 * b + q.c0 == r.c2 * b * b + r.c1 * b + r.c0
 
     @pytest.mark.parametrize("lo,hi", [
         (0, 3), (0, 1), (F(1, 3), F(5, 2)), (1, F(3, 2)), (F(3, 2), 3),
-        (sqrt(2), sqrt(3) + 1), (sqrt(2) / 2, sqrt(3)), (sqrt(3), sqrt(3) + 1),
-        (F(1, 2), sqrt(3)), (sqrt(2), F(3, 2)), (F(3, 2), sqrt(3) + 1),
-        (sqrt(2), sqrt(2)), (F(7, 5), F(7, 5)),
+        (F(5, 4), F(5, 2)), (F(5, 8), F(7, 4)), (F(7, 4), F(5, 2)),
+        (F(1, 2), F(7, 4)), (F(5, 4), F(3, 2)), (F(3, 2), F(5, 2)),
+        (F(5, 4), F(5, 4)), (F(7, 5), F(7, 5)),
     ])
     def test_integrate_matches_naive(self, lo, hi):
         f = _mixed_profile()
         assert f.integrate(lo, hi) == _naive_integral(f, lo, hi)
 
-    def test_integrate_rational_bounds_given_as_surd(self):
-        f = _mixed_profile()
-        assert f.integrate(rat(F(1, 3)), rat(F(5, 2))) == f.integrate(F(1, 3), F(5, 2))
-
     def test_additivity_across_kinds(self):
+        # cut points on and between breakpoints
         f = _mixed_profile()
-        cuts = [0, F(1, 2), sqrt(2), F(3, 2), sqrt(3), 3]
-        total = SurdSum()
+        cuts = [0, F(1, 2), F(5, 4), F(3, 2), F(7, 4), 3]
+        total = F(0)
         for lo, hi in zip(cuts, cuts[1:]):
-            total = total + f.integrate(lo, hi)
+            total += f.integrate(lo, hi)
         assert total == f.integrate(0, 3)
 
     def test_discontinuity_at_rational_breakpoint(self):
@@ -298,21 +295,18 @@ class TestMixedBreakpoints:
         with pytest.raises(ExactDomainError, match="discontinuous at 3/2"):
             bad.check_continuity()
 
-    def test_discontinuity_at_surd_breakpoint(self):
-        f = _mixed_profile()
-        jump = f.segments[:2] + [QuadraticPoly(F(-1, 2), F(0), F(7))] + f.segments[3:]
-        bad = PiecewiseQuadratic(f.breakpoints, jump)
-        with pytest.raises(ExactDomainError, match="sqrt"):
-            bad.check_continuity()
+    def test_surd_breakpoint_rejected(self):
+        with pytest.raises(TypeError):
+            PiecewiseQuadratic([0, sqrt(2)], [QuadraticPoly(F(-4), F(0), F(8))])
 
     def test_bounds_checked_in_mixed_kinds(self):
         f = _mixed_profile()
         with pytest.raises(ExactDomainError):
-            f.integrate(0, sqrt(10))
+            f.integrate(0, F(10, 3))
         with pytest.raises(ExactDomainError):
-            f.integrate(sqrt(3), sqrt(2))
+            f.integrate(F(7, 4), F(5, 4))
         with pytest.raises(ExactDomainError):
-            PiecewiseQuadratic([0, sqrt(2), F(7, 5)], f.segments[:2])
+            PiecewiseQuadratic([0, F(5, 4), F(6, 5)], f.segments[:2])
 
     def test_real_roots_order_with_negative_leading(self):
         q = QuadraticPoly(F(-1), F(0), F(2))
@@ -371,14 +365,15 @@ class TestNormalizedFastPaths:
                 assert all(type(c) is F and c for _, c in z.terms)
 
     def test_integral_terms(self):
+        # an integral is one Fraction, whatever the bounds
         rng = random.Random(12)
         f = _mixed_profile()
-        z = f.integrate(0, f.tau)
-        assert z.terms == SurdSum(z.terms).terms
         for _ in range(50):
-            lo = F(rng.randint(0, 9), 10)
-            z = f.integrate(lo, sqrt(2))
-            assert z.terms == SurdSum(z.terms).terms and z == _naive_integral(f, lo, sqrt(2))
+            lo, hi = sorted(F(rng.randint(0, 30), rng.randint(1, 10)) for _ in range(2))
+            hi = min(hi, f.tau)
+            lo = min(lo, hi)
+            z = f.integrate(lo, hi)
+            assert type(z) is F and z == _naive_integral(f, lo, hi)
 
     def test_irrational_roots_the_general_way(self):
         rng = random.Random(13)
@@ -396,17 +391,18 @@ class TestNormalizedFastPaths:
             assert roots == ([minus, plus] if c2 > 0 else [plus, minus])
             for r in roots:
                 assert r.terms == SurdSum(r.terms).terms
-                assert q(r).is_zero()
+                assert (r * r * q.c2 + r * q.c1 + q.c0).is_zero()
         assert seen > 100
 
 
 class TestHorner:
     def test_call_and_antiderivative_match_power_form(self):
+        # the antiderivative from 0 is the integral over [0, t]
         rng = random.Random(14)
         for _ in range(400):
             q = QuadraticPoly(_random_fraction(rng), _random_fraction(rng), _random_fraction(rng))
             t = _random_fraction(rng) if rng.random() < 0.8 else rng.randint(-9, 9)
-            value, integral = q(t), q.antiderivative(t)
+            value, integral = q(t), q.integral(F(0), F(t))
             assert type(value) is F and type(integral) is F
             assert value == q.c2 * t**2 + q.c1 * t + q.c0
-            assert integral == q.c2 * F(t)**3 / 3 + q.c1 * F(t)**2 / 2 + q.c0 * t
+            assert integral == _power_antiderivative(q, F(t))

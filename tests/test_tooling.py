@@ -1,8 +1,8 @@
 """The benchmark's contract with kwall: the tracer's callables still exist,
 every span the benchmark predicts still has calls, and every output the
 benchmark checks still has its committed digest.  Also: every module-level
-definition in ``src/kwall`` has a caller in the package, and no layer
-restates a per-plane fact that ``pairs.PLANES`` records."""
+definition and method in ``src/kwall`` has a caller in the package, and no
+layer restates a per-plane fact that ``pairs.PLANES`` records."""
 
 import ast
 import importlib
@@ -25,26 +25,33 @@ def _load_tracer():
 
 
 def _unreferenced_definitions(package_dir):
-    """Module-level functions and classes of the package that no code in it
-    names.  A re-export from ``__init__.py`` is not a caller.
+    """Module-level functions and classes of the package, and the non-dunder
+    methods of its classes, that no code in it names.  A re-export from
+    ``__init__.py`` is not a caller.
 
     The guard matches names, not bindings: a definition escapes it when any
     name or attribute elsewhere spells the same, such as a local variable (a
     function ``beta`` would pass because ``Constraint.report`` binds one)."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined, named = [], set()
     for entry in sorted(os.listdir(package_dir)):
         if not entry.endswith(".py"):
             continue
         with open(os.path.join(package_dir, entry), encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
-        defined += [(entry, node.name) for node in tree.body if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (*functions, ast.ClassDef)):
+                defined.append((entry, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [(entry, f"{node.name}.{item.name}", item.name)
+                            for item in node.body if isinstance(item, functions)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-    return [f"{module}:{name}" for module, name in defined if name not in named]
+    return [f"{module}:{label}" for module, label, name in defined if name not in named]
 
 
 def test_every_definition_has_a_caller():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,7 +10,14 @@ import pytest
 from kwall import cli, volume
 from kwall.exactnum import QuadraticPoly, SurdSum
 from kwall.pairs import CHART_FAMILIES, DIVISORS, ChartCase
-from kwall.surface import FIXED_MODELS, _WEIGHTED_MODELS, builtin_surface, vscale, vsub
+from kwall.surface import (
+    FIXED_MODELS,
+    _WEIGHTED_MODELS,
+    NotPseudoEffectiveError,
+    builtin_surface,
+    vscale,
+    vsub,
+)
 from kwall.volume import (
     fixed_divisor_profile,
     fixed_divisor_s,
@@ -24,12 +32,13 @@ def vadd(u, v):
 
 
 def value_at(profile, t):
-    """The profile's value at t in [0, tau], from the first segment ending at or after t."""
-    t = SurdSum._coerce(t)
+    """The profile's value at a rational t in [0, tau], from the first
+    segment ending at or after t."""
+    t = F(t)
     assert 0 <= t <= profile.tau
     for k, seg in enumerate(profile.segments):
         if t <= profile.breakpoints[k + 1]:
-            return SurdSum._coerce(seg(t))
+            return seg(t)
 
 
 COPRIME_12 = [(a, b) for a in range(1, 13) for b in range(1, 13) if gcd(a, b) == 1]
@@ -84,8 +93,8 @@ class TestFixedDivisorProfiles:
         assert prof.raw_integral == SurdSum.rational(raw)
         assert prof.tau == SurdSum.rational(tau)
         prof.profile.check_continuity()
-        assert value_at(prof.profile, 0) == SurdSum.rational(8)
-        assert value_at(prof.profile, prof.tau).is_zero()
+        assert value_at(prof.profile, 0) == 8
+        assert value_at(prof.profile, prof.tau) == 0
 
     def test_fixed_s_table(self):
         f1 = fixed_divisor_s("f1")
@@ -153,16 +162,15 @@ class TestEngineAgainstReference:
                       ChartCase("blp114", "case3p", 3, 8)]:
             prof = volume_profile(
                 builtin_surface(chart.family.model_kind, chart.a, chart.b))
-            prev = SurdSum.rational(8)
+            prev = F(8)
             assert value_at(prof.profile, 0) == prev
             bps = prof.profile.breakpoints
             for k, seg in enumerate(prof.profile.segments):
                 mid = (bps[k] + bps[k + 1]) / 2
-                val = SurdSum._coerce(seg(mid))
-                end = SurdSum._coerce(seg(bps[k + 1]))
+                val, end = seg(mid), seg(bps[k + 1])
                 assert val < prev and end < val
                 prev = end
-            assert value_at(prof.profile, prof.tau).is_zero()
+            assert value_at(prof.profile, prof.tau) == 0
 
 
 ORACLE_WEIGHTS = [(1, 1), (2, 3), (5, 2), (3, 7)]
@@ -308,7 +316,7 @@ class TestClosedFormComparison:
         for chart in [ChartCase("f1", "case2-zu", 3, 2),
                       ChartCase("blp114", "case3p", 2, 7)]:
             model = builtin_surface(chart.family.model_kind, chart.a, chart.b)
-            assert volume_profile(model).s_at(F(1, 2)).is_zero()
+            assert volume_profile(model).s_at(F(1, 2)) == 0
             assert (s_closed_form_coefficient(chart) * (1 - 2 * F(1, 2))).is_zero()
 
 
@@ -433,12 +441,62 @@ def test_zariski_fallback_rebuilds_the_same_profile(monkeypatch):
 
 
 @pytest.mark.parametrize("divisor,tau,raw", [
-    ("F1", "2/5*sqrt(10)", "32/15*sqrt(10)"),
-    ("E1", "-2/3+2/3*sqrt(19)", "-448/81+304/81*sqrt(19)"),
-    ("E2", "-2/3+2/3*sqrt(19)", "-448/81+304/81*sqrt(19)"),
+    ("F1", "4/3", "64/9"),
+    ("F2", "20/3", "176/9"),
+    ("E1", "6", "88/5"),
+    ("E2", "6", "88/5"),
 ])
-def test_surd_breakpoint_profiles(divisor, tau, raw):
-    """No builtin chart or toric profile ends at a surd, but these index3m
-    profiles do, so they take the surd route of the integration."""
+def test_index3m_divisor_profiles(divisor, tau, raw):
+    """The index3m toric profiles, values checked against zariski_decompose;
+    each needs a generator in the support from t = 0+."""
     data = volume_profile(builtin_surface("index3m"), f=divisor).to_json()
     assert (data["tau"], data["raw_integral"]) == (tau, raw)
+
+
+def test_irrational_volume_root_is_a_check_failure(monkeypatch, capsys):
+    """A profile that would end at a surd contradicts the rational Zariski
+    chambers, so the sweep raises instead of integrating to it."""
+    original = volume._segment
+
+    def surd_root(sweep, support, t_cur):
+        seg = original(sweep, support, t_cur)
+        return dataclasses.replace(seg, events={}, vol_root=SurdSum.sqrt(2) + t_cur)
+
+    monkeypatch.setattr(volume, "_segment", surd_root)
+    with pytest.raises(ArithmeticError, match="irrational volume root"):
+        volume_profile(builtin_surface("index3m"))
+    out = io.StringIO()
+    assert cli.run(["profile", "--surface", "index3m"], out=out) == 1
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err.startswith("check failed: index3m: irrational volume root")
+
+
+def _every_cone_generator_profile():
+    models = [builtin_surface(ident) for ident in FIXED_MODELS]
+    models += [builtin_surface(kind, a, s - a) for kind in sorted(_WEIGHTED_MODELS)
+               for s in range(2, 13) for a in range(1, s) if gcd(a, s - a) == 1]
+    for model in models:
+        for name, f in model.cone:
+            yield model, f, volume_profile(model, f=name)
+
+
+def test_every_cone_generator_profile_matches_zariski():
+    """The sweep against honest Zariski decompositions, with f every cone
+    generator of the fixed models and of the chart models with a + b <= 12:
+    each segment is vol(l0 - t*f) at three interior points, the volume
+    vanishes at tau, and l0 - (tau + 1/1000)*f is not pseudo-effective."""
+    count = 0
+    for model, f, prof in _every_cone_generator_profile():
+        count += 1
+        l0, bps = model.anticanonical, prof.profile.breakpoints
+        assert all(type(b) is F for b in bps), (model.name, prof.f_name)
+        for a, b, seg in zip(bps, bps[1:], prof.profile.segments):
+            for k in (1, 2, 3):
+                t = a + (b - a) * k / 4
+                z = model.zariski_decompose(vsub(l0, vscale(t, f)))
+                assert seg(t) == model.self_intersection(z.positive), \
+                    (model.name, prof.f_name, t)
+        assert prof.profile.segments[-1](prof.tau) == 0
+        with pytest.raises(NotPseudoEffectiveError):
+            model.zariski_decompose(vsub(l0, vscale(prof.tau + F(1, 1000), f)))
+    assert count == 866
