@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import zlib
@@ -6,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from kwall import surface
 from kwall.surface import (
     DEGREE,
     NotPseudoEffectiveError,
@@ -115,6 +117,17 @@ class TestBuiltins:
             builtin_surface("f1", 1, 1)
         with pytest.raises(ValueError):
             builtin_surface("nope")
+
+    def test_vec_gives_equal_fractions(self):
+        """Ints inside and outside the shared range, Fractions and strings all
+        give equal Fractions; an integer in -64..64 is one shared object."""
+        entries = [0, 1, -1, 64, -64, 65, -65, 10**30, F(3), F(-64), F(65), F(1, 2),
+                   F(-7, 3), "1/2", "-3", "65"]
+        got = vec(*entries)
+        assert got == tuple(F(e) for e in entries)
+        assert all(type(x) is F for x in got)
+        assert vec(5)[0] is vec(F(5))[0] is vec(5, 0)[0]
+        assert vec(-64)[0] is vec(-64)[0] and vec(65)[0] is not vec(65)[0]
 
     def test_to_json_shape(self):
         data = builtin_surface("blp114").to_json()
@@ -487,10 +500,7 @@ class TestLinearAlgebra:
         """The integer cone Gram and rows of the pairing table equal the
         pairwise intersect table on every fixed model and every chart model
         with a + b <= 12."""
-        models = [builtin_surface(i) for i in ALL_FIXED]
-        models += [builtin_surface(kind, a, b) for kind in _weighted_kinds()
-                   for a, b in _coprime_weights(12)]
-        for m in models:
+        for m in _models_to(12):
             table = _assert_pairing_table(m)
             assert all(type(x) is int for row in table.gram + table.rows for x in row)
 
@@ -504,6 +514,51 @@ class TestLinearAlgebra:
         with pytest.raises(ArithmeticError,
                            match="^inconsistent: support Gram block not negative definite$"):
             m.zariski_decompose(vec(0, 1))
+
+
+class TestConeRecord:
+    """The per-model integer record under every pairing table."""
+
+    def test_built_once_per_model(self, monkeypatch):
+        """The first decomposition scales each generator and the class;
+        later ones on the same model scale only their class."""
+        m = builtin_surface("blp114-case3p", 2, 7)
+        scaled = []
+        original = surface._integer_parts
+
+        def spy(v):
+            scaled.append(tuple(v))
+            return original(v)
+
+        monkeypatch.setattr(surface, "_integer_parts", spy)
+        d1 = vadd(m.anticanonical, m.cone_class("F"))
+        d2 = vadd(m.cone_class("Hzbar"), m.cone_class("Ebar"))
+        first = m.zariski_decompose(d1)
+        assert scaled == [c for _, c in m.cone] + [d1]
+        scaled.clear()
+        assert m.zariski_decompose(d1) == first
+        m.zariski_decompose(d2)
+        assert scaled == [d1, d2]
+
+    def test_holds_only_tuples_and_ints(self):
+        """No table or caller can change what a later table reads: the record
+        is frozen, every field is a tuple of ints, and every table of the
+        model shares it."""
+        def ints(x):
+            return type(x) is int or (type(x) is tuple and all(ints(y) for y in x))
+
+        for m in _models_to(12):
+            first = m.pairing_table(m.anticanonical)
+            rec = m._cone_record
+            assert all(ints(getattr(rec, f.name)) for f in dataclasses.fields(rec)), m.name
+            assert ints(first.classes) and ints(first.rows), m.name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rec.gram = ()
+            m.zariski_decompose(m.anticanonical)
+            table = _assert_pairing_table(m)
+            assert m._cone_record is rec
+            for name in ("scale", "dens", "gens", "gram"):
+                assert getattr(table, name) is getattr(first, name) is getattr(rec, name)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +582,13 @@ def _assert_pairing_table(m):
         for j, cj in enumerate(gens):
             assert F(row[j], table.scale * table.den * table.dens[j]) == m.intersect(v, cj)
     return table
+
+
+def _models_to(limit):
+    """Every fixed model and every chart model with a + b <= limit."""
+    return [builtin_surface(i) for i in ALL_FIXED] + [
+        builtin_surface(kind, a, b) for kind in _weighted_kinds()
+        for a, b in _coprime_weights(limit)]
 
 
 def _coprime_weights(limit):
@@ -613,9 +675,7 @@ def _probe_classes(m, k, rng):
 def test_iterate_first_matches_check_first():
     """Same decomposition, or same exception type, text and separator, as the
     check-first order on every fixed model and every family at a + b <= 12."""
-    models = [builtin_surface(i) for i in ALL_FIXED]
-    models += [builtin_surface(kind, a, b) for kind in _weighted_kinds()
-               for a, b in _coprime_weights(12)]
+    models = _models_to(12)
     rng = random.Random(8)
     seen = {True: 0, False: 0}
     for k, m in enumerate(models):
@@ -629,9 +689,7 @@ def test_iterate_first_matches_check_first():
 def test_cone_generators_span_the_lattice():
     """The precondition of the separator's completeness (Farkas): on every
     builtin model the generators span the lattice and the form is nondegenerate."""
-    models = [builtin_surface(i) for i in ALL_FIXED]
-    models += [builtin_surface(k, a, b) for k in _weighted_kinds()
-               for a, b in _coprime_weights(30)]
+    models = _models_to(30)
     assert len(models) == 4 + 5 * 277
     for m in models:
         n = m.rank()
