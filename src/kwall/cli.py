@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Zariski decomposition of a divisor class")
     p.add_argument("--surface", required=True)
     p.add_argument("--divisor", required=True,
-                   help="comma-separated rational coordinates in the model basis")
+                   help="comma-separated rational coordinates in the model basis; "
+                   "a leading minus needs the = form, as in --divisor=-1,0")
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
     p.set_defaults(func=_cmd_zariski)

@@ -55,8 +55,8 @@ def vscale(c, u: Vec) -> Vec:
     return tuple(c * a for a in u)
 
 
-def solve_linear(rows: Sequence[Sequence[int]], *rhs: Sequence[int]
-                 ) -> Optional[tuple]:
+def solve_linear(rows: Sequence[Sequence[int]], *rhs: Sequence[int],
+                 negative_definite: bool = False) -> Optional[tuple]:
     """Solve the square integer system ``rows x = b`` for every right-hand
     side ``b`` by one fraction-free Gauss-Jordan elimination of
     ``[rows | b_1 ... b_k]``.
@@ -64,11 +64,18 @@ def solve_linear(rows: Sequence[Sequence[int]], *rhs: Sequence[int]
     Returns ``(det, x_1, ..., x_k)``: ``det = |det rows| > 0`` and integer
     numerators ``x_k`` with ``rows (x_k / det) = b_k``; None when ``rows`` is
     singular.
+
+    With ``negative_definite`` the symmetric ``rows`` must also be negative
+    definite, or None is returned.  The elimination then makes no row swap,
+    so its pivots are the leading principal minors (Sylvester's identity)
+    and the criterion reads their signs; a block that would need a swap has
+    a zero leading minor.  On a negative definite block no swap is ever
+    needed, so both modes return the same solution.
     """
     n = len(rows)
     aug = [list(row) + [b[r] for b in rhs] for r, row in enumerate(rows)]
-    pivots = _eliminate(aug, n)
-    if len(pivots) != n:
+    pivots = _eliminate(aug, n, swap=not negative_definite)
+    if len(pivots) != n or (negative_definite and not _alternating(pivots)):
         return None
     det = pivots[-1][1] if pivots else 1
     sign = 1 if det > 0 else -1
@@ -186,11 +193,7 @@ class SurfaceModel:
         rec = self._cone_record
         da, a = _integer_parts(d1)
         db, b = _integer_parts(d2)
-        total = 0
-        for ai, row in zip(a, rec.form):
-            if ai:
-                total += ai * sum([g * bj for g, bj in zip(row, b) if bj])
-        return Fraction(total, rec.scale * da * db)
+        return Fraction(_dot(a, [_dot(row, b) for row in rec.form]), rec.scale * da * db)
 
     def self_intersection(self, d: Vec) -> Fraction:
         return self.intersect(d, d)
@@ -211,22 +214,33 @@ class SurfaceModel:
         cone is then perpendicular to rank - 1 independent generators, and
         every such perpendicular is tried.  So None means d is
         pseudo-effective.
+
+        Every sign of the scan is an integer's: image j is a positive
+        multiple of C_j.e_b over the basis, and ``form * d`` one of d.e_b, so
+        w.C_j and w.d have the signs of dot products with w's numerators.
+        The certificate alone is then checked with ``intersect``.
         """
         from itertools import combinations
 
         rec = self._cone_record
-        # image i is a positive multiple of C_i.e_b over the basis, so
-        # w = sum w_b e_b solves w.C_i = 0
         images = _images(rec.form, rec.gens)
-        gens = list(self.cone)
-        for subset in combinations(range(len(gens)), self.rank() - 1):
-            w = _kernel_vector([images[i] for i in subset])
-            if w is None:
+        (dual,) = _images(rec.form, [_integer_parts(d)[1]])
+        for subset in combinations(range(len(images)), self.rank() - 1):
+            # w = sum w_b e_b solves w.C_i = 0 on the subset
+            kernel = _kernel_vector([images[i] for i in subset])
+            if kernel is None:
                 continue
-            for cand in (w, vscale(-1, w)):
-                if all(self.intersect(cand, c) >= 0 for _, c in gens) and self.intersect(cand, d) < 0:
-                    label = "perp(" + ",".join(gens[i][0] for i in subset) + ")"
-                    return label, cand
+            den, w = kernel
+            # at most one of w and -w pairs negatively with d: try that one
+            side = _dot(w, dual)
+            sign = -1 if side > 0 else 1
+            if side and all(sign * _dot(w, g) >= 0 for g in images):
+                cand = tuple(Fraction(sign * x, den) for x in w)
+                if (any(self.intersect(cand, c) < 0 for _, c in self.cone)
+                        or self.intersect(cand, d) >= 0):
+                    raise ArithmeticError(
+                        f"{self.name}: separating class {fmt_vec(cand)} fails its rational check")
+                return "perp(" + ",".join(self.cone[i][0] for i in subset) + ")", cand
         return None
 
     # -- Zariski decomposition -------------------------------------------
@@ -271,11 +285,14 @@ class SurfaceModel:
         support = {j for j, v in enumerate(dc) if v < 0}
         for _ in range(len(dc) + 2):
             idx = sorted(support)
-            block = [[gram[i][j] for j in idx] for i in idx]
-            sol = solve_linear(block, [dc[i] for i in idx]) if idx else (1, [])
+            # every support grown for a pseudo-effective class is negative
+            # definite (Bauer), so one swap-free elimination both solves the
+            # step and certifies its block
+            sol = solve_linear([[gram[i][j] for j in idx] for i in idx], [dc[i] for i in idx],
+                               negative_definite=True) if idx else (1, [])
             if sol is None:
                 raise ArithmeticError(
-                    f"{self.name}: singular Gram block for support {idx}")
+                    f"{self.name}: support Gram block not negative definite")
             det, coeffs = sol
             # det * scale * den * dens_j * P.C_j = det * dc_j - sum_i u_i gram_ij
             violated = {j for j, row in enumerate(gram) if j not in support
@@ -284,9 +301,6 @@ class SurfaceModel:
                 if any(u < 0 for u in coeffs):
                     raise ArithmeticError(
                         f"{self.name}: negative Zariski coefficient; cone data inconsistent")
-                if not _negative_definite(block):
-                    raise ArithmeticError(
-                        f"{self.name}: support Gram block not negative definite")
                 # N = sum dens_i * u_i / (det * den) C_i and P = d - N
                 den = det * table.den
                 p = [det * x for x in table.classes[0]]
@@ -371,18 +385,17 @@ def _eliminate(m: list[list[int]], ncols: int, swap: bool = True) -> list[tuple[
     return pivots
 
 
-def _negative_definite(block: list[list[int]]) -> bool:
-    """Sylvester's criterion on an integer symmetric block: elimination
-    without row swaps meets leading principal minors of signs -, +, -, ..."""
-    m = [list(r) for r in block]
-    pivots = _eliminate(m, len(m), swap=False)
-    return len(pivots) == len(m) and all((p < 0) == (k % 2 == 0)
-                                         for k, (_, p) in enumerate(pivots))
+def _alternating(pivots: list[tuple[int, int]]) -> bool:
+    """Sylvester's criterion on the pivots of a swap-free elimination of a
+    symmetric block, its leading principal minors: signs -, +, -, ... mean
+    negative definite."""
+    return all((p < 0) == (k % 2 == 0) for k, (_, p) in enumerate(pivots))
 
 
-def _kernel_vector(rows: list[list[int]]) -> Optional[Vec]:
+def _kernel_vector(rows: list[list[int]]) -> Optional[tuple[int, tuple[int, ...]]]:
     """A nonzero rational vector orthogonal to the given integer row
-    functionals: the first free column set to 1, the other free columns to 0."""
+    functionals, the first free column set to 1 and the other free columns
+    to 0, as ``(den, nums)``: ``den > 0`` and the vector is ``nums / den``."""
     if not rows:
         return None
     n = len(rows[0])
@@ -392,12 +405,14 @@ def _kernel_vector(rows: list[list[int]]) -> Optional[Vec]:
     free = [c for c in range(n) if c not in cols]
     if not free:
         return None
+    # pivot row r is its reduced row times the last pivot
     last = pivots[-1][1] if pivots else 1
-    sol = [Fraction(0)] * n
-    sol[free[0]] = Fraction(1)
+    sign = 1 if last > 0 else -1
+    sol = [0] * n
+    sol[free[0]] = sign * last
     for r, c in enumerate(cols):
-        sol[c] = Fraction(-m[r][free[0]], last)
-    return tuple(sol)
+        sol[c] = -sign * m[r][free[0]]
+    return sign * last, tuple(sol)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,14 @@ class TestZariskiCommand:
         code, _ = invoke("zariski", "--surface", "f1")
         assert code == 2
 
+    def test_leading_minus_needs_the_equals_form(self, capsys):
+        """argparse reads ``-1,0`` after a space as an option; the help
+        names the ``--divisor=-1,0`` form that works."""
+        assert invoke("zariski", "--surface", "f1", "--divisor", "-1,0") == (2, "")
+        assert "expected one argument" in capsys.readouterr().err
+        assert invoke("zariski", "--help")[0] == 0
+        assert "--divisor=-1,0" in " ".join(capsys.readouterr().out.split())
+
     @pytest.mark.parametrize("divisor", ["1/0,1", "x,1", ",1", "1,", "1,1,1", "1"])
     def test_bad_divisor_usage(self, capsys, divisor):
         assert_usage_error(capsys, "zariski", "--surface", "f1", f"--divisor={divisor}")

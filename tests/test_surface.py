@@ -14,7 +14,6 @@ from kwall.surface import (
     SurfaceModel,
     _WEIGHTED_MODELS,
     _kernel_vector,
-    _negative_definite,
     builtin_surface,
     fmt_vec,
     solve_linear,
@@ -389,19 +388,32 @@ class TestLinearAlgebra:
                     for j in range(i, n):
                         m[i][j] = m[j][i] = F(rng.randint(-6, 3), rng.randint(1, 3))
                 expected = None
-            got = _negative_definite(_integer_scaled(m))
+            block = _integer_scaled(m)
+            b = list(range(1, len(block) + 1))
+            sol = solve_linear(block, b, negative_definite=True)
+            got = sol is not None
             assert got == _sylvester_negative_definite(m), m
             if expected is not None:
                 assert got == expected, m
+            if got:  # a definite block needs no swap: the same solution
+                assert sol == solve_linear(block, b), m
             seen[got] += 1
         assert seen[True] >= 240 and seen[False] >= 720
 
     def test_pivot_rule_leaves_input(self):
         m = [[-2, 1], [1, -2]]
-        assert _negative_definite(m)
+        assert solve_linear(m, [1, 1], negative_definite=True) == (3, [-3, -3])
         assert m == [[-2, 1], [1, -2]]
-        assert _negative_definite([])
-        assert not _negative_definite([[0, 1], [1, -1]])
+        assert solve_linear([], [], negative_definite=True) == (1, [])
+
+    def test_pivot_rule_rejects_a_zero_leading_minor(self):
+        """A nonsingular block whose first leading minor is zero needs a row
+        swap, and is not negative definite."""
+        block = [[0, 1], [1, -1]]
+        assert _det([[F(x) for x in row] for row in block]) == -1
+        assert not _sylvester_negative_definite(block)
+        assert solve_linear(block, [1, 0]) == (1, [1, 1])
+        assert solve_linear(block, [1, 0], negative_definite=True) is None
 
     def test_solve_linear(self):
         rows = [[F(0), F(2), F(1)], [F(1), F(1), F(0)], [F(3), F(0), F(1, 2)]]
@@ -469,9 +481,11 @@ class TestLinearAlgebra:
         assert min(seen.values()) >= 50, seen
 
     def test_kernel_vector_first_free_column(self):
-        assert _kernel_vector([[1, 2, 3]]) == (F(-2), F(1), F(0))
-        assert _kernel_vector([[0, 1, 0], [0, 0, 2]]) == (F(1), F(0), F(0))
-        assert _kernel_vector([[1, 1], [2, 2]]) == (F(-1), F(1))
+        assert _kernel_vector([[1, 2, 3]]) == (1, (-2, 1, 0))
+        assert _kernel_vector([[0, 1, 0], [0, 0, 2]]) == (2, (2, 0, 0))
+        assert _kernel_vector([[1, 1], [2, 2]]) == (1, (-1, 1))
+        # a negative last pivot: the denominator stays positive
+        assert _kernel_vector([[-2, 1, 0]]) == (2, (1, 2, 0))
         assert _kernel_vector([[1, 0], [0, 1]]) is None
         assert _kernel_vector([]) is None
 
@@ -490,7 +504,12 @@ class TestLinearAlgebra:
                 for r, c in enumerate(pivots):
                     want[c] = -m[r][free[0]]
                 want = tuple(want)
-            assert _kernel_vector(rows) == want, rows
+            got = _kernel_vector(rows)
+            if got is not None:
+                den, nums = got
+                assert den > 0, rows
+                got = tuple(F(x, den) for x in nums)
+            assert got == want, rows
 
     def test_cone_gram(self):
         for m in all_models():
@@ -695,3 +714,91 @@ def test_cone_generators_span_the_lattice():
         n = m.rank()
         assert len(rref([list(c) for _, c in m.cone], n)) == n, m.name
         assert len(rref([list(row) for row in m.gram], n)) == n, m.name
+
+
+def test_one_elimination_per_support_step(monkeypatch):
+    """Each support step of the Zariski iteration is one swap-free solve, and
+    the solve's elimination is the only one: no second pass tests the final
+    block for negative definiteness."""
+    eliminations, steps = [], []
+    eliminate, solve = surface._eliminate, surface.solve_linear
+
+    def count_eliminate(m, ncols, swap=True):
+        eliminations.append(swap)
+        return eliminate(m, ncols, swap)
+
+    def count_solve(rows, *rhs, **kw):
+        steps.append(len(rows))
+        return solve(rows, *rhs, **kw)
+
+    monkeypatch.setattr(surface, "_eliminate", count_eliminate)
+    monkeypatch.setattr(surface, "solve_linear", count_solve)
+    rng = random.Random(18)
+    grown = 0
+    for m in _models_to(12):
+        gens = [c for _, c in m.cone]
+        coeffs = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in gens]
+        effective = tuple(sum(x * c[i] for x, c in zip(coeffs, gens)) for i in range(m.rank()))
+        for d in (vadd(gens[0], gens[1]), m.anticanonical, effective):
+            eliminations.clear()
+            steps.clear()
+            m._zariski_iteration(d)
+            assert eliminations == [False] * len(steps), (m.name, d)
+            assert steps == sorted(set(steps)), (m.name, d)
+            grown += len(steps) > 1
+    assert grown >= 150
+
+
+def _reference_separating_class(m, d):
+    """The separating-class scan in Fractions: per (rank - 1)-subset of the
+    generators in order, the kernel of their pairings with the first free
+    column set to 1 (``rref``), tried as w and then as -w, with every
+    pairing read from the model's rational Gram matrix."""
+    n = m.rank()
+    gens = list(m.cone)
+    functionals = [[sum(m.gram[b][k] * c[k] for k in range(n)) for b in range(n)]
+                   for _, c in gens]
+    for subset in itertools.combinations(range(len(gens)), n - 1):
+        rows = [list(functionals[i]) for i in subset]
+        pivots = rref(rows, n)
+        free = [c for c in range(n) if c not in pivots]
+        if not free:
+            continue
+        w = [F(0)] * n
+        w[free[0]] = F(1)
+        for r, c in enumerate(pivots):
+            w[c] = -rows[r][free[0]]
+        for cand in (tuple(w), tuple(-x for x in w)):
+            if all(_gram_pairing(m, cand, c) >= 0 for _, c in gens) \
+                    and _gram_pairing(m, cand, d) < 0:
+                return "perp(" + ",".join(gens[i][0] for i in subset) + ")", cand
+    return None
+
+
+def _gram_pairing(m, u, v):
+    return sum(x * g * y for x, row in zip(u, m.gram) for g, y in zip(row, v))
+
+
+def test_separating_class_matches_fraction_scan():
+    """On every fixed model and every chart model with a + b <= 12, seeded
+    classes outside the effective cone get the certificate of the Fraction
+    scan, label and vector: nef on every generator and negative on the
+    class by the rational Gram matrix."""
+    rng = random.Random(1809)
+    found = 0
+    for m in _models_to(12):
+        gens = [c for _, c in m.cone]
+        for _ in range(4):
+            coeffs = [F(rng.randint(-6, 4), rng.randint(1, 3)) for _ in gens]
+            d = tuple(sum(x * c[i] for x, c in zip(coeffs, gens)) for i in range(m.rank()))
+            want = _reference_separating_class(m, d)
+            if want is None:
+                continue
+            label, w = want
+            assert all(_gram_pairing(m, w, c) >= 0 for c in gens) and _gram_pairing(m, w, d) < 0
+            assert m._separating_nef_class(d) == want, (m.name, d)
+            with pytest.raises(NotPseudoEffectiveError) as err:
+                m.zariski_decompose(d)
+            assert err.value.separating == want
+            found += 1
+    assert found >= 700, found
