@@ -86,17 +86,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# sqrt enclosure
-
-
-def _sqrt_bounds(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of sqrt(d) with denominator 2**bits."""
-    scale = 1 << bits
-    lo = isqrt(d * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
-
-
-# ---------------------------------------------------------------------------
 # sums of quadratic surds
 
 
@@ -264,30 +253,37 @@ class SurdSum:
     # -- sign and order ----------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}."""
+        """Exact sign in {-1, 0, +1}, decided on integers.
+
+        Terms of one sign decide by their numerators.  Two terms of opposite
+        signs, ``(n1/m1) sqrt(d1)`` and ``(n2/m2) sqrt(d2)``, decide by
+        squaring over the common denominator: ``n1^2 d1 m2^2`` against
+        ``n2^2 d2 m1^2``.  Three or more refine :meth:`enclosure`, whose
+        bounds are nonzero from some precision on (the radicals are linearly
+        independent).
+        """
         ts = self._terms
         if not ts:
             return 0
-        if all(q > 0 for _, q in ts):
+        positive = [q.numerator > 0 for _, q in ts]
+        if all(positive):
             return 1
-        if all(q < 0 for _, q in ts):
+        if not any(positive):
             return -1
         if len(ts) == 2:
-            # q1*sqrt(d1) + q2*sqrt(d2) with opposite signs: square both sides
             (d1, q1), (d2, q2) = ts
-            lhs = q1 * q1 * d1
-            rhs = q2 * q2 * d2
+            m1, m2 = q1.denominator, q2.denominator
+            lhs = q1.numerator ** 2 * d1 * m2 * m2
+            rhs = q2.numerator ** 2 * d2 * m1 * m1
             if lhs == rhs:
                 return 0
-            return (1 if q1 > 0 else -1) if lhs > rhs else (1 if q2 > 0 else -1)
-        # three or more radicals: nonzero by linear independence, so interval
-        # refinement terminates
+            return (1 if positive[0] else -1) if lhs > rhs else (1 if positive[1] else -1)
         bits = 32
         while True:
             lo, hi = self.enclosure(bits)
-            if lo > 0:
+            if lo.numerator > 0:
                 return 1
-            if hi < 0:
+            if hi.numerator < 0:
                 return -1
             bits *= 2
 
@@ -307,34 +303,56 @@ class SurdSum:
             return hash(ts[0][1])
         return hash(ts)
 
+    def _minus(self, other: Number) -> "SurdSum":
+        """``self - other`` for a comparison: a rational ``other`` shifts the
+        rational term in place, with no other ``SurdSum`` built."""
+        if not isinstance(other, (int, Fraction)):
+            return self - other
+        ts = self._terms
+        if ts and ts[0][0] == 1:
+            q = ts[0][1] - other
+            return SurdSum._normalized(((1, q),) + ts[1:] if q else ts[1:])
+        if not other:
+            return self
+        return SurdSum._normalized(((1, _fraction(-other)),) + ts)
+
     def __lt__(self, other: Number) -> bool:
-        return (self - other).sign() < 0
+        return self._minus(other).sign() < 0
 
     def __le__(self, other: Number) -> bool:
-        return (self - other).sign() <= 0
+        return self._minus(other).sign() <= 0
 
     def __gt__(self, other: Number) -> bool:
-        return (self - other).sign() > 0
+        return self._minus(other).sign() > 0
 
     def __ge__(self, other: Number) -> bool:
-        return (self - other).sign() >= 0
+        return self._minus(other).sign() >= 0
 
     # -- numeric output ----------------------------------------------------
 
     def enclosure(self, bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the value, width about 2**-bits."""
-        lo = hi = Fraction(0)
-        for d, q in self._terms:
+        """Rational interval containing the value, width about 2**-bits.
+
+        Each ``sqrt(d)`` lies in ``[s, s + 1] / 2**bits`` with
+        ``s = isqrt(d * 4**bits)``; both ends are summed as integers over
+        the one denominator ``lcm(m_i) * 2**bits``, and each is normalized
+        once.
+        """
+        ts = self._terms
+        den = lcm(*[q.denominator for _, q in ts])
+        lo = hi = 0
+        for d, q in ts:
+            n = q.numerator * (den // q.denominator)
             if d == 1:
-                lo += q
-                hi += q
+                lo += n << bits
+                hi += n << bits
                 continue
-            slo, shi = _sqrt_bounds(d, bits)
-            if q > 0:
-                lo, hi = lo + q * slo, hi + q * shi
+            s = isqrt(d << 2 * bits)
+            if n > 0:
+                lo, hi = lo + n * s, hi + n * (s + 1)
             else:
-                lo, hi = lo + q * shi, hi + q * slo
-        return lo, hi
+                lo, hi = lo + n * (s + 1), hi + n * s
+        return Fraction(lo, den << bits), Fraction(hi, den << bits)
 
     def approx_str(self, digits: int = 12) -> str:
         """Decimal approximation accurate to the requested digits."""
@@ -395,6 +413,15 @@ def render_surd(x: Number) -> str:
 # quadratic polynomials and piecewise profiles
 
 
+def _fraction(x: RationalLike) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _less(a: Fraction, b: Fraction) -> bool:
+    """``a < b``, decided on the numerators and denominators."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
 @dataclass(frozen=True)
 class QuadraticPoly:
     """c2*t**2 + c1*t + c0 with rational coefficients."""
@@ -405,7 +432,9 @@ class QuadraticPoly:
 
     def _parts(self) -> tuple[tuple[int, int], ...]:
         """``(numerator, denominator)`` of ``c2``, ``c1`` and ``c0``."""
-        return tuple((c.numerator, c.denominator) for c in (self.c2, self.c1, self.c0))
+        c2, c1, c0 = self.c2, self.c1, self.c0
+        return ((c2.numerator, c2.denominator), (c1.numerator, c1.denominator),
+                (c0.numerator, c0.denominator))
 
     def __call__(self, t: RationalLike) -> Fraction:
         # over the integers, with t = n/d: one normalization
@@ -414,16 +443,16 @@ class QuadraticPoly:
         return Fraction(p2 * q1 * q0 * n * n + p1 * q2 * q0 * n * d + p0 * q2 * q1 * d * d,
                         q2 * q1 * q0 * d * d)
 
-    def integral(self, lo: Fraction, hi: Fraction) -> Fraction:
-        """The integral over ``[lo, hi]`` as one Fraction: with
-        ``lo = A/D`` and ``hi = B/D``, it is ``(B - A)/D`` times
-        ``c2 (A^2 + AB + B^2)/(3 D^2) + c1 (A + B)/(2 D) + c0``."""
+    def integral_parts(self, lo: Fraction, hi: Fraction) -> tuple[int, int]:
+        """The integral over ``[lo, hi]`` as integers ``(num, den)``, not
+        normalized: with ``lo = A/D`` and ``hi = B/D``, it is ``(B - A)/D``
+        times ``c2 (A^2 + AB + B^2)/(3 D^2) + c1 (A + B)/(2 D) + c0``."""
         (p2, q2), (p1, q1), (p0, q0) = self._parts()
         d = lo.denominator * hi.denominator
         a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
         inner = (2 * p2 * q1 * q0 * (a * a + a * b + b * b)
                  + 3 * p1 * q2 * q0 * (a + b) * d + 6 * p0 * q2 * q1 * d * d)
-        return Fraction((b - a) * inner, 6 * q2 * q1 * q0 * d ** 3)
+        return (b - a) * inner, 6 * q2 * q1 * q0 * d ** 3
 
     def real_roots(self) -> list[Union[Fraction, SurdSum]]:
         """Sorted real roots as exact values: ``Fraction`` when rational."""
@@ -443,10 +472,10 @@ class QuadraticPoly:
             minus, plus = Fraction(-b - s, 2 * a), Fraction(s - b, 2 * a)
         else:
             # sqrt(disc) = k*sqrt(f), f squarefree and > 1: the roots are the
-            # two-term surds -b/(2a) -+ (k/(2a))*sqrt(f)
-            ((f, k),) = SurdSum.sqrt(disc).terms
-            centre, half = Fraction(-b, 2 * a), k / (2 * a)
-            head = ((1, centre),) if centre else ()
+            # two-term surds -b/(2a) -+ (k/(2a))*sqrt(f), k an integer
+            ((f, k),) = SurdSum([(disc, 1)]).terms
+            half = Fraction(k.numerator, 2 * a)
+            head = ((1, Fraction(-b, 2 * a)),) if b else ()
             minus = SurdSum._normalized(head + ((f, -half),))
             plus = SurdSum._normalized(head + ((f, half),))
         # sqrt(disc) >= 0, so the order of the two roots is the sign of a
@@ -464,13 +493,13 @@ class PiecewiseQuadratic:
     """
 
     def __init__(self, breakpoints: Sequence[RationalLike], segments: Sequence[QuadraticPoly]):
-        points = [Fraction(b) for b in breakpoints]
+        points = [_fraction(b) for b in breakpoints]
         if len(points) != len(segments) + 1:
             raise ExactDomainError("need one more breakpoint than segments")
-        if points and points[0] != 0:
+        if points and points[0].numerator:
             raise ExactDomainError("profile must start at 0")
         for a, b in zip(points, points[1:]):
-            if not a < b:
+            if not _less(a, b):
                 raise ExactDomainError("breakpoints must increase strictly")
         self.breakpoints = points
         self.segments = list(segments)
@@ -493,14 +522,17 @@ class PiecewiseQuadratic:
                 raise ExactDomainError(f"discontinuous at {b}: {left} != {right}")
 
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Fraction:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
+        """The integral over ``[lo, hi]``: the segments' integer parts are
+        summed over their product denominator and normalized once."""
+        lo, hi = _fraction(lo), _fraction(hi)
+        if _less(hi, lo):
             raise ExactDomainError("reversed integration bounds")
-        if lo < 0 or hi > self.tau:
+        if lo.numerator < 0 or _less(self.tau, hi):
             raise ExactDomainError("integration bounds outside [0, tau]")
-        total = Fraction(0)
+        num, den = 0, 1
         for a, b, seg in zip(self.breakpoints, self.breakpoints[1:], self.segments):
-            left, right = max(a, lo), min(b, hi)
-            if left < right:
-                total += seg.integral(left, right)
-        return total
+            left, right = lo if _less(a, lo) else a, hi if _less(hi, b) else b
+            if _less(left, right):
+                n, d = seg.integral_parts(left, right)
+                num, den = num * d + n * den, den * d
+        return Fraction(num, den)

@@ -43,7 +43,14 @@ def vec(*entries) -> Vec:
     1,276-byte ``ConeRecord``.  Fractions are immutable, so sharing changes
     no value.
     """
-    return tuple(x if (x := _SMALL.get(e)) is not None else Fraction(e) for e in entries)
+    return tuple([_vec_entry(e) for e in entries])
+
+
+def _vec_entry(e) -> Fraction:
+    if type(e) is Fraction:
+        return _SMALL.get(e.numerator, e) if e.denominator == 1 else e
+    x = _SMALL.get(e)
+    return Fraction(e) if x is None else x
 
 
 def vsub(u: Vec, v: Vec) -> Vec:
@@ -331,8 +338,11 @@ class SurfaceModel:
 
 
 def _integer_parts(v: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """``(den, nums)`` with ``v[i] == nums[i] / den`` and ``den`` the lcm of the denominators."""
+    """``(den, nums)`` with ``v[i] == nums[i] / den`` and ``den`` the lcm of
+    the denominators; an integer vector (``den == 1``) is read off directly."""
     den = lcm(*[x.denominator for x in v])
+    if den == 1:
+        return 1, tuple([x.numerator for x in v])
     return den, tuple([x.numerator * (den // x.denominator) for x in v])
 
 

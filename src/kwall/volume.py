@@ -29,6 +29,7 @@ from .exactnum import (
     PiecewiseQuadratic,
     QuadraticPoly,
     SurdSum,
+    _less,
     render_fraction,
 )
 from .pairs import DIVISORS, ChartCase
@@ -136,7 +137,7 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
             seg = _segment(sweep, support, t_cur)
         quad = seg.quad
         start = quad(t_cur)
-        if start < 0:
+        if start.numerator < 0:
             raise ArithmeticError(f"{model.name}: negative volume at t={t_cur}")
         starts.append(start)
         first = _first(seg.events.values())
@@ -144,9 +145,9 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         vol_root = seg.vol_root
         if vol_root is None and next_support is None:
             raise ArithmeticError(f"{model.name}: volume never reaches zero")
-        if vol_root is not None and (next_support is None or vol_root <= next_support):
+        if vol_root is not None and (next_support is None or _at_most(vol_root, next_support)):
             # Zariski chambers are rational polyhedral, so tau is rational
-            if not isinstance(vol_root, Fraction):
+            if type(vol_root) is not Fraction:
                 raise ArithmeticError(f"{model.name}: irrational volume root {vol_root}")
             breakpoints.append(vol_root)
             segments.append(quad)
@@ -193,6 +194,11 @@ class _Segment:
     ``P(t)^2`` after ``t_cur``.  It may be a surd when an event comes
     first or the support is not yet validated; a root the profile ends at
     is rational.
+
+    Every decision on these data is made on integers: an event by
+    cross-multiplying ``a * den > num * b`` with ``t_cur = num / den``, a
+    rational root against ``t_cur`` the same way, and a surd root by one
+    ``SurdSum.sign``, which squares integers.
     """
 
     t_cur: Fraction
@@ -207,16 +213,20 @@ class _Segment:
 def _segment(sweep: _Sweep, support: list[int], t_cur: Fraction) -> _Segment:
     """Sweep data of ``support`` from ``t_cur`` on: one fraction-free
     elimination of the support Gram block solves for the l0 and f rows
-    together, and one pass over the generators gives every line and event."""
+    together, and one pass over the generators gives every line and event.
+
+    Each coefficient of ``P(t)^2`` is built once, as one ``Fraction`` of
+    integer numerators: the squares of ``sweep`` are read through their
+    numerators and denominators."""
     table = sweep.table
     gram, (r0, r1) = table.gram, table.rows
+    b0, b1 = [r0[i] for i in support], [r1[i] for i in support]
     # x(t) = (u0 - t*u1) / det solves gram x = r0 - t*r1 on the support, so
     # P(t) = p0 - t*p1 with p0.p0 = l0.l0 - u0.r0 / e, p0.p1 = l0.f - u0.r1 / e
     # and p1.p1 = f.f - u1.r1 / e, where e = det * scale * den^2
     det, u0, u1 = 1, [], []
     if support:
-        sol = solve_linear([[gram[i][j] for j in support] for i in support],
-                           [r0[i] for i in support], [r1[i] for i in support])
+        sol = solve_linear([[gram[i][j] for j in support] for i in support], b0, b1)
         if sol is None:
             raise ArithmeticError(f"{sweep.name}: singular support Gram block")
         det, u0, u1 = sol
@@ -232,13 +242,22 @@ def _segment(sweep: _Sweep, support: list[int], t_cur: Fraction) -> _Segment:
             lines[j] = (a, b)
     num, den = t_cur.numerator, t_cur.denominator
     events = {k: (a, b) for k, (a, b) in lines.items() if b > 0 and a * den > num * b}
+    # each coefficient x - y / e, with x = n / m a square, is the one
+    # Fraction (n * e - m * y) / (m * e)
     e = det * table.scale * table.den * table.den
+    f_f, l0_f, l0_l0 = sweep.f_f, sweep.l0_f, sweep.l0_l0
     quad = QuadraticPoly(
-        sweep.f_f - Fraction(_dot(u1, (r1[i] for i in support)), e),
-        -2 * (sweep.l0_f - Fraction(_dot(u0, (r1[i] for i in support)), e)),
-        sweep.l0_l0 - Fraction(_dot(u0, (r0[i] for i in support)), e))
-    vol_root = next((r for r in quad.real_roots() if r > t_cur), None)
+        Fraction(f_f.numerator * e - f_f.denominator * _dot(u1, b1), f_f.denominator * e),
+        Fraction(2 * (l0_f.denominator * _dot(u0, b1) - l0_f.numerator * e), l0_f.denominator * e),
+        Fraction(l0_l0.numerator * e - l0_l0.denominator * _dot(u0, b0), l0_l0.denominator * e))
+    vol_root = next((r for r in quad.real_roots() if not _at_most(r, t_cur)), None)
     return _Segment(t_cur, tuple(support), det, lines, quad, events, vol_root)
+
+
+def _at_most(x: Union[Fraction, SurdSum], t: Fraction) -> bool:
+    """``x <= t``: on integers for a ``Fraction``, by one ``SurdSum.sign``
+    for a surd."""
+    return not _less(t, x) if type(x) is Fraction else x <= t
 
 
 def _first(ratios) -> Optional[tuple[int, int]]:
@@ -261,7 +280,7 @@ def _sample(seg: _Segment) -> tuple[int, int]:
         cands.append((r.numerator, r.denominator))
     elif r is not None:
         lo, _ = r.enclosure(64)
-        if lo > t:
+        if _less(t, lo):
             cands.append((lo.numerator, lo.denominator))
     a, b = _first(cands) or (t.numerator + t.denominator, t.denominator)
     return t.numerator * b + a * t.denominator, 2 * t.denominator * b

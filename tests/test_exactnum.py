@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import surd_reference as ref
 from kwall.exactnum import (
     ExactDomainError,
     PiecewiseQuadratic,
@@ -402,7 +403,80 @@ class TestHorner:
         for _ in range(400):
             q = QuadraticPoly(_random_fraction(rng), _random_fraction(rng), _random_fraction(rng))
             t = _random_fraction(rng) if rng.random() < 0.8 else rng.randint(-9, 9)
-            value, integral = q(t), q.integral(F(0), F(t))
-            assert type(value) is F and type(integral) is F
+            value, (num, den) = q(t), q.integral_parts(F(0), F(t))
+            assert type(value) is F and type(num) is int and type(den) is int and den > 0
             assert value == q.c2 * t**2 + q.c1 * t + q.c0
-            assert integral == _power_antiderivative(q, F(t))
+            assert F(num, den) == _power_antiderivative(q, F(t))
+
+
+def _oracle_surd(rng):
+    """One to four terms over a few radicands (two of them not squarefree),
+    or zero; about half carry a rational head, of either sign."""
+    if rng.random() < 0.05:
+        return SurdSum()
+    terms = [(rng.choice((2, 3, 5, 6, 7, 8, 12)), F(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+             for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.5:
+        terms[0] = (1, F(rng.randint(-40, 40) or -1, rng.randint(1, 12)))
+    return SurdSum(terms)
+
+
+class TestIntegerDecisionsMatchReference:
+    """Comparisons, ``sign`` and ``enclosure`` equal the Fraction reference
+    of ``surd_reference``."""
+
+    def test_seeded_property(self):
+        rng = random.Random(19)
+        heads = {1: 0, -1: 0}
+        zero = equal = refined = 0
+        for _ in range(1500):
+            x = _oracle_surd(rng)
+            head = x.terms[0][1] if x.terms and x.terms[0][0] == 1 else F(0)
+            if head:
+                heads[1 if head > 0 else -1] += 1
+            # the head itself zeroes the rational term; the value itself is
+            # equal; 0 takes the no-head shift
+            operands = [head, x.terms[0][1] if x.is_rational() and x.terms else 0,
+                        rng.randint(-5, 5), F(rng.randint(-60, 60), rng.randint(1, 12))]
+            for other in operands:
+                s = ref.compare(x, other)
+                assert (x < other, x <= other, x > other, x >= other) == (
+                    s < 0, s <= 0, s > 0, s >= 0), (x, other)
+                zero += x.is_zero()
+                equal += s == 0
+            assert x.sign() == ref.sign(x), x
+            refined += len(x.terms) > 2 and x.sign() != 0 and (
+                {q > 0 for _, q in x.terms} == {True, False})
+            for bits in (8, 128, rng.randint(9, 127)):
+                lo, hi = x.enclosure(bits)
+                assert (lo, hi) == ref.enclosure(x, bits), (x, bits)
+                assert type(lo) is F and type(hi) is F
+        assert min(heads.values()) > 300 and zero > 100 and equal > 100 and refined > 100, (
+            heads, zero, equal, refined)
+
+    def test_surd_operands_match_reference(self):
+        rng = random.Random(20)
+        for _ in range(400):
+            x, y = _oracle_surd(rng), _oracle_surd(rng)
+            for other in (x, y, SurdSum(x.terms)):
+                s = ref.compare(x, other)
+                assert (x < other, x <= other, x > other, x >= other) == (
+                    s < 0, s <= 0, s > 0, s >= 0), (x, other)
+
+    def test_rational_comparison_builds_one_surd(self, monkeypatch):
+        """A comparison with an int or Fraction makes one shifted SurdSum,
+        which holds the invariant, and none when there is nothing to shift."""
+        built = []
+        normalized = SurdSum._normalized.__func__
+
+        def count(cls, terms):
+            assert terms == SurdSum(terms).terms
+            built.append(terms)
+            return normalized(cls, terms)
+
+        x = sqrt(2) * F(2, 3) - F(1, 2)
+        monkeypatch.setattr(SurdSum, "_normalized", classmethod(count))
+        assert x > 0 and x < 1 and x >= F(-1, 2) and not x <= F(1, 3)
+        assert len(built) == 4
+        assert sqrt(3) > 0 and len(built) == 4
+        assert sqrt(3) < 2 and len(built) == 5

@@ -3,7 +3,7 @@ import itertools
 import random
 import zlib
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -12,6 +12,7 @@ from kwall.surface import (
     DEGREE,
     NotPseudoEffectiveError,
     SurfaceModel,
+    ZariskiDecomposition,
     _WEIGHTED_MODELS,
     _kernel_vector,
     builtin_surface,
@@ -580,6 +581,31 @@ class TestConeRecord:
                 assert getattr(table, name) is getattr(first, name) is getattr(rec, name)
 
 
+    def test_integer_parts_fast_path(self):
+        """A vector with common denominator 1 is read off directly, with the
+        same ``(den, nums)`` as scaling every entry over the lcm."""
+        def general(v):
+            den = lcm(*[x.denominator for x in v])
+            return den, tuple([x.numerator * (den // x.denominator) for x in v])
+
+        rng = random.Random(19)
+        vectors = [vec(F(4, 2), -3, 0, 64, 65, -65), vec(F(1, 2), 3, F(-2, 3))]
+        for n in range(1, 6):
+            vectors.append(vec(*[0] * n))
+            for _ in range(60):
+                vectors.append(vec(*[rng.randint(-99, 99) for _ in range(n)]))
+                vectors.append(vec(*[F(rng.randint(-99, 99), rng.randint(1, 6))
+                                     for _ in range(n)]))
+        vectors += [c for m in _models_to(12) for _, c in m.cone]
+        dens = set()
+        for v in vectors:
+            den, nums = surface._integer_parts(v)
+            assert (den, nums) == general(v), v
+            assert type(den) is int and all(type(x) is int for x in nums), v
+            dens.add(den == 1)
+        assert dens == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # the check-first decomposition, kept as the oracle for the iterate-first one
 
@@ -682,26 +708,30 @@ def _outcome(decompose, m, d):
 
 def _probe_classes(m, k, rng):
     """Boundary classes (generator k and the k-th sum of two generators), a
-    random pseudo-effective class, and the negations of both boundary classes."""
+    random pseudo-effective class (one nonnegative coefficient per
+    generator), and the negations of both boundary classes."""
     gens = [c for _, c in m.cone]
     pairs = list(itertools.combinations(gens, 2))
     boundary = [gens[k % len(gens)], vadd(*pairs[k % len(pairs)])]
-    interior = tuple(sum(F(rng.randint(0, 6), rng.randint(1, 3)) * c[i] for c in gens)
-                     for i in range(m.rank()))
+    coeffs = [F(rng.randint(0, 6), rng.randint(1, 3)) for _ in gens]
+    interior = tuple(sum(x * c[i] for x, c in zip(coeffs, gens)) for i in range(m.rank()))
     return boundary + [interior] + [vscale(-1, d) for d in boundary]
 
 
 def test_iterate_first_matches_check_first():
     """Same decomposition, or same exception type, text and separator, as the
-    check-first order on every fixed model and every family at a + b <= 12."""
+    check-first order on every fixed model and every family at a + b <= 12;
+    every random pseudo-effective class decomposes."""
     models = _models_to(12)
     rng = random.Random(8)
     seen = {True: 0, False: 0}
     for k, m in enumerate(models):
-        for d in _probe_classes(m, k, rng):
+        for j, d in enumerate(_probe_classes(m, k, rng)):
             old = _outcome(_check_first_decompose, m, d)
             assert _outcome(lambda m, d: m.zariski_decompose(d), m, d) == old, (m.name, d)
             seen[old[0] is NotPseudoEffectiveError] += 1
+            if j == 2:
+                assert isinstance(m.zariski_decompose(d), ZariskiDecomposition), (m.name, d)
     assert min(seen.values()) >= 400, seen
 
 
