@@ -193,6 +193,13 @@ class SurdSum:
         return SurdSum._normalized(tuple((d, -q) for d, q in self._terms))
 
     def __sub__(self, other: Number) -> "SurdSum":
+        if isinstance(other, (int, Fraction)):
+            # a rational shifts the rational head term alone
+            ts = self._terms
+            if ts and ts[0][0] == 1:
+                q = ts[0][1] - other
+                return SurdSum._normalized(((1, q),) + ts[1:] if q else ts[1:])
+            return SurdSum._normalized(((1, Fraction(-other)),) + ts) if other else self
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -303,30 +310,17 @@ class SurdSum:
             return hash(ts[0][1])
         return hash(ts)
 
-    def _minus(self, other: Number) -> "SurdSum":
-        """``self - other`` for a comparison: a rational ``other`` shifts the
-        rational term in place, with no other ``SurdSum`` built."""
-        if not isinstance(other, (int, Fraction)):
-            return self - other
-        ts = self._terms
-        if ts and ts[0][0] == 1:
-            q = ts[0][1] - other
-            return SurdSum._normalized(((1, q),) + ts[1:] if q else ts[1:])
-        if not other:
-            return self
-        return SurdSum._normalized(((1, _fraction(-other)),) + ts)
-
     def __lt__(self, other: Number) -> bool:
-        return self._minus(other).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other: Number) -> bool:
-        return self._minus(other).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: Number) -> bool:
-        return self._minus(other).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: Number) -> bool:
-        return self._minus(other).sign() >= 0
+        return (self - other).sign() >= 0
 
     # -- numeric output ----------------------------------------------------
 
@@ -413,15 +407,6 @@ def render_surd(x: Number) -> str:
 # quadratic polynomials and piecewise profiles
 
 
-def _fraction(x: RationalLike) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def _less(a: Fraction, b: Fraction) -> bool:
-    """``a < b``, decided on the numerators and denominators."""
-    return a.numerator * b.denominator < b.numerator * a.denominator
-
-
 @dataclass(frozen=True)
 class QuadraticPoly:
     """c2*t**2 + c1*t + c0 with rational coefficients."""
@@ -432,9 +417,7 @@ class QuadraticPoly:
 
     def _parts(self) -> tuple[tuple[int, int], ...]:
         """``(numerator, denominator)`` of ``c2``, ``c1`` and ``c0``."""
-        c2, c1, c0 = self.c2, self.c1, self.c0
-        return ((c2.numerator, c2.denominator), (c1.numerator, c1.denominator),
-                (c0.numerator, c0.denominator))
+        return self.c2.as_integer_ratio(), self.c1.as_integer_ratio(), self.c0.as_integer_ratio()
 
     def __call__(self, t: RationalLike) -> Fraction:
         # over the integers, with t = n/d: one normalization
@@ -493,13 +476,13 @@ class PiecewiseQuadratic:
     """
 
     def __init__(self, breakpoints: Sequence[RationalLike], segments: Sequence[QuadraticPoly]):
-        points = [_fraction(b) for b in breakpoints]
+        points = [Fraction(b) for b in breakpoints]
         if len(points) != len(segments) + 1:
             raise ExactDomainError("need one more breakpoint than segments")
-        if points and points[0].numerator:
+        if points and points[0] != 0:
             raise ExactDomainError("profile must start at 0")
         for a, b in zip(points, points[1:]):
-            if not _less(a, b):
+            if not a < b:
                 raise ExactDomainError("breakpoints must increase strictly")
         self.breakpoints = points
         self.segments = list(segments)
@@ -524,15 +507,15 @@ class PiecewiseQuadratic:
     def integrate(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """The integral over ``[lo, hi]``: the segments' integer parts are
         summed over their product denominator and normalized once."""
-        lo, hi = _fraction(lo), _fraction(hi)
-        if _less(hi, lo):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
             raise ExactDomainError("reversed integration bounds")
-        if lo.numerator < 0 or _less(self.tau, hi):
+        if lo < 0 or hi > self.tau:
             raise ExactDomainError("integration bounds outside [0, tau]")
         num, den = 0, 1
         for a, b, seg in zip(self.breakpoints, self.breakpoints[1:], self.segments):
-            left, right = lo if _less(a, lo) else a, hi if _less(hi, b) else b
-            if _less(left, right):
+            left, right = max(a, lo), min(b, hi)
+            if left < right:
                 n, d = seg.integral_parts(left, right)
                 num, den = num * d + n * den, den * d
         return Fraction(num, den)

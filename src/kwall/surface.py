@@ -47,6 +47,8 @@ def vec(*entries) -> Vec:
 
 
 def _vec_entry(e) -> Fraction:
+    # a Fraction entry is kept as it is, neither copied by Fraction(e) nor
+    # hashed (a modular inverse of its denominator) to look it up
     if type(e) is Fraction:
         return _SMALL.get(e.numerator, e) if e.denominator == 1 else e
     x = _SMALL.get(e)

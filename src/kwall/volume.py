@@ -29,7 +29,6 @@ from .exactnum import (
     PiecewiseQuadratic,
     QuadraticPoly,
     SurdSum,
-    _less,
     render_fraction,
 )
 from .pairs import DIVISORS, ChartCase
@@ -137,7 +136,7 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
             seg = _segment(sweep, support, t_cur)
         quad = seg.quad
         start = quad(t_cur)
-        if start.numerator < 0:
+        if start < 0:
             raise ArithmeticError(f"{model.name}: negative volume at t={t_cur}")
         starts.append(start)
         first = _first(seg.events.values())
@@ -145,9 +144,9 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         vol_root = seg.vol_root
         if vol_root is None and next_support is None:
             raise ArithmeticError(f"{model.name}: volume never reaches zero")
-        if vol_root is not None and (next_support is None or _at_most(vol_root, next_support)):
+        if vol_root is not None and (next_support is None or vol_root <= next_support):
             # Zariski chambers are rational polyhedral, so tau is rational
-            if type(vol_root) is not Fraction:
+            if not isinstance(vol_root, Fraction):
                 raise ArithmeticError(f"{model.name}: irrational volume root {vol_root}")
             breakpoints.append(vol_root)
             segments.append(quad)
@@ -197,7 +196,7 @@ class _Segment:
 
     Every decision on these data is made on integers: an event by
     cross-multiplying ``a * den > num * b`` with ``t_cur = num / den``, a
-    rational root against ``t_cur`` the same way, and a surd root by one
+    rational root by ``Fraction`` comparison, and a surd root by one
     ``SurdSum.sign``, which squares integers.
     """
 
@@ -250,14 +249,8 @@ def _segment(sweep: _Sweep, support: list[int], t_cur: Fraction) -> _Segment:
         Fraction(f_f.numerator * e - f_f.denominator * _dot(u1, b1), f_f.denominator * e),
         Fraction(2 * (l0_f.denominator * _dot(u0, b1) - l0_f.numerator * e), l0_f.denominator * e),
         Fraction(l0_l0.numerator * e - l0_l0.denominator * _dot(u0, b0), l0_l0.denominator * e))
-    vol_root = next((r for r in quad.real_roots() if not _at_most(r, t_cur)), None)
+    vol_root = next((r for r in quad.real_roots() if r > t_cur), None)
     return _Segment(t_cur, tuple(support), det, lines, quad, events, vol_root)
-
-
-def _at_most(x: Union[Fraction, SurdSum], t: Fraction) -> bool:
-    """``x <= t``: on integers for a ``Fraction``, by one ``SurdSum.sign``
-    for a surd."""
-    return not _less(t, x) if type(x) is Fraction else x <= t
 
 
 def _first(ratios) -> Optional[tuple[int, int]]:
@@ -280,7 +273,7 @@ def _sample(seg: _Segment) -> tuple[int, int]:
         cands.append((r.numerator, r.denominator))
     elif r is not None:
         lo, _ = r.enclosure(64)
-        if _less(t, lo):
+        if lo > t:
             cands.append((lo.numerator, lo.denominator))
     a, b = _first(cands) or (t.numerator + t.denominator, t.denominator)
     return t.numerator * b + a * t.denominator, 2 * t.denominator * b

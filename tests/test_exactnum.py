@@ -361,9 +361,13 @@ class TestNormalizedFastPaths:
         for _ in range(400):
             x, y = _random_surd(rng), _random_surd(rng)
             q = _random_fraction(rng) or F(1)
-            for z in (x + y, x - y, -x, x / q, x + q, q - x, y / 3, SurdSum.rational(q)):
+            for z in (x + y, x - y, -x, x / q, x + q, q - x, x - q, x - 2, x - 0, y / 3,
+                      SurdSum.rational(q)):
                 assert z.terms == SurdSum(z.terms).terms
                 assert all(type(c) is F and c for _, c in z.terms)
+            # a rational subtrahend shifts the head term alone
+            assert (x - q).terms == SurdSum(x.terms + ((1, -q),)).terms
+            assert (x - 2).terms == SurdSum(x.terms + ((1, -2),)).terms
 
     def test_integral_terms(self):
         # an integral is one Fraction, whatever the bounds
@@ -464,8 +468,9 @@ class TestIntegerDecisionsMatchReference:
                     s < 0, s <= 0, s > 0, s >= 0), (x, other)
 
     def test_rational_comparison_builds_one_surd(self, monkeypatch):
-        """A comparison with an int or Fraction makes one shifted SurdSum,
-        which holds the invariant, and none when there is nothing to shift."""
+        """A comparison with an int or Fraction makes one shifted SurdSum
+        (by ``__sub__``), which holds the invariant, and none when there is
+        nothing to shift."""
         built = []
         normalized = SurdSum._normalized.__func__
 
