@@ -9,16 +9,14 @@ The lattice-side dimensions are bundled verified data, not computed here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import render_fraction
 from .pairs import parse_curve
 
 
-@dataclass(frozen=True)
-class WallBranch:
+class WallBranch(NamedTuple):
     wall: Fraction
     surface: str
     curve: str
@@ -109,10 +107,8 @@ AUDIT_VERIFIED = {
 }
 
 
-@dataclass(frozen=True)
-class WallAtlas:
-    branches: tuple[WallBranch, ...] = field(
-        default_factory=lambda: tuple(_F1_BRANCHES + _BLP114_BRANCHES))
+class WallAtlas(NamedTuple):
+    branches: tuple[WallBranch, ...] = (*_F1_BRANCHES, *_BLP114_BRANCHES)
     version: int = ATLAS_VERSION
 
     def walls(self, surface: str) -> list[Fraction]:

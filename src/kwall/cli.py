@@ -58,6 +58,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _coefficient(text: str) -> Fraction:
+    """argparse type: a boundary coefficient c in [0, 1/2)."""
+    c = _fraction(text)
+    if not 0 <= c < Fraction(1, 2):
+        raise argparse.ArgumentTypeError(f"coefficient must lie in [0, 1/2): {text!r}")
+    return c
+
+
 def _weights(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
@@ -395,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(CHART_FAMILIES))
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=_fraction, default=Fraction(0))
+    p.add_argument("--c", type=_coefficient, default=Fraction(0))
     p.set_defaults(func=_cmd_sfun)
 
     p = sub.add_parser("zariski", parents=[common],
@@ -412,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--surface", choices=tuple(PLANES), required=True)
     p.add_argument("--curve", required=True, help="curve text or @file")
     p.add_argument("--weights", type=_weights, default=None, metavar="l1,l2,l3")
-    p.add_argument("--c", type=_fraction, required=True)
+    p.add_argument("--c", type=_coefficient, required=True)
     p.set_defaults(func=_cmd_beta)
 
     p = sub.add_parser("threshold", parents=[common],
@@ -463,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--divisor", default=None)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--c", type=_fraction, default=None)
+    p.add_argument("--c", type=_coefficient, default=None)
     p.set_defaults(func=_cmd_profile)
 
     return parser

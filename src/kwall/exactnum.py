@@ -13,10 +13,9 @@ nonzero value can always be decided in finitely many refinement steps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 Number = Union[int, Fraction, "SurdSum"]
@@ -407,8 +406,7 @@ def render_surd(x: Number) -> str:
 # quadratic polynomials and piecewise profiles
 
 
-@dataclass(frozen=True)
-class QuadraticPoly:
+class QuadraticPoly(NamedTuple):
     """c2*t**2 + c1*t + c0 with rational coefficients."""
 
     c2: Fraction

@@ -12,7 +12,6 @@ invariant; coefficients are carried as display tags.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
@@ -84,19 +83,24 @@ def _plane(surface: str) -> Plane:
         raise ValueError(f"unknown surface {surface!r}") from None
 
 
-@dataclass(frozen=True)
-class ChartCase:
-    """A weighted-blowup chart with coprime positive weights (a, b)."""
-
+class _ChartFields(NamedTuple):
     surface: str  # a key of PLANES
     tag: str
     a: int
     b: int
 
-    def __post_init__(self) -> None:
-        if self.tag not in CHART_FAMILIES or self.family.surface != self.surface:
-            raise ValueError(f"chart {self.tag!r} is not valid on {self.surface}")
-        check_weights(self.a, self.b)
+
+class ChartCase(_ChartFields):
+    """A weighted-blowup chart with coprime positive weights (a, b)."""
+
+    __slots__ = ()
+
+    def __new__(cls, surface: str, tag: str, a: int, b: int) -> ChartCase:
+        family = CHART_FAMILIES.get(tag)
+        if family is None or family.surface != surface:
+            raise ValueError(f"chart {tag!r} is not valid on {surface}")
+        check_weights(a, b)
+        return super().__new__(cls, surface, tag, a, b)
 
     @property
     def family(self) -> ChartFamily:
@@ -114,8 +118,7 @@ class DegenerateWeightError(ValueError):
         super().__init__(message + "; use the toric divisor valuations instead")
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     i: int  # y-exponent
     j: int  # z-exponent
     tag: str = TAG_ONE
@@ -151,8 +154,7 @@ def quarter_point_order(surface: str, support: Iterable[tuple[int, int]]) -> int
     return plane.degree // plane.weights[2] - max(j for _, j in support)
 
 
-@dataclass(frozen=True)
-class CurvePair:
+class CurvePair(NamedTuple):
     """A boundary curve in |-2K| presented by its plane monomial support."""
 
     surface: str

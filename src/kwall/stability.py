@@ -28,10 +28,9 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import polycheck
 from .exactnum import SurdSum, render_fraction, render_surd
@@ -68,8 +67,7 @@ Number = Union[int, Fraction, SurdSum]
 # beta reports
 
 
-@dataclass(frozen=True)
-class BetaReport:
+class BetaReport(NamedTuple):
     valuation: str
     a_value: Fraction
     s_value: SurdSum
@@ -99,30 +97,29 @@ def _verdict(beta: SurdSum) -> str:
 # affine constraints in c
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One valuation: beta(c) = a0 - m*c - s0*(1 - 2c) = u + v*c.
-
-    A rational ``s0`` is held as a ``Fraction``; only a surd ``s0`` (a
-    tabulated closed form or a certificate value) stays a ``SurdSum``.
-    """
-
+class _ConstraintFields(NamedTuple):
     name: str
     a0: Fraction
     m: Fraction
     s0: Number
+    u: Number
+    v: Number
 
-    def __post_init__(self) -> None:
-        if isinstance(self.s0, SurdSum) and self.s0.is_rational():
-            object.__setattr__(self, "s0", self.s0.as_fraction())
 
-    @property
-    def u(self) -> Number:
-        return self.a0 - self.s0
+class Constraint(_ConstraintFields):
+    """One valuation: beta(c) = a0 - m*c - s0*(1 - 2c) = u + v*c.
 
-    @property
-    def v(self) -> Number:
-        return 2 * self.s0 - self.m
+    Built from ``(name, a0, m, s0)``, which fixes ``u`` and ``v`` once.  A
+    rational ``s0`` is held as a ``Fraction``; only a surd ``s0`` (a
+    certificate value) stays a ``SurdSum``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, a0: Fraction, m: Fraction, s0: Number) -> Constraint:
+        if isinstance(s0, SurdSum) and s0.is_rational():
+            s0 = s0.as_fraction()
+        return super().__new__(cls, name, a0, m, s0, a0 - s0, 2 * s0 - m)
 
     def beta_at(self, c) -> Number:
         return self.u + self.v * Fraction(c)
@@ -189,8 +186,7 @@ def all_constraints(curve: CurvePair) -> list[Constraint]:
 # stability thresholds
 
 
-@dataclass(frozen=True)
-class StabilityThreshold:
+class StabilityThreshold(NamedTuple):
     lower: Optional[Fraction]  # None means unconstrained below
     upper: Optional[Fraction]  # None means unconstrained above
     classification: str  # empty | point | interval
@@ -339,6 +335,10 @@ def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optiona
         s0 = s_engine_coefficient(chart)
     elif source == "published":
         s0 = s_closed_form_coefficient(chart)
+        # a surd has no rational root; deciding it here spares the
+        # constraint's surd products u and v
+        if not s0.is_rational():
+            return None
     else:
         raise ValueError(f"unknown source {source!r}")
     return Constraint(f"{chart.tag}({chart.a},{chart.b})", Fraction(chart.a + chart.b),
@@ -349,8 +349,7 @@ def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optiona
 # wall candidates, confirmation and enumeration
 
 
-@dataclass(frozen=True)
-class WallCandidate:
+class WallCandidate(NamedTuple):
     w: Fraction
     surface: str
     curve: CurvePair
@@ -373,8 +372,7 @@ class WallCandidate:
         return out
 
 
-@dataclass(frozen=True)
-class WallRecord:
+class WallRecord(NamedTuple):
     candidate: WallCandidate
     confirmed: bool
     reason: str

@@ -10,12 +10,12 @@ anticanonical class and a few named divisor classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exactnum import render_fraction
 
@@ -99,8 +99,7 @@ class NotPseudoEffectiveError(ValueError):
         self.separating = separating
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     positive: Vec
     negative_support: tuple[tuple[str, Fraction], ...]
 
@@ -109,8 +108,7 @@ class ZariskiDecomposition:
         return tuple(name for name, _ in self.negative_support)
 
 
-@dataclass(frozen=True, slots=True)
-class ConeRecord:
+class ConeRecord(NamedTuple):
     """The integer intersection data of one model that no class changes:
     built on first use, once per model, and then only read by
     ``intersect``, ``pairing_table``, the Zariski iteration and the
@@ -137,8 +135,7 @@ class ConeRecord:
     gram: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
-class PairingTable:
+class PairingTable(NamedTuple):
     """Integer intersection numbers of the cone generators ``C_j`` and of a
     few extra classes ``v_k``.
 
@@ -165,15 +162,23 @@ class PairingTable:
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class _ModelFields(NamedTuple):
     name: str
     basis: tuple[str, ...]
     gram: Mat
     cone: tuple[tuple[str, Vec], ...]
     anticanonical: Vec
-    classes: dict[str, Vec] = field(default_factory=dict)
+    classes: Mapping[str, Vec] = MappingProxyType({})
     exceptional: Optional[str] = None
+
+
+class SurfaceModel(_ModelFields):
+    """An immutable model record (see the module docstring).  Unlike a bare
+    ``NamedTuple`` it has an instance ``__dict__``: ``_cone_record`` is
+    cached there on first use, and every attribute assignment is refused."""
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- basic intersection theory ------------------------------------------
 

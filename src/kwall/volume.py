@@ -20,9 +20,8 @@ authoritative, and ``kwall sfun`` prints both values side by side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exactnum import (
     ExactDomainError,
@@ -49,8 +48,7 @@ from .surface import (
 # volume profiles
 
 
-@dataclass
-class SProfile:
+class SProfile(NamedTuple):
     """Exact volume profile of L0 - t*F and its integral."""
 
     model_name: str
@@ -166,8 +164,7 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
     raise ArithmeticError(f"{model.name}: profile sweep did not terminate")
 
 
-@dataclass(frozen=True)
-class _Sweep:
+class _Sweep(NamedTuple):
     """Every intersection number one profile sweep needs: the model's
     integer pairing table of ``(l0, f)`` and the three squares of the pair."""
 
@@ -178,8 +175,7 @@ class _Sweep:
     f_f: Fraction
 
 
-@dataclass(frozen=True)
-class _Segment:
+class _Segment(NamedTuple):
     """Sweep data of one support set, from ``t_cur`` on, as integers.
 
     With ``det > 0`` the determinant of the support block of the pairing

@@ -198,6 +198,32 @@ def test_ignored_flag_usage(capsys, case):
     assert [line for line in err if "error:" in line] == err[-1:], err
 
 
+COEFFICIENT_ARGV = {
+    "sfun": ["sfun", "--chart", "case1p", "--a", "1", "--b", "2"],
+    "beta": ["beta", "--surface", "f1", "--curve", "x^4*z*y"],
+    "profile": ["profile", "--surface", "index3m"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COEFFICIENT_ARGV))
+@pytest.mark.parametrize("c", ["7", "3/4", "1/2", "-1/10"])
+def test_coefficient_outside_range_usage(capsys, command, c):
+    """A boundary coefficient c outside [0, 1/2) is a usage error: exit 2,
+    no stdout, one ``error:`` line after the usage."""
+    code, out = invoke(*COEFFICIENT_ARGV[command], f"--c={c}")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert [line for line in err if "error:" in line] == err[-1:], err
+    assert err[-1].endswith(f"argument --c: coefficient must lie in [0, 1/2): '{c}'")
+
+
+@pytest.mark.parametrize("command", sorted(COEFFICIENT_ARGV))
+@pytest.mark.parametrize("c", ["0", "1/5", "49/100"])
+def test_coefficient_inside_range_accepted(command, c):
+    code, text = invoke(*COEFFICIENT_ARGV[command], "--c", c)
+    assert code == 0 and json.loads(text)
+
+
 class TestBetaThresholdCommands:
     def test_beta_with_weights(self):
         code, text = invoke("beta", "--surface", "blp114", "--curve",

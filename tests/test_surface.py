@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import zlib
@@ -570,9 +569,9 @@ class TestConeRecord:
         for m in _models_to(12):
             first = m.pairing_table(m.anticanonical)
             rec = m._cone_record
-            assert all(ints(getattr(rec, f.name)) for f in dataclasses.fields(rec)), m.name
+            assert all(ints(getattr(rec, name)) for name in rec._fields), m.name
             assert ints(first.classes) and ints(first.rows), m.name
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 rec.gram = ()
             m.zariski_decompose(m.anticanonical)
             table = _assert_pairing_table(m)

@@ -187,3 +187,40 @@ def test_traced_spans_have_calls(monkeypatch, tmp_path):
         calls = json.loads(trace.read_text(encoding="utf-8"))["window"]["calls"]
         idle = sorted(n for n in run.EXPECTED_CALLS[workload] if not calls[n])
         assert not idle, (workload, idle)
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """Every kwall command is a fresh process that imports ``kwall.cli`` and
+    builds the parser; that start-up loads neither ``dataclasses`` nor the
+    ``inspect`` module it pulls in."""
+    code = ("import sys; before = set(sys.modules); import kwall.cli; "
+            "kwall.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    """The package's records are ``NamedTuple``s, not dataclasses."""
+    package_dir = os.path.join(ROOT, "src", "kwall")
+    sites = []
+    for entry in sorted(os.listdir(package_dir)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, entry), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                sites.append(f"{entry}:{node.lineno}")
+    assert sites == []

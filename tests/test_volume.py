@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -460,7 +459,7 @@ def test_irrational_volume_root_is_a_check_failure(monkeypatch, capsys):
 
     def surd_root(sweep, support, t_cur):
         seg = original(sweep, support, t_cur)
-        return dataclasses.replace(seg, events={}, vol_root=SurdSum.sqrt(2) + t_cur)
+        return seg._replace(events={}, vol_root=SurdSum.sqrt(2) + t_cur)
 
     monkeypatch.setattr(volume, "_segment", surd_root)
     with pytest.raises(ArithmeticError, match="irrational volume root"):
