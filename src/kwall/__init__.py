@@ -7,4 +7,3 @@ from .surface import SurfaceModel, builtin_surface  # noqa: F401
 from .volume import volume_profile  # noqa: F401
 from .pairs import ChartCase, CurvePair, onePS_to_chart, parse_curve  # noqa: F401
 from .stability import enumerate_walls, threshold  # noqa: F401
-from .hkl import cone_threshold, hkl_param, map_walls  # noqa: F401

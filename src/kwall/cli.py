@@ -20,7 +20,6 @@ from typing import Optional
 from . import __version__
 from .atlas import AtlasFormatError, bundled_atlas, diff_atlas, load_atlas
 from .exactnum import SurdSum, render_fraction, render_surd
-from .hkl import audit_dim_formula, cone_report, map_walls
 from .pairs import (
     CHART_FAMILIES,
     PLANES,
@@ -63,6 +62,14 @@ def _coefficient(text: str) -> Fraction:
     c = _fraction(text)
     if not 0 <= c < Fraction(1, 2):
         raise argparse.ArgumentTypeError(f"coefficient must lie in [0, 1/2): {text!r}")
+    return c
+
+
+def _open_coefficient(text: str) -> Fraction:
+    """argparse type: a boundary coefficient c in (0, 1/2), as a certificate needs."""
+    c = _fraction(text)
+    if not 0 < c < Fraction(1, 2):
+        raise argparse.ArgumentTypeError(f"coefficient must lie in (0, 1/2): {text!r}")
     return c
 
 
@@ -292,6 +299,8 @@ def _cmd_threshold(args, out) -> int:
 
 
 def _cmd_hkl(args, out) -> int:
+    from .hkl import audit_dim_formula, cone_report, map_walls  # only this command
+
     atlas = _load_atlas_arg(args.atlas)
     if args.what == "map":
         rep = map_walls(atlas)
@@ -449,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[common, approx],
                        help="named instability certificates")
     p.add_argument("kind", choices=("index3", "quotient-point"))
-    p.add_argument("--c", type=_fraction, required=True)
+    p.add_argument("--c", type=_open_coefficient, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--curve", default=None,
                        help="curve on blp114 through the quarter point")

@@ -14,7 +14,7 @@ Poly = tuple[Fraction, ...]
 
 
 def poly(coeffs: Sequence) -> Poly:
-    out = [Fraction(c) for c in coeffs]
+    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
     if len(out) > 2:
@@ -23,7 +23,11 @@ def poly(coeffs: Sequence) -> Poly:
 
 
 def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    return sum((c * x ** i for i, c in enumerate(p)), Fraction(0))
+    """p(x) in Horner form."""
+    acc = p[-1] if p else Fraction(0)
+    for c in p[-2::-1]:
+        acc = acc * x + c
+    return acc
 
 
 def nonneg_on_interval(p: Poly, a, b) -> tuple[bool, Optional[Fraction]]:
@@ -41,4 +45,4 @@ def nonneg_on_ray(p: Poly, a) -> tuple[bool, Optional[Fraction]]:
     if p and p[-1] < 0:
         cauchy = 1 + max((abs(c) for c in p[:-1]), default=0) / abs(p[-1])
         return False, max(a, cauchy) + 1
-    return nonneg_on_interval(p, a, a)  # slope >= 0: the minimum is p(a)
+    return (False, a) if poly_eval(p, a) < 0 else (True, None)  # slope >= 0: min is p(a)

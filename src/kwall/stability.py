@@ -24,13 +24,21 @@ constraints.  The kink weights plus the four toric divisors therefore decide
 semistability exactly; an independent piecewise check over whole r-intervals
 (:func:`verify_semistable_at`) re-derives the same answer without the dominance
 argument.
+
+Each curve's stability data is computed once per process: its toric
+constraints, each chart tag's local points and kink weights, and the
+kink-complete threshold.  That is sound because all of it depends only on the
+immutable ``CurvePair`` (its support on its surface) and on the engine's
+S-values, which are fixed; ``_curve_cache`` holds tuples and hands out fresh
+lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import polycheck
 from .exactnum import SurdSum, render_fraction, render_surd
@@ -139,12 +147,6 @@ class Constraint(_ConstraintFields):
                           _verdict(beta), note)
 
 
-def toric_constraints(curve: CurvePair) -> list[Constraint]:
-    mults = toric_multiplicities(curve)
-    return [Constraint(d, Fraction(1), Fraction(mults[d]), s0)
-            for d, s0 in fixed_divisor_s(curve.surface).items()]
-
-
 def _crossing(p: tuple[int, int], q: tuple[int, int]) -> Optional[tuple[int, int]]:
     """Primitive (a, b) > 0 with a*p[0] + b*p[1] == a*q[0] + b*q[1], if any."""
     de, df = p[0] - q[0], q[1] - p[1]
@@ -154,32 +156,11 @@ def _crossing(p: tuple[int, int], q: tuple[int, int]) -> Optional[tuple[int, int
     return abs(df) // g, abs(de) // g
 
 
-def kink_weights(curve: CurvePair, tag: str) -> list[tuple[int, int]]:
-    """Primitive (a, b), by increasing b/a, where the local multiplicity kinks
-    (two local exponents cross) or the family lists a ``branch_ratios`` entry."""
-    pts = local_points(curve, tag)
-    ratios = set(CHART_FAMILIES[tag].branch_ratios)
-    for k, p in enumerate(pts):
-        for q in pts[k + 1:]:
-            ab = _crossing(p, q)
-            if ab is not None:
-                ratios.add(Fraction(ab[1], ab[0]))
-    return [(r.denominator, r.numerator) for r in sorted(ratios)]
-
-
 def chart_constraint(curve: CurvePair, chart: ChartCase) -> Constraint:
     """The chart's weighted-blowup valuation, S by volume integration."""
     m = multiplicity(chart_expand(curve, chart), chart.a, chart.b)
     return Constraint(f"{chart.tag}({chart.a},{chart.b})", Fraction(chart.a + chart.b),
                       Fraction(m), s_engine_coefficient(chart))
-
-
-def all_constraints(curve: CurvePair) -> list[Constraint]:
-    cons = toric_constraints(curve)
-    for tag in PLANES[curve.surface].chart_tags:
-        cons += [chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
-                 for a, b in kink_weights(curve, tag) or [(1, 1)]]
-    return cons
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +232,56 @@ def _intersect(cons: Sequence[Constraint]) -> StabilityThreshold:
     return StabilityThreshold(lower, upper, cls, tuple(bind_lo), tuple(bind_hi))
 
 
+class _CurveData(NamedTuple):
+    toric: tuple[Constraint, ...]
+    charts: dict[str, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]
+    constraints: Optional[tuple[Constraint, ...]] = None  # toric, then kink charts
+    threshold: Optional[StabilityThreshold] = None  # of ``constraints``
+
+
+# per-curve stability data (module docstring); never evicted
+_curve_cache: dict[CurvePair, _CurveData] = {}
+
+
+def _curve_data(curve: CurvePair, constraints: bool = False) -> _CurveData:
+    """The curve's toric constraints and, per chart tag, its local points and
+    kink weights: the primitive (a, b), by increasing b/a, where two local
+    exponents cross or the family lists a ``branch_ratios`` entry.  With
+    ``constraints`` also the kink-weight chart constraints and their threshold.
+    """
+    data = _curve_cache.get(curve)
+    if data is None:
+        mults = toric_multiplicities(curve)
+        toric = tuple(Constraint(d, Fraction(1), Fraction(mults[d]), s0)
+                      for d, s0 in fixed_divisor_s(curve.surface).items())
+        charts = {}
+        for tag in PLANES[curve.surface].chart_tags:
+            pts = local_points(curve, tag)
+            ratios = set(CHART_FAMILIES[tag].branch_ratios)
+            for k, p in enumerate(pts):
+                for q in pts[k + 1:]:
+                    ab = _crossing(p, q)
+                    if ab is not None:
+                        ratios.add(Fraction(ab[1], ab[0]))
+            charts[tag] = (pts, tuple((r.denominator, r.numerator) for r in sorted(ratios)))
+        data = _curve_cache[curve] = _CurveData(toric, charts)
+    if constraints and data.threshold is None:
+        cons = data.toric + tuple(
+            chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
+            for tag, (_, kinks) in data.charts.items() for a, b in kinks or [(1, 1)])
+        data = _curve_cache[curve] = data._replace(constraints=cons,
+                                                   threshold=_intersect(cons))
+    return data
+
+
+def toric_constraints(curve: CurvePair) -> list[Constraint]:
+    return list(_curve_data(curve).toric)
+
+
+def all_constraints(curve: CurvePair) -> list[Constraint]:
+    return list(_curve_data(curve, constraints=True).constraints)
+
+
 def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshold:
     """{c : beta(c) >= 0 for every swept valuation}, exact.
 
@@ -260,12 +291,12 @@ def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshol
     """
     if grid is not None and grid < 12:
         raise ValueError("grid bound must be at least 12")
-    cons = all_constraints(curve)
-    base = _intersect(cons)
+    base = _curve_data(curve, constraints=True).threshold
     guarantee = "kink-complete"
     if grid is not None:
         weights = [(a, b) for a in range(1, grid) for b in range(1, grid + 1 - a)
                    if gcd(a, b) == 1]
+        cons = all_constraints(curve)
         cons += [chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
                  for tag in PLANES[curve.surface].chart_tags for a, b in weights]
         swept = _intersect(cons)
@@ -273,8 +304,7 @@ def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshol
             raise ArithmeticError(
                 f"grid sweep tightened the kink threshold: {swept} vs {base}")
         guarantee += f"+grid({grid})"
-    return StabilityThreshold(base.lower, base.upper, base.classification,
-                              base.binding_lower, base.binding_upper, guarantee)
+    return base._replace(guarantee=guarantee)
 
 
 # ---------------------------------------------------------------------------
@@ -290,26 +320,26 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
     """
     c = Fraction(c)
     failures: list[str] = []
+    data = _curve_data(curve)
+    for con in data.toric:
+        beta = con.beta_at(c)
+        if beta < 0:
+            failures.append(f"toric {con.name}: beta({c}) = {beta}")
     fixed_s = fixed_divisor_s(curve.surface)
-    for con in toric_constraints(curve):
-        if con.beta_at(c) < 0:
-            failures.append(f"toric {con.name}: beta({c}) = {con.beta_at(c)}")
-    for tag in PLANES[curve.surface].chart_tags:
-        d1, d2 = CHART_FAMILIES[tag].divisors
-        pts = local_points(curve, tag)
-        grid = [Fraction(0)] + [Fraction(b, a) for a, b in kink_weights(curve, tag)]
+    for tag, (pts, kinks) in data.charts.items():
+        # S0(1, r) = S0(D1) + r*S0(D2) (module docstring), so on each interval
+        # beta = k1 - e*c + r*(k2 - f*c) for the local exponent (e, f) that
+        # minimizes e + probe*f, that is den*e + num*f
+        k1, k2 = (1 - fixed_s[d] * (1 - 2 * c) for d in CHART_FAMILIES[tag].divisors)
+        grid = [Fraction(0)] + [Fraction(b, a) for a, b in kinks]
         for idx, lo in enumerate(grid):
             hi = grid[idx + 1] if idx + 1 < len(grid) else None
             probe = (lo + hi) / 2 if hi is not None else lo + 1
             if probe == 0:
                 probe = Fraction(1, 2) if hi is None else hi / 2
-            e_star, f_star = min(pts, key=lambda p: p[0] + probe * p[1])
-            # with S0(1, r) = S0(D1) + r*S0(D2) (module docstring) the weight
-            # (1, r) valuation splits as the D1 part plus r times the D2 part
-            p = polycheck.poly([
-                Constraint(d1, Fraction(1), Fraction(e_star), fixed_s[d1]).beta_at(c),
-                Constraint(d2, Fraction(1), Fraction(f_star), fixed_s[d2]).beta_at(c),
-            ])
+            num, den = probe.numerator, probe.denominator
+            e, f = min(pts, key=lambda p: den * p[0] + num * p[1])
+            p = (k1 - e * c, k2 - f * c)
             if hi is not None:
                 ok, witness = polycheck.nonneg_on_interval(p, lo, hi)
             else:
@@ -405,7 +435,7 @@ def confirm_wall(candidate: WallCandidate) -> WallRecord:
         if horizontal != 0:
             return WallRecord(candidate, False,
                               f"horizontal beta is {render_fraction(horizontal)}, not 0")
-    for con in toric_constraints(curve):
+    for con in _curve_data(curve).toric:
         if con.beta_at(w) < 0:
             return WallRecord(candidate, False, f"beta({con.name}) < 0 at w")
     thr = threshold(curve)
@@ -419,13 +449,10 @@ def confirm_wall(candidate: WallCandidate) -> WallRecord:
     return WallRecord(candidate, True, "", thr.binding_lower, thr.binding_upper)
 
 
-def _support_curve(surface: str, support: Iterable[tuple[int, int]]) -> CurvePair:
-    pts = sorted(set(support))
-    tags = {}
-    if len(pts) > 2:
-        for p in pts[1:-1]:
-            tags[p] = "generic-nonzero"
-    return make_curve(surface, pts, tags)
+@cache
+def _support_curve(surface: str, pts: tuple[tuple[int, int], ...]) -> CurvePair:
+    """The curve on the sorted support ``pts``, built once per surface and support."""
+    return make_curve(surface, pts, {p: "generic-nonzero" for p in pts[1:-1]})
 
 
 def _candidate_supports(surface: str):
@@ -491,8 +518,8 @@ def _wall_candidates(surface: str, source: str) -> list[WallCandidate]:
     """Unconfirmed wall candidates, one per (w, support), sorted by that key."""
     records: dict[tuple[Fraction, tuple[tuple[int, int], ...]], WallCandidate] = {}
     for kind, tag, a, b, m, support in _candidate_supports(surface):
-        curve = _support_curve(surface, support)
-        key_support = tuple(sorted(curve.support()))
+        key_support = tuple(sorted(set(support)))
+        curve = _support_curve(surface, key_support)
         if kind == "chart":
             chart = ChartCase(surface, tag, a, b)
             w = wall_from_chart(chart, m, source=source)

@@ -224,6 +224,26 @@ def test_coefficient_inside_range_accepted(command, c):
     assert code == 0 and json.loads(text)
 
 
+@pytest.mark.parametrize("kind", ["index3", "quotient-point"])
+@pytest.mark.parametrize("c", ["0", "1/2", "2"])
+def test_certify_coefficient_outside_open_range_usage(capsys, kind, c):
+    """A certificate needs c in (0, 1/2): anything else is a usage error."""
+    code, out = invoke("certify", kind, f"--c={c}")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert [line for line in err if "error:" in line] == err[-1:], err
+    assert err[-1].endswith(f"argument --c: coefficient must lie in (0, 1/2): '{c}'")
+
+
+def test_hkl_imported_only_by_its_command():
+    code = "import sys, kwall.cli; print('kwall.hkl' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout == "False\n"
+    assert invoke("hkl", "cone")[0] == 0
+
+
 class TestBetaThresholdCommands:
     def test_beta_with_weights(self):
         code, text = invoke("beta", "--surface", "blp114", "--curve",

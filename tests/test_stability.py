@@ -494,3 +494,76 @@ class TestValuationRecord:
                          for r in recs)
         assert (len(recs), sum(r.confirmed for r in recs)) == (n, confirmed)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("surface", ["f1", "blp114"])
+@pytest.mark.parametrize("source", ["published", "engine"])
+def test_continuum_check_matches_reference(surface, source, monkeypatch):
+    """``verify_semistable_at`` returns what the two-``Constraint``-per-interval
+    reference returns: on every (curve, w) that ``confirm_wall`` reaches, and
+    at seeded off-wall c, where the failure witnesses must agree too."""
+    import continuum_reference as ref
+    import kwall.stability as st
+
+    reached = []
+
+    def spy(curve, c):
+        reached.append((curve, c))
+        return verify_semistable_at(curve, c)
+
+    monkeypatch.setattr(st, "verify_semistable_at", spy)
+    enumerate_walls(surface, source)
+    assert reached
+    rng = random.Random(21)
+    failing = set()
+    for curve, w in reached:
+        assert verify_semistable_at(curve, w) == ref.verify_semistable_at(curve, w)
+        for c in (w + F(1, rng.randint(100, 10000)), w - F(1, rng.randint(100, 10000)),
+                  F(rng.randint(1, 999), 2000)):
+            ok, failures = verify_semistable_at(curve, c)
+            assert (ok, failures) == ref.verify_semistable_at(curve, c)
+            failing.update(f.split(" ")[0].rstrip(":") for f in failures)
+    assert failing == {"toric", *PLANES[surface].chart_tags}
+
+
+class TestCurveCache:
+    """Each curve's stability data is computed once; what callers get back
+    is theirs to change."""
+
+    def test_grid_first_keeps_kink_guarantee(self):
+        import kwall.stability as st
+        curve = parse_curve("x^4*z^2+x^2*z*y^3+a*y^6", "f1")
+        st._curve_cache.pop(curve, None)
+        assert threshold(curve, grid=30).guarantee == "kink-complete+grid(30)"
+        assert threshold(curve).guarantee == "kink-complete"
+
+    def test_returned_lists_are_fresh(self):
+        import kwall.stability as st
+        curve = parse_curve("x^4*z^2+x^3*y^3", "f1")
+        thr = threshold(curve)
+        for read in (toric_constraints, st.all_constraints):
+            first = read(curve)
+            expected = list(first)
+            first.append(first[0])
+            first[0] = None
+            assert read(curve) == expected
+            first.clear()
+            assert read(curve) == expected
+        assert threshold(curve) == thr
+        assert threshold(curve, grid=12).binding_lower == thr.binding_lower
+
+    def test_tighter_grid_raises_with_cached_threshold(self, monkeypatch):
+        import kwall.stability as st
+        curve = parse_curve("x^4*z^2+x^3*y^3", "f1")
+        assert threshold(curve).is_point(F(5, 58))  # kink threshold now cached
+        constraint = st.chart_constraint
+
+        def tightened(curve, chart):
+            if (chart.a, chart.b) == (11, 1):  # a weight only the grid sweeps
+                return Constraint("tight", F(1), F(20), F(0))  # c <= 1/20 < 5/58
+            return constraint(curve, chart)
+
+        monkeypatch.setattr(st, "chart_constraint", tightened)
+        with pytest.raises(ArithmeticError, match="grid sweep tightened"):
+            threshold(curve, grid=12)
+        assert threshold(curve).is_point(F(5, 58))
