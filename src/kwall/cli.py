@@ -498,10 +498,11 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
     except (CheckFailure, ArithmeticError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except UsageError as exc:
+    except (UsageError, CurveSyntaxError, DegenerateWeightError) as exc:
+        # a malformed or inadmissible curve and degenerate weights are bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CurveSyntaxError, DegenerateWeightError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
-from .surface import check_weights
-
 TAG_ONE = "one"
 TAG_GENERIC_NONZERO = "generic-nonzero"
 
@@ -81,6 +79,15 @@ def _plane(surface: str) -> Plane:
         return PLANES[surface]
     except KeyError:
         raise ValueError(f"unknown surface {surface!r}") from None
+
+
+def check_weights(a: int, b: int) -> None:
+    """Reject blowup weights (a, b) that are not positive and coprime."""
+    if a <= 0 or b <= 0:
+        raise ValueError("blowup weights must be positive; degenerate 1-PS "
+                         "weights are handled by toric divisor valuations")
+    if gcd(a, b) != 1:
+        raise ValueError("blowup weights must be coprime")
 
 
 class _ChartFields(NamedTuple):
@@ -299,8 +306,9 @@ def _reduced(plane: Plane, lam: OnePS) -> tuple[int, int]:
     return l1 - l2 * plane.weights[0], l3 - l2 * plane.weights[2]
 
 
-# per plane model, the ray w(D) of each invariant divisor modulo the trivial 1-PS
-_FAN = {surface: {d: _reduced(plane, w) for d, w in _DIVISOR_WEIGHTS.items()}
+# per plane model, the ray w(D) of each invariant divisor modulo the trivial
+# 1-PS: the plane's fan, from which kwall.surface builds its toric models
+FAN = {surface: {d: _reduced(plane, w) for d, w in _DIVISOR_WEIGHTS.items()}
         for surface, plane in PLANES.items()}
 
 
@@ -322,7 +330,7 @@ def onePS_to_chart(lam: OnePS, surface: str) -> ChartCase:
     """
     plane = _plane(surface)
     x, z = _reduced(plane, lam)
-    rays = _FAN[surface]
+    rays = FAN[surface]
     if x == z == 0:
         raise DegenerateWeightError("trivial 1-PS")
     cone = plane.quarter_cone

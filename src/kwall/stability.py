@@ -455,9 +455,13 @@ def _support_curve(surface: str, pts: tuple[tuple[int, int], ...]) -> CurvePair:
     return make_curve(surface, pts, {p: "generic-nonzero" for p in pts[1:-1]})
 
 
-def _candidate_supports(surface: str):
+@cache
+def _candidate_supports(surface: str) -> tuple[tuple, ...]:
     """Invariant supports: maximal equal-weight sets per chart direction,
-    degenerate-direction level sets, and single monomials."""
+    degenerate-direction level sets, and single monomials, each support
+    sorted.  They depend on the surface alone, so they are enumerated once
+    per surface."""
+    found = []
     monos = admissible_monomials(surface)
     orders = {p: divisor_orders(surface, *p) for p in monos}
     seen: set[tuple[Fraction, ...]] = set()
@@ -473,14 +477,15 @@ def _candidate_supports(surface: str):
                     continue
                 a, b = ab
                 m = a * local[p][0] + b * local[p][1]
-                support = [p for p in monos if a * local[p][0] + b * local[p][1] == m]
+                support = tuple(sorted(p for p in monos
+                                       if a * local[p][0] + b * local[p][1] == m))
                 if quarter_point_order(surface, support):
                     continue
-                key = (tag, a, b, tuple(sorted(support)))
+                key = (tag, a, b, support)
                 if key in seen:
                     continue
                 seen.add(key)
-                yield ("chart", tag, a, b, m, support)
+                found.append(("chart", tag, a, b, m, support))
 
     # degenerate 1-PS directions: level sets of the toric divisor orders
     emitted: set[tuple[tuple[int, int], ...]] = set()
@@ -493,14 +498,15 @@ def _candidate_supports(surface: str):
             if key in emitted or quarter_point_order(surface, support):
                 continue
             emitted.add(key)
-            yield ("degenerate", None, None, None, None, support)
+            found.append(("degenerate", None, None, None, None, key))
     # single monomials
     for p in monos:
         key = (p,)
         if key in emitted or quarter_point_order(surface, key):
             continue
         emitted.add(key)
-        yield ("single", None, None, None, None, [p])
+        found.append(("single", None, None, None, None, key))
+    return tuple(found)
 
 
 def enumerate_walls(surface: str, source: str = "published") -> list[WallRecord]:
@@ -518,14 +524,13 @@ def _wall_candidates(surface: str, source: str) -> list[WallCandidate]:
     """Unconfirmed wall candidates, one per (w, support), sorted by that key."""
     records: dict[tuple[Fraction, tuple[tuple[int, int], ...]], WallCandidate] = {}
     for kind, tag, a, b, m, support in _candidate_supports(surface):
-        key_support = tuple(sorted(set(support)))
-        curve = _support_curve(surface, key_support)
+        curve = _support_curve(surface, support)
         if kind == "chart":
             chart = ChartCase(surface, tag, a, b)
             w = wall_from_chart(chart, m, source=source)
             if w is None:
                 continue
-            key = (w, key_support)
+            key = (w, support)
             if key not in records:
                 records[key] = WallCandidate(
                     w, surface, curve, chart_to_onePS(chart), chart, m, "chart")
@@ -535,7 +540,7 @@ def _wall_candidates(surface: str, source: str) -> list[WallCandidate]:
                 continue
             w = thr.lower
             assert w is not None
-            key = (w, key_support)
+            key = (w, support)
             if key not in records:
                 records[key] = WallCandidate(w, surface, curve, None, None, None, kind)
     return [records[key] for key in sorted(records)]

@@ -6,18 +6,38 @@ A model fixes a basis of the Neron-Severi lattice, the Gram matrix of the
 intersection form, a list of effective curve classes that span the effective
 cone (every negative class among them generates an extremal ray), the
 anticanonical class and a few named divisor classes.
+
+Every builtin model but ``index3m`` is toric: the plane models ``f1`` and
+``blp114`` of :data:`kwall.pairs.FAN`, the five chart kinds and
+``blp114-quotient-res``.  ``_toric_model`` builds each from the rays u_i of
+its fan in counter-clockwise order (Fulton, *Introduction to Toric
+Varieties*, 1993, section 5; Cox-Little-Schenck, *Toric Varieties*, 2011,
+chapter 10):
+
+* D_i^2 = -det(u_{i-1}, u_{i+1}) / (det(u_{i-1}, u_i) det(u_i, u_{i+1})),
+  D_i.D_{i+1} = 1 / det(u_i, u_{i+1}), and 0 for rays that are not neighbours;
+* a non-basis D_j = -sum_i det(u_i, u_k) / det(u_j, u_k) D_i over the basis,
+  with u_k the other non-basis ray (sum <m, u_i> D_i = 0 at <m, u> = det(u, u_k));
+* a ray F = (a u + b v) / det(u, v) inserted into the cone (u, v) has log
+  discrepancy A = (a + b) / det(u, v), and the plane's -K pulls back to
+  sum D_i + (A - 1) F.  A chart kind inserts F = a u + b v into the smooth
+  centre of its first chart family, the quotient resolution F = (u + v) / 4
+  into the quarter point's cone, a 1/4(1,1) point.
+
+``index3m`` is entered by hand: its four generators are not a boundary cycle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from functools import cached_property, partial
+from math import lcm
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .exactnum import render_fraction
+from .pairs import CHART_FAMILIES, FAN, PLANES, check_weights
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -435,29 +455,112 @@ def _kernel_vector(rows: list[list[int]]) -> Optional[tuple[int, tuple[int, ...]
 # ---------------------------------------------------------------------------
 # builtin models
 
+# the rays of both plane fans (kwall.pairs.FAN), counter-clockwise
+_CYCLE = ("H_x", "H_z", "E", "H_y")
 
-def _model_f1() -> SurfaceModel:
-    """Plane blown up at [1,0,0]; basis (H, E) with H the line class."""
-    gram = (vec(1, 0), vec(0, -1))
-    fiber = vec(1, -1)
-    e = vec(0, 1)
-    classes = {"H_x": vec(1, 0), "H_y": fiber, "H_z": fiber, "E": e, "H": vec(1, 0)}
+# the ray of each label that is not a ray's name: F is the inserted ray, and a
+# chart's strict transform Xbar the ray of X
+_RAY = {"H": "H_x", "fiber": "H_y", "Lbar": "H_y", "Ebar": "E",
+        "Hxbar": "H_x", "Hybar": "H_y", "Hzbar": "H_z"}
+
+# id -> plane and the labels of the basis, the cone generators and the named
+# classes, in the model's order
+_TORIC_LABELS = {
+    "f1": ("f1", "H E", "E fiber", "H_x H_y H_z E H"),
+    "blp114": ("blp114", "H_y E", "H_y E", "H_y E H_x H_z"),
+    "blp114-quotient-res": ("blp114", "F E H_y", "F E H_y", "F E H_y"),
+    "f1-case1": ("f1", "F Ebar Hzbar", "F Ebar Hzbar Hxbar", "F Ebar Hzbar Hxbar"),
+    "f1-case2": ("f1", "F Ebar Lbar", "F Ebar Lbar", "F Ebar Lbar"),
+    "blp114-case1p": ("blp114", "F Ebar Hybar", "F Ebar Hybar", "F Ebar Hybar Hzbar"),
+    "blp114-case2p": ("blp114", "F Ebar Hybar", "F Ebar Hybar Hzbar", "F Ebar Hybar Hzbar"),
+    "blp114-case3p": ("blp114", "F Hxbar Ebar", "F Hxbar Ebar Hybar Hzbar",
+                      "F Hxbar Ebar Hybar Hzbar"),
+}
+
+# the cone (D1, D2) of each model's inserted ray F: the quarter point's cone
+# for its resolution, and for a chart kind the centre of its first family
+# (iterating in reverse, the first family is written last)
+_CENTRES = {"blp114-quotient-res": PLANES["blp114"].quarter_cone,
+            **{fam.model_kind: fam.divisors for fam in reversed(CHART_FAMILIES.values())}}
+
+
+def _resolve(ident: str) -> tuple:
+    """The labels of ``ident`` resolved against its fan, once: the plane's
+    rays in counter-clockwise order; (u, v, at) when F goes into the cone
+    (u, v) as ray ``at``, else None; the basis labels; each basis ray, in
+    basis order, to its unit vector; (s, t, i) for neighbouring basis rays,
+    whose pairing is 1 / det(u_i, u_i+1); the non-basis rays (j, k); (j, k)
+    or (k, j) for each labelled non-basis ray; and (label, ray) of each cone
+    generator and named class.  A ray index counts F in place."""
+    plane, *names = _TORIC_LABELS[ident]
+    basis, cone, classes = (x.split() for x in names)
+    fan, cycle, centre = FAN[plane], list(_CYCLE), None
+    if ident in _CENTRES:
+        d1, d2 = _CENTRES[ident]
+        lo, hi = sorted([cycle.index(d1), cycle.index(d2)])
+        at = hi if hi - lo == 1 else len(cycle)  # between neighbours, or after the last ray
+        cycle.insert(at, "F")
+        centre = (fan[d1], fan[d2], at)
+    index = {x: cycle.index(_RAY.get(x, x)) for x in basis + cone + classes}
+    ibasis, n = [index[x] for x in basis], len(cycle)
+    j, k = [i for i in range(n) if i not in ibasis]
+    labelled = {index[x] for x in cone + classes}
+    return (
+        tuple(fan[d] for d in _CYCLE), centre, tuple(basis),
+        {r: vec(*[int(r == c) for c in ibasis]) for r in ibasis},
+        [(s, t, r if (c - r) % n == 1 else c) for s, r in enumerate(ibasis)
+         for t, c in enumerate(ibasis) if s < t and (c - r) % n in (1, n - 1)],
+        (j, k), [(p, q) for p, q in ((j, k), (k, j)) if p in labelled],
+        [(x, index[x]) for x in cone], [(x, index[x]) for x in classes])
+
+
+_TORIC = {ident: _resolve(ident) for ident in _TORIC_LABELS}
+
+
+def _det(u: tuple[int, int], v: tuple[int, int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _ratio(num: int, den: int):
+    """num / den as an int when it is one, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+def _toric_model(ident: str, a: Optional[int] = None, b: Optional[int] = None) -> SurfaceModel:
+    """The toric model ``ident``, at weights (a, b) for a chart kind, by the
+    formulas of the module docstring."""
+    rays, centre, labels, units, neighbours, (j, k), named, cone, classes = _TORIC[ident]
+    rays, shift = list(rays), 0
+    if centre is not None:
+        u, v, at = centre
+        wa, wb = (1, 1) if a is None else (a, b)
+        d = abs(_det(u, v))
+        rays.insert(at, ((wa * u[0] + wb * v[0]) // d, (wa * u[1] + wb * v[1]) // d))
+        shift = _ratio(wa + wb - d, d)  # A - 1
+    n = len(rays)
+    dets = [_det(rays[i], rays[(i + 1) % n]) for i in range(n)]  # det(u_i, u_i+1)
+    basis = list(units)
+    gram = [[0] * len(basis) for _ in basis]
+    for s, i in enumerate(basis):
+        gram[s][s] = _ratio(-_det(rays[i - 1], rays[(i + 1) % n]), dets[i - 1] * dets[i])
+    for s, t, i in neighbours:
+        gram[s][t] = gram[t][s] = _ratio(1, dets[i])
+    vecs = dict(units)
+    for p, q in named:
+        den = _det(rays[p], rays[q])
+        vecs[p] = vec(*[_ratio(-_det(rays[i], rays[q]), den) for i in basis])
+    # sum D_i = the basis rays + D_j + D_k, and D_j + D_k has coordinates
+    # det(u_i, u_j - u_k) / det(u_j, u_k) by the class formula
+    den, diff = _det(rays[j], rays[k]), (rays[j][0] - rays[k][0], rays[j][1] - rays[k][1])
+    anti = [_ratio(den + _det(rays[i], diff), den) for i in basis]
+    if shift:  # F is a basis ray of every model that inserts it
+        anti[basis.index(at)] += shift
     return SurfaceModel(
-        name="f1", basis=("H", "E"), gram=gram,
-        cone=(("E", e), ("fiber", fiber)),
-        anticanonical=vec(3, -1), classes=classes)
-
-
-def _model_blp114() -> SurfaceModel:
-    """Weighted plane P(1,1,4) blown up at the smooth point [1,0,0]."""
-    gram = (vec(Fraction(-3, 4), 1), vec(1, -1))
-    hy = vec(1, 0)
-    e = vec(0, 1)
-    classes = {"H_y": hy, "E": e, "H_x": vec(1, 1), "H_z": vec(4, 3)}
-    return SurfaceModel(
-        name="blp114", basis=("H_y", "E"), gram=gram,
-        cone=(("H_y", hy), ("E", e)),
-        anticanonical=vec(6, 5), classes=classes)
+        name=ident if a is None else f"{ident}({a},{b})", basis=labels,
+        gram=tuple([vec(*row) for row in gram]), cone=tuple([(x, vecs[i]) for x, i in cone]),
+        anticanonical=vec(*anti), classes={x: vecs[i] for x, i in classes},
+        exceptional="F" if centre else None)
 
 
 def _model_index3m() -> SurfaceModel:
@@ -476,134 +579,11 @@ def _model_index3m() -> SurfaceModel:
         anticanonical=anti, classes=classes, exceptional="qF")
 
 
-def _model_blp114_quotient_res() -> SurfaceModel:
-    """Minimal resolution of the quarter point on Bl P(1,1,4); F is the (-4)-curve."""
-    gram = (vec(-4, 0, 1), vec(0, -1, 1), vec(1, 1, -1))
-    f = vec(1, 0, 0)
-    e = vec(0, 1, 0)
-    hy = vec(0, 0, 1)
-    anti = vec(Fraction(3, 2), 5, 6)
-    return SurfaceModel(
-        name="blp114-quotient-res", basis=("F", "E", "H_y"), gram=gram,
-        cone=(("F", f), ("E", e), ("H_y", hy)),
-        anticanonical=anti, classes={"F": f, "E": e, "H_y": hy}, exceptional="F")
-
-
-def check_weights(a: int, b: int) -> None:
-    """Reject blowup weights (a, b) that are not positive and coprime."""
-    if a <= 0 or b <= 0:
-        raise ValueError("blowup weights must be positive; degenerate 1-PS "
-                         "weights are handled by toric divisor valuations")
-    if gcd(a, b) != 1:
-        raise ValueError("blowup weights must be coprime")
-
-
-def _model_f1_case1(a: int, b: int) -> SurfaceModel:
-    """Weight-(a,b) blowup of F1 at a torus-fixed point away from E.
-
-    Basis (F, Ebar, Hzbar): Hzbar is the line through both blowup centers,
-    Hxbar = (b-a)F + Ebar + Hzbar the line through the new center only.
-    """
-    gram = (vec(Fraction(-1, a * b), 0, Fraction(1, a)),
-            vec(0, -1, 1),
-            vec(Fraction(1, a), 1, Fraction(-b, a)))
-    f = vec(1, 0, 0)
-    ebar = vec(0, 1, 0)
-    hz = vec(0, 0, 1)
-    hx = vec(b - a, 1, 1)
-    anti = vec(3 * b, 2, 3)
-    return SurfaceModel(
-        name=f"f1-case1({a},{b})", basis=("F", "Ebar", "Hzbar"), gram=gram,
-        cone=(("F", f), ("Ebar", ebar), ("Hzbar", hz), ("Hxbar", hx)),
-        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Hzbar": hz, "Hxbar": hx},
-        exceptional="F")
-
-
-def _model_f1_case2(a: int, b: int) -> SurfaceModel:
-    """Weight-(a,b) blowup of F1 centered at a fixed point on E.
-
-    Basis (F, Ebar, Lbar) with Lbar the invariant fiber through the center.
-    """
-    gram = (vec(Fraction(-1, a * b), Fraction(1, b), Fraction(1, a)),
-            vec(Fraction(1, b), Fraction(-(a + b), b), 0),
-            vec(Fraction(1, a), 0, Fraction(-b, a)))
-    f = vec(1, 0, 0)
-    ebar = vec(0, 1, 0)
-    lbar = vec(0, 0, 1)
-    anti = vec(2 * a + 3 * b, 2, 3)
-    return SurfaceModel(
-        name=f"f1-case2({a},{b})", basis=("F", "Ebar", "Lbar"), gram=gram,
-        cone=(("F", f), ("Ebar", ebar), ("Lbar", lbar)),
-        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Lbar": lbar},
-        exceptional="F")
-
-
-def _model_blp114_case1p(a: int, b: int) -> SurfaceModel:
-    """Weight-(a,b) blowup of Bl P(1,1,4) at the point of E on H_y."""
-    gram = (vec(Fraction(-1, a * b), Fraction(1, b), Fraction(1, a)),
-            vec(Fraction(1, b), Fraction(-(a + b), b), 0),
-            vec(Fraction(1, a), 0, Fraction(-3, 4) - Fraction(b, a)))
-    f = vec(1, 0, 0)
-    ebar = vec(0, 1, 0)
-    hy = vec(0, 0, 1)
-    anti = vec(5 * a + 6 * b, 5, 6)
-    return SurfaceModel(
-        name=f"blp114-case1p({a},{b})", basis=("F", "Ebar", "Hybar"), gram=gram,
-        cone=(("F", f), ("Ebar", ebar), ("Hybar", hy)),
-        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Hybar": hy,
-                                     "Hzbar": vec(3 * a + 4 * b, 3, 4)},
-        exceptional="F")
-
-
-def _model_blp114_case2p(a: int, b: int) -> SurfaceModel:
-    """Weight-(a,b) blowup of Bl P(1,1,4) at the point of E on H_z."""
-    gram = (vec(Fraction(-1, a * b), Fraction(1, b), 0),
-            vec(Fraction(1, b), Fraction(-(a + b), b), 1),
-            vec(0, 1, Fraction(-3, 4)))
-    f = vec(1, 0, 0)
-    ebar = vec(0, 1, 0)
-    hy = vec(0, 0, 1)
-    hz = vec(3 * a - b, 3, 4)
-    anti = vec(5 * a, 5, 6)
-    return SurfaceModel(
-        name=f"blp114-case2p({a},{b})", basis=("F", "Ebar", "Hybar"), gram=gram,
-        cone=(("F", f), ("Ebar", ebar), ("Hybar", hy), ("Hzbar", hz)),
-        anticanonical=anti, classes={"F": f, "Ebar": ebar, "Hybar": hy, "Hzbar": hz},
-        exceptional="F")
-
-
-def _model_blp114_case3p(a: int, b: int) -> SurfaceModel:
-    """Weight-(a,b) blowup of P(1,1,4) at [0,1,0], pulled back to Bl P(1,1,4)."""
-    gram = (vec(Fraction(-1, a * b), Fraction(1, b), 0),
-            vec(Fraction(1, b), Fraction(1, 4) - Fraction(a, b), 0),
-            vec(0, 0, -1))
-    f = vec(1, 0, 0)
-    hx = vec(0, 1, 0)
-    ebar = vec(0, 0, 1)
-    hy = vec(a, 1, -1)
-    hz = vec(4 * a - b, 4, -1)
-    anti = vec(6 * a, 6, -1)
-    return SurfaceModel(
-        name=f"blp114-case3p({a},{b})", basis=("F", "Hxbar", "Ebar"), gram=gram,
-        cone=(("F", f), ("Hxbar", hx), ("Ebar", ebar), ("Hybar", hy), ("Hzbar", hz)),
-        anticanonical=anti,
-        classes={"F": f, "Hxbar": hx, "Ebar": ebar, "Hybar": hy, "Hzbar": hz},
-        exceptional="F")
-
-
 FIXED_MODELS = {
-    "f1": _model_f1,
-    "blp114": _model_blp114,
+    "f1": partial(_toric_model, "f1"),
+    "blp114": partial(_toric_model, "blp114"),
     "index3m": _model_index3m,
-    "blp114-quotient-res": _model_blp114_quotient_res,
-}
-
-_WEIGHTED_MODELS = {
-    "f1-case1": _model_f1_case1,
-    "f1-case2": _model_f1_case2,
-    "blp114-case1p": _model_blp114_case1p,
-    "blp114-case2p": _model_blp114_case2p,
-    "blp114-case3p": _model_blp114_case3p,
+    "blp114-quotient-res": partial(_toric_model, "blp114-quotient-res"),
 }
 
 
@@ -613,10 +593,9 @@ def builtin_surface(ident: str, a: Optional[int] = None, b: Optional[int] = None
         if a is not None or b is not None:
             raise ValueError(f"{ident} takes no weights")
         return FIXED_MODELS[ident]()
-    if ident in _WEIGHTED_MODELS:
+    if ident in _CENTRES:  # a chart kind: the quotient resolution is fixed
         if a is None or b is None:
             raise ValueError(f"{ident} requires weights a, b")
         check_weights(a, b)
-        return _WEIGHTED_MODELS[ident](a, b)
+        return _toric_model(ident, a, b)
     raise ValueError(f"unknown surface id {ident!r}")
-

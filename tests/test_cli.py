@@ -272,9 +272,12 @@ class TestBetaThresholdCommands:
         assert data["threshold"]["classification"] == "point"
         assert data["threshold"]["lower"] == "2/7"
 
-    def test_curve_error_exit(self):
-        code, _ = invoke("threshold", "--surface", "f1", "--curve", "x^5*y")
-        assert code == 1
+    def test_curve_error_exit(self, capsys):
+        """A curve that does not parse, has multiplicity < 2 at the center or
+        the wrong degree is bad input: a usage error."""
+        for curve in ("x^^3", "x^5*y", "x^4*y^3"):
+            assert_usage_error(capsys, "threshold", "--surface", "f1", "--curve", curve)
+            assert_usage_error(capsys, "beta", "--surface", "f1", "--curve", curve, "--c", "1/10")
 
     def test_grid_on_empty_threshold(self):
         plain = invoke("threshold", "--surface", "f1", "--curve", "x^4*y^2")

@@ -567,3 +567,22 @@ class TestCurveCache:
         with pytest.raises(ArithmeticError, match="grid sweep tightened"):
             threshold(curve, grid=12)
         assert threshold(curve).is_point(F(5, 58))
+
+    def test_candidate_supports_enumerated_once_per_surface(self, monkeypatch):
+        """The published and engine passes of ``walls --surface all
+        --audit-extra`` read one enumeration of each surface's supports."""
+        import io
+
+        import kwall.stability as st
+        from kwall import cli
+
+        enumerated = []
+        monomials = st.admissible_monomials
+        monkeypatch.setattr(st, "admissible_monomials",
+                            lambda surface: enumerated.append(surface) or monomials(surface))
+        st._candidate_supports.cache_clear()
+        out = io.StringIO()
+        assert cli.run(["walls", "--surface", "all", "--audit-extra"], out=out) == 0
+        assert sorted(enumerated) == ["blp114", "f1"]
+        assert cli.run(["walls", "--surface", "all", "--audit-extra"], out=io.StringIO()) == 0
+        assert len(enumerated) == 2

@@ -7,12 +7,12 @@ from math import gcd, lcm
 import pytest
 
 from kwall import surface
+from kwall.pairs import CHART_FAMILIES
 from kwall.surface import (
     DEGREE,
     NotPseudoEffectiveError,
     SurfaceModel,
     ZariskiDecomposition,
-    _WEIGHTED_MODELS,
     _kernel_vector,
     builtin_surface,
     fmt_vec,
@@ -20,6 +20,7 @@ from kwall.surface import (
     vec,
     vscale,
 )
+import model_reference
 from linalg_reference import fraction_solve, rref
 
 ALL_FIXED = ["f1", "blp114", "index3m", "blp114-quotient-res"]
@@ -92,6 +93,26 @@ class TestBuiltins:
         assert m.gram[2][2] == F(-b, a)
         m1 = builtin_surface("blp114-case1p", a, b)
         assert m1.gram[2][2] == F(-3, 4) - F(b, a)
+
+    def test_fan_models_match_the_hand_oracle(self):
+        """Every toric builtin model, derived from its plane fan, equals its
+        hand entry in ``model_reference`` field for field, with the same
+        class order and JSON: the 3 fixed toric models and the 5 chart kinds
+        at every coprime a + b <= 30, 1,388 models."""
+        assert {*model_reference.FIXED_MODELS, "index3m"} == set(surface.FIXED_MODELS)
+        assert sorted(model_reference.WEIGHTED_MODELS) == _weighted_kinds()
+        cases = [(builtin_surface(ident), build())
+                 for ident, build in model_reference.FIXED_MODELS.items()]
+        cases += [(builtin_surface(kind, a, b), build(a, b))
+                  for kind, build in model_reference.WEIGHTED_MODELS.items()
+                  for a, b in _coprime_weights(30)]
+        assert len(cases) == 1388
+        for got, want in cases:
+            assert got._asdict() == want._asdict(), want.name
+            assert list(got.classes) == list(want.classes), want.name
+            assert got.to_json() == want.to_json(), want.name
+            assert all(type(x) is F for row in (*got.gram, got.anticanonical) for x in row)
+            assert got.self_intersection(got.anticanonical) == DEGREE, want.name
 
     def test_all_models_have_degree_8(self):
         for m in all_models():
@@ -640,7 +661,7 @@ def _coprime_weights(limit):
 
 
 def _weighted_kinds():
-    return sorted(_WEIGHTED_MODELS)
+    return sorted({fam.model_kind for fam in CHART_FAMILIES.values()})
 
 
 def _caratheodory_coordinates(m, d):

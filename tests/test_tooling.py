@@ -62,7 +62,8 @@ def test_every_definition_has_a_caller():
 def _plane_restatements(package_dir):
     """Sites that restate what ``pairs.PLANES`` records: comparisons against a
     plane name in the modules that read the record, and imports of the
-    ``volume`` or ``stability`` layers from ``pairs``, which owns it."""
+    ``surface``, ``volume`` or ``stability`` layers from ``pairs``, which owns
+    it (``surface`` builds its toric models from the record's fan)."""
     sites = []
     for module in ("pairs", "stability", "volume", "cli", "hkl"):
         with open(os.path.join(package_dir, f"{module}.py"), encoding="utf-8") as fh:
@@ -80,7 +81,7 @@ def _plane_restatements(package_dir):
                 base = getattr(node, "module", None) or ""
                 names = {base} | {f"{base}.{a.name}" for a in node.names}
                 if any(layer in name.split(".") for name in names
-                       for layer in ("volume", "stability")):
+                       for layer in ("surface", "volume", "stability")):
                     sites.append(f"{module}:{node.lineno}: imports a higher layer")
     return sites
 

@@ -11,7 +11,6 @@ from kwall.exactnum import QuadraticPoly, SurdSum
 from kwall.pairs import CHART_FAMILIES, DIVISORS, ChartCase
 from kwall.surface import (
     FIXED_MODELS,
-    _WEIGHTED_MODELS,
     NotPseudoEffectiveError,
     builtin_surface,
     vscale,
@@ -25,6 +24,9 @@ from kwall.volume import (
     s_engine_raw,
     volume_profile,
 )
+
+CHART_KINDS = sorted({fam.model_kind for fam in CHART_FAMILIES.values()})
+
 
 def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
@@ -403,7 +405,7 @@ def test_builtin_profile_digest():
     coprime a + b <= 30, the default profiles of the fixed models, and every
     toric-divisor profile on f1 and blp114."""
     profiles = [volume_profile(builtin_surface(kind, a, s - a))
-                for kind in sorted(_WEIGHTED_MODELS)
+                for kind in CHART_KINDS
                 for s in range(2, 31) for a in range(1, s) if gcd(a, s - a) == 1]
     profiles += [volume_profile(builtin_surface(ident)) for ident in FIXED_MODELS
                  if builtin_surface(ident).exceptional is not None]
@@ -421,7 +423,7 @@ def test_zariski_fallback_rebuilds_the_same_profile(monkeypatch):
     """With every segment check failing, each support after an event comes
     from an honest Zariski decomposition at the sample point, and the
     profiles are unchanged."""
-    cases = [(builtin_surface(kind, a, b), None) for kind in sorted(_WEIGHTED_MODELS)
+    cases = [(builtin_surface(kind, a, b), None) for kind in CHART_KINDS
              for a, b in [(1, 1), (2, 1), (1, 2), (3, 5), (7, 2), (1, 9), (11, 4)]]
     for surface in ("f1", "blp114"):
         model = builtin_surface(surface)
@@ -472,7 +474,7 @@ def test_irrational_volume_root_is_a_check_failure(monkeypatch, capsys):
 
 def _every_cone_generator_profile():
     models = [builtin_surface(ident) for ident in FIXED_MODELS]
-    models += [builtin_surface(kind, a, s - a) for kind in sorted(_WEIGHTED_MODELS)
+    models += [builtin_surface(kind, a, s - a) for kind in CHART_KINDS
                for s in range(2, 13) for a in range(1, s) if gcd(a, s - a) == 1]
     for model in models:
         for name, f in model.cone:
