@@ -498,8 +498,8 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
     except (CheckFailure, ArithmeticError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, CurveSyntaxError, DegenerateWeightError) as exc:
-        # a malformed or inadmissible curve and degenerate weights are bad input
+    except (UsageError, CurveSyntaxError) as exc:
+        # a malformed or inadmissible curve is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

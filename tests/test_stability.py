@@ -42,6 +42,16 @@ W_U = [F(29, 106), F(31, 110), F(2, 7), F(35, 118)]
 EPS = F(1, 1000)
 
 
+@pytest.fixture
+def fresh_supports():
+    """Empty the per-surface cache of candidate supports before and after
+    the test, so a patched enumeration really runs and does not leak."""
+    import kwall.stability as st
+    st._candidate_supports.cache_clear()
+    yield st
+    st._candidate_supports.cache_clear()
+
+
 def wall_formula(branch: str, a: int, b: int, m: int):
     """Closed-form wall value for the plane-model chart branches.
 
@@ -282,19 +292,23 @@ class TestEnumeration:
             ok_down, _ = verify_semistable_at(curve, w - EPS)
             assert not ok_up and not ok_down
 
-    def test_order_independence(self, monkeypatch):
-        import kwall.stability as st
+    def test_order_independence(self, monkeypatch, fresh_supports):
+        st = fresh_supports
         base = confirmed_walls("f1")
         orig = st.admissible_monomials
+        calls = []
 
         def shuffled(surface):
+            calls.append(surface)
             out = orig(surface)
             random.Random(99).shuffle(out)
             return out
 
         monkeypatch.setattr(st, "admissible_monomials", shuffled)
+        st._candidate_supports.cache_clear()
         assert {r.candidate.w for r in st.enumerate_walls("f1") if r.confirmed} \
             == set(base)
+        assert calls == ["f1"]
 
     def test_audit_extras(self):
         assert audit_extra_walls("f1", enumerate_walls("f1")) == []
@@ -568,19 +582,20 @@ class TestCurveCache:
             threshold(curve, grid=12)
         assert threshold(curve).is_point(F(5, 58))
 
-    def test_candidate_supports_enumerated_once_per_surface(self, monkeypatch):
+    def test_candidate_supports_enumerated_once_per_surface(self, monkeypatch,
+                                                            fresh_supports):
         """The published and engine passes of ``walls --surface all
         --audit-extra`` read one enumeration of each surface's supports."""
         import io
 
-        import kwall.stability as st
         from kwall import cli
+
+        st = fresh_supports
 
         enumerated = []
         monomials = st.admissible_monomials
         monkeypatch.setattr(st, "admissible_monomials",
                             lambda surface: enumerated.append(surface) or monomials(surface))
-        st._candidate_supports.cache_clear()
         out = io.StringIO()
         assert cli.run(["walls", "--surface", "all", "--audit-extra"], out=out) == 0
         assert sorted(enumerated) == ["blp114", "f1"]
