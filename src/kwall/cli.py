@@ -98,6 +98,7 @@ def _int_at_least(low: int, message: str):
 
 _bound = _int_at_least(12, "grid bound must be at least 12")
 _digits = _int_at_least(1, "need at least 1 digit")
+_order = _int_at_least(1, "--ord must be at least 1")
 
 
 def _load_curve_arg(text: str, surface: str):
@@ -341,7 +342,11 @@ def _cmd_certify(args, out) -> int:
         rep = index3_certificate(args.c)
     elif args.curve is not None:
         surface = next(s for s, plane in PLANES.items() if plane.quarter_cone)
-        rep = quotient_point_certificate(_load_curve_arg(args.curve, surface), args.c)
+        curve = _load_curve_arg(args.curve, surface)
+        try:
+            rep = quotient_point_certificate(curve, args.c)
+        except ValueError as exc:  # the curve misses the quarter point
+            raise UsageError(str(exc)) from exc
     else:
         rep = quotient_point_certificate(1 if args.ord is None else args.ord, args.c)
     payload = rep.to_json()
@@ -462,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--curve", default=None,
                        help="curve on blp114 through the quarter point")
-    group.add_argument("--ord", type=int, default=None,
+    group.add_argument("--ord", type=_order, default=None,
                        help="multiplicity of the branch curve along the quarter "
                        "point (default 1)")
     p.set_defaults(func=_cmd_certify)

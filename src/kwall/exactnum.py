@@ -1,13 +1,12 @@
-"""Exact arithmetic kernel: rationals, sums of quadratic surds, quadratic
-polynomials and piecewise-quadratic functions with exact integration.
-Piecewise functions have rational breakpoints and integrate to a ``Fraction``;
-a surd appears only as a root of a quadratic or in a closed form.
+"""Exact arithmetic kernel: rationals, numbers of one quadratic field,
+quadratic polynomials and piecewise-quadratic functions with exact
+integration.  Piecewise functions have rational breakpoints and integrate to
+a ``Fraction``; a surd appears only as a root of a quadratic or in a closed
+form, and each is a single quadratic surd.
 
-Every value is exact.  A :class:`SurdSum` is a finite sum ``sum(q_i * sqrt(d_i))``
-with rational ``q_i`` and pairwise distinct squarefree natural ``d_i`` (the
-``d = 1`` term is the rational part).  Distinct squarefree radicals are linearly
-independent over the rationals, so equality is structural and the sign of a
-nonzero value can always be decided in finitely many refinement steps.
+Every value is exact.  A :class:`SurdSum` is ``p + q*sqrt(d)`` with rational
+``p`` and ``q`` and one squarefree ``d > 1``, so equality is structural and
+the sign is decided by squaring two integers once.
 """
 
 from __future__ import annotations
@@ -85,60 +84,54 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# sums of quadratic surds
-
-
-def _merge_terms(a: tuple[tuple[int, Fraction], ...],
-                 b: tuple[tuple[int, Fraction], ...]) -> tuple[tuple[int, Fraction], ...]:
-    """Terms of the sum of two normalized term tuples, normalized."""
-    if not b:
-        return a
-    if not a:
-        return b
-    acc = dict(a)
-    for d, q in b:
-        acc[d] = acc[d] + q if d in acc else q
-    return tuple((d, q) for d, q in sorted(acc.items()) if q)
+# numbers of one quadratic field
 
 
 class SurdSum:
-    """Immutable exact number of the form ``sum(q_i * sqrt(d_i))``.
+    """Immutable exact number ``p + q*sqrt(d)`` of one quadratic field.
 
-    Invariant of ``terms``: squarefree radicands in increasing order, each
-    with a nonzero ``Fraction`` coefficient.  The public constructor
-    normalizes arbitrary terms; sums, negation and division by a rational
-    combine operands that already hold the invariant, so they merge terms
-    through :meth:`_normalized` without factoring a radicand again.
+    ``p`` and ``q`` are ``Fraction``; ``d`` is a squarefree integer above 1,
+    or 1 with ``q == 0`` for a rational value.  Sums, differences and
+    products stay in the field; one that would join two radicands raises
+    :class:`ExactDomainError`.  Division is by a rational only.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, terms: Iterable[tuple[int, RationalLike]] = ()) -> None:
-        acc: dict[int, RationalLike] = {}
-        for d, q in terms:
-            if not q:
+        """The sum of ``q_i * sqrt(d_i)`` over positive integers ``d_i``.  After
+        squarefree reduction, a radicand above 1 must be the one that the
+        terms so far hold with a nonzero coefficient, if any."""
+        p = q = 0
+        d = 1
+        for r, c in terms:
+            if not c:
                 continue
-            if d != 1:
-                s, d = squarefree_decompose(d)
-                if s != 1:
-                    q = q * s
-            acc[d] = acc[d] + q if d in acc else q
-        self._terms = tuple((d, q if type(q) is Fraction else Fraction(q))
-                            for d, q in sorted(acc.items()) if q)
+            if r != 1:
+                s, r = squarefree_decompose(r)
+                c = c * s
+            if r == 1:
+                p += c
+            elif not q or r == d:
+                d, q = r, q + c
+            else:
+                raise ExactDomainError(f"sqrt({d}) and sqrt({r}) lie in different fields")
+        self._p = p if type(p) is Fraction else Fraction(p)
+        self._q = q if type(q) is Fraction else Fraction(q)
+        self._d = d if q else 1
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _normalized(cls, terms: tuple[tuple[int, Fraction], ...]) -> "SurdSum":
-        """Wrap ``terms`` that already hold the invariant, unchecked."""
+    def _of(cls, p: Fraction, q: Fraction, d: int) -> "SurdSum":
+        """``p + q*sqrt(d)`` from ``Fraction`` parts and a squarefree ``d``, unchecked."""
         x = object.__new__(cls)
-        x._terms = terms
+        x._p, x._q, x._d = p, q, d if q else 1
         return x
 
     @classmethod
     def rational(cls, q: RationalLike) -> "SurdSum":
-        q = Fraction(q)
-        return cls._normalized(((1, q),) if q else ())
+        return cls._of(Fraction(q), Fraction(0), 1)
 
     @classmethod
     def sqrt(cls, q: RationalLike) -> "SurdSum":
@@ -155,20 +148,20 @@ class SurdSum:
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        return self._terms
+        """The nonzero terms ``(1, p)`` and ``(d, q)``, in that order."""
+        p, q = self._p, self._q
+        return (((1, p),) if p else ()) + (((self._d, q),) if q else ())
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._p and not self._q
 
     def is_rational(self) -> bool:
-        return all(d == 1 for d, _ in self._terms)
+        return not self._q
 
     def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
+        if self._q:
             raise ExactDomainError(f"{self} is irrational")
-        return self._terms[0][1]
+        return self._p
 
     # -- arithmetic --------------------------------------------------------
 
@@ -180,134 +173,83 @@ class SurdSum:
             return SurdSum.rational(x)
         return NotImplemented  # type: ignore[return-value]
 
+    def _radicand(self, o: "SurdSum") -> int:
+        """The radicand of the field holding both ``self`` and ``o``."""
+        if not o._q:
+            return self._d
+        if self._q and self._d != o._d:
+            raise ExactDomainError(f"{self} and {o} lie in different fields")
+        return o._d
+
     def __add__(self, other: Number) -> "SurdSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return SurdSum._of(self._p + other, self._q, self._d)
+        if not isinstance(other, SurdSum):
             return NotImplemented
-        return SurdSum._normalized(_merge_terms(self._terms, o._terms))
+        return SurdSum._of(self._p + other._p, self._q + other._q, self._radicand(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdSum":
-        return SurdSum._normalized(tuple((d, -q) for d, q in self._terms))
+        return SurdSum._of(-self._p, -self._q, self._d)
 
     def __sub__(self, other: Number) -> "SurdSum":
         if isinstance(other, (int, Fraction)):
-            # a rational shifts the rational head term alone
-            ts = self._terms
-            if ts and ts[0][0] == 1:
-                q = ts[0][1] - other
-                return SurdSum._normalized(((1, q),) + ts[1:] if q else ts[1:])
-            return SurdSum._normalized(((1, Fraction(-other)),) + ts) if other else self
-        o = self._coerce(other)
-        if o is NotImplemented:
+            return SurdSum._of(self._p - other, self._q, self._d)
+        if not isinstance(other, SurdSum):
             return NotImplemented
-        return self + (-o)
+        return SurdSum._of(self._p - other._p, self._q - other._q, self._radicand(other))
 
     def __rsub__(self, other: Number) -> "SurdSum":
         return (-self) + other
 
     def __mul__(self, other: Number) -> "SurdSum":
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return SurdSum._of(self._p * other, self._q * other, self._d)
+        if not isinstance(other, SurdSum):
             return NotImplemented
-        out: list[tuple[int, Fraction]] = []
-        for d1, q1 in self._terms:
-            for d2, q2 in o._terms:
-                out.append((d1 * d2, q1 * q2))
-        return SurdSum(out)
+        d = self._radicand(other)
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        return SurdSum._of(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Number) -> "SurdSum":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return SurdSum._normalized(tuple((d, q / other) for d, q in self._terms))
-        o = self._coerce(other)
-        if o is NotImplemented:
+    def __truediv__(self, other: RationalLike) -> "SurdSum":
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero")
-        if o.is_rational():
-            return self / o.as_fraction()
-        radicals = [d for d, _ in o._terms if d != 1]
-        if len(radicals) == 1:
-            # invert p + q*sqrt(d) by its conjugate
-            conj = SurdSum([(d, -q if d != 1 else q) for d, q in o._terms])
-            norm = (o * conj).as_fraction()
-            if norm == 0:
-                raise ZeroDivisionError("division by zero")
-            return (self * conj) / norm
-        raise ExactDomainError("division by a multi-radical sum is unsupported")
-
-    def __rtruediv__(self, other: Number) -> "SurdSum":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "SurdSum":
-        if n < 0:
-            return SurdSum.rational(1) / self ** (-n)
-        out = SurdSum.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return SurdSum._of(self._p / other, self._q / other, self._d)
 
     # -- sign and order ----------------------------------------------------
 
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}, decided on integers.
 
-        Terms of one sign decide by their numerators.  Two terms of opposite
-        signs, ``(n1/m1) sqrt(d1)`` and ``(n2/m2) sqrt(d2)``, decide by
-        squaring over the common denominator: ``n1^2 d1 m2^2`` against
-        ``n2^2 d2 m1^2``.  Three or more refine :meth:`enclosure`, whose
-        bounds are nonzero from some precision on (the radicals are linearly
-        independent).
+        A rational, or two terms of one sign, decide by a numerator.  With
+        ``p = n1/m1`` and ``q = n2/m2`` of opposite signs, ``p^2`` against
+        ``q^2 d`` decides, over the common denominator: ``n1^2 m2^2``
+        against ``n2^2 d m1^2``.  They are never equal, as ``sqrt(d)`` is
+        irrational.
         """
-        ts = self._terms
-        if not ts:
-            return 0
-        positive = [q.numerator > 0 for _, q in ts]
-        if all(positive):
-            return 1
-        if not any(positive):
-            return -1
-        if len(ts) == 2:
-            (d1, q1), (d2, q2) = ts
-            m1, m2 = q1.denominator, q2.denominator
-            lhs = q1.numerator ** 2 * d1 * m2 * m2
-            rhs = q2.numerator ** 2 * d2 * m1 * m1
-            if lhs == rhs:
-                return 0
-            return (1 if positive[0] else -1) if lhs > rhs else (1 if positive[1] else -1)
-        bits = 32
-        while True:
-            lo, hi = self.enclosure(bits)
-            if lo.numerator > 0:
-                return 1
-            if hi.numerator < 0:
-                return -1
-            bits *= 2
+        n1, n2 = self._p.numerator, self._q.numerator
+        s1 = (n1 > 0) - (n1 < 0)
+        s2 = (n2 > 0) - (n2 < 0)
+        if s1 == s2 or not s2:
+            return s1
+        if not s1:
+            return s2
+        m1, m2 = self._p.denominator, self._q.denominator
+        return s1 if n1 * n1 * m2 * m2 > n2 * n2 * self._d * m1 * m1 else s2
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = SurdSum.rational(other)
+            return not self._q and self._p == other
         if not isinstance(other, SurdSum):
             return NotImplemented
-        return self._terms == other._terms
+        return self._p == other._p and self._q == other._q and self._d == other._d
 
     def __hash__(self) -> int:
         # a rational value equals its Fraction, so it hashes as one
-        ts = self._terms
-        if not ts:
-            return hash(0)
-        if len(ts) == 1 and ts[0][0] == 1:
-            return hash(ts[0][1])
-        return hash(ts)
+        return hash((self._p, self._q, self._d)) if self._q else hash(self._p)
 
     def __lt__(self, other: Number) -> bool:
         return (self - other).sign() < 0
@@ -326,21 +268,17 @@ class SurdSum:
     def enclosure(self, bits: int = 64) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, width about 2**-bits.
 
-        Each ``sqrt(d)`` lies in ``[s, s + 1] / 2**bits`` with
+        ``sqrt(d)`` lies in ``[s, s + 1] / 2**bits`` with
         ``s = isqrt(d * 4**bits)``; both ends are summed as integers over
-        the one denominator ``lcm(m_i) * 2**bits``, and each is normalized
-        once.
+        the one denominator ``lcm(m1, m2) * 2**bits``, and each is
+        normalized once.
         """
-        ts = self._terms
-        den = lcm(*[q.denominator for _, q in ts])
-        lo = hi = 0
-        for d, q in ts:
-            n = q.numerator * (den // q.denominator)
-            if d == 1:
-                lo += n << bits
-                hi += n << bits
-                continue
-            s = isqrt(d << 2 * bits)
+        p, q = self._p, self._q
+        den = lcm(p.denominator, q.denominator)
+        lo = hi = p.numerator * (den // p.denominator) << bits
+        n = q.numerator * (den // q.denominator)
+        if n:
+            s = isqrt(self._d << 2 * bits)
             if n > 0:
                 lo, hi = lo + n * s, hi + n * (s + 1)
             else:
@@ -452,13 +390,11 @@ class QuadraticPoly(NamedTuple):
         if s * s == disc:
             minus, plus = Fraction(-b - s, 2 * a), Fraction(s - b, 2 * a)
         else:
-            # sqrt(disc) = k*sqrt(f), f squarefree and > 1: the roots are the
-            # two-term surds -b/(2a) -+ (k/(2a))*sqrt(f), k an integer
-            ((f, k),) = SurdSum([(disc, 1)]).terms
-            half = Fraction(k.numerator, 2 * a)
-            head = ((1, Fraction(-b, 2 * a)),) if b else ()
-            minus = SurdSum._normalized(head + ((f, -half),))
-            plus = SurdSum._normalized(head + ((f, half),))
+            # sqrt(disc) = k*sqrt(f) with k an integer and f squarefree above 1,
+            # so the roots are -b/(2a) -+ (k/(2a))*sqrt(f)
+            root = SurdSum([(disc, 1)])
+            mid, half = Fraction(-b, 2 * a), Fraction(root._q.numerator, 2 * a)
+            minus, plus = SurdSum._of(mid, -half, root._d), SurdSum._of(mid, half, root._d)
         # sqrt(disc) >= 0, so the order of the two roots is the sign of a
         return [minus, plus] if a > 0 else [plus, minus]
 

@@ -118,8 +118,10 @@ class Constraint(_ConstraintFields):
     """One valuation: beta(c) = a0 - m*c - s0*(1 - 2c) = u + v*c.
 
     Built from ``(name, a0, m, s0)``, which fixes ``u`` and ``v`` once.  A
-    rational ``s0`` is held as a ``Fraction``; only a surd ``s0`` (a
-    certificate value) stays a ``SurdSum``.
+    rational ``s0`` is held as a ``Fraction``; only the quarter-point
+    certificate's ``s0 = 2*sqrt(2)/3`` stays a ``SurdSum``, so ``u``, ``v``
+    and every beta lie in one quadratic field.  A wall of a chart
+    valuation is solved directly by :func:`wall_from_chart`.
     """
 
     __slots__ = ()
@@ -131,13 +133,6 @@ class Constraint(_ConstraintFields):
 
     def beta_at(self, c) -> Number:
         return self.u + self.v * Fraction(c)
-
-    def root(self) -> Optional[Fraction]:
-        """The wall: the solution of beta(w) = 0, if rational and in (0, 1/2)."""
-        if isinstance(self.s0, SurdSum) or self.v == 0:
-            return None
-        w = -self.u / self.v
-        return w if 0 < w < Fraction(1, 2) else None
 
     def report(self, c, note: str = "") -> BetaReport:
         c = Fraction(c)
@@ -357,22 +352,25 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
 def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optional[Fraction]:
     """Exact solution of beta(w) = 0 for the chart valuation, if in (0, 1/2).
 
-    ``source`` selects the S-coefficient: ``engine`` integrates the volume
-    profile, ``published`` evaluates the tabulated closed forms (whose surd
-    branches then admit no rational root).
+    With beta(c) = (a + b) - m*c - s0*(1 - 2c), the wall is
+    w = (a + b - s0) / (m - 2*s0).  ``source`` selects the S-coefficient
+    ``s0``: ``engine`` integrates the volume profile, ``published`` evaluates
+    the tabulated closed forms (whose surd branches then admit no rational
+    root).
     """
     if source == "engine":
         s0 = s_engine_coefficient(chart)
     elif source == "published":
-        s0 = s_closed_form_coefficient(chart)
-        # a surd has no rational root; deciding it here spares the
-        # constraint's surd products u and v
-        if not s0.is_rational():
+        surd = s_closed_form_coefficient(chart)
+        if not surd.is_rational():
             return None
+        s0 = surd.as_fraction()
     else:
         raise ValueError(f"unknown source {source!r}")
-    return Constraint(f"{chart.tag}({chart.a},{chart.b})", Fraction(chart.a + chart.b),
-                      Fraction(m), s0).root()
+    if m == 2 * s0:
+        return None
+    w = (chart.a + chart.b - s0) / (m - 2 * s0)
+    return w if 0 < w < Fraction(1, 2) else None
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +572,8 @@ def index3_certificate(c) -> BetaReport:
     prof = volume_profile(builtin_surface("index3m"))
     rep = Constraint("index3:qF", Fraction(1, 3), Fraction(2, 3), prof.s0).report(
         c, note="A = 1/3 - 2c/3, S = 8/9 (1-2c)")
-    assert rep.beta == SurdSum.rational(Fraction(10, 9) * c - Fraction(5, 9))
+    if rep.beta != Fraction(10, 9) * c - Fraction(5, 9):
+        raise ArithmeticError(f"index3 certificate: beta = {rep.beta}, not 10c/9 - 5/9")
     return rep
 
 
@@ -599,7 +598,7 @@ def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaRe
     prof = volume_profile(builtin_surface("blp114-quotient-res"))
     engine = Constraint("engine", Fraction(1, 2), Fraction(ord_f), prof.s0).report(c)
     if engine.verdict != "destabilizing":
-        raise AssertionError("engine cross-check failed to destabilize")
+        raise ArithmeticError("quotient-point certificate: the engine S does not destabilize")
     note = (f"ord_F(C) = {ord_f}; engine S = {render_surd(engine.s_value)} "
             f"(profile tau = {render_surd(prof.tau)}) also destabilizes")
     return Constraint("quarter-point:F", Fraction(1, 2), Fraction(ord_f),

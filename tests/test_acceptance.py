@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance is zero: all assertions are exact identities of
-rational numbers or quadratic-surd sums.
+rational numbers or numbers of one quadratic field.
 """
 
 import itertools
@@ -286,8 +286,11 @@ def _oracle_vol(model, d):
 def test_criterion_11_exact_number_kernel():
     rng = random.Random(2)
     for _ in range(2000):
+        # each triple lies in one field Q(sqrt(d))
+        d = rng.choice([2, 3, 5, 7])
+
         def rnd():
-            return SurdSum([(rng.choice([1, 2, 3, 5, 7]),
+            return SurdSum([(rng.choice([1, d]),
                              F(rng.randint(-5, 5), rng.randint(1, 5)))
                             for _ in range(rng.randint(0, 3))])
         x, y, z = rnd(), rnd(), rnd()
@@ -295,7 +298,8 @@ def test_criterion_11_exact_number_kernel():
         assert (x + y) + z == x + (y + z)
         assert x * (y + z) == x * y + x * z
     for _ in range(10_000):
-        terms = [(rng.choice([1, 2, 3, 5, 6, 11]),
+        d = rng.choice([2, 3, 5, 6, 11])
+        terms = [(rng.choice([1, d]),
                   F(rng.randint(-8, 8), rng.randint(1, 8)))
                  for _ in range(rng.randint(1, 4))]
         x = SurdSum(terms)

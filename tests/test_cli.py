@@ -4,9 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import types
+from fractions import Fraction
 
 import pytest
 
+from kwall import stability
 from kwall.cli import run
 from kwall.pairs import CHART_FAMILIES, parse_curve
 from kwall.stability import threshold
@@ -453,6 +456,40 @@ class TestCertifyProfileSurfaces:
         code, text = invoke("certify", "quotient-point", "--c", "1/4",
                             "--curve", "z^2*x^4+y^4*x^8")
         assert code == 0
+
+    def test_certify_order_below_one_usage(self, capsys):
+        code, out = invoke("certify", "quotient-point", "--ord", "0", "--c", "1/5")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and out == ""
+        assert [line for line in err if "error:" in line] == err[-1:], err
+        assert err[-1].endswith("argument --ord: --ord must be at least 1")
+
+    def test_certify_curve_off_the_quarter_point_usage(self, capsys):
+        assert_usage_error(capsys, "certify", "quotient-point", "--curve", "z^3+y^2*x^10",
+                           "--c", "1/5")
+
+    @pytest.mark.parametrize("kind", ["index3", "quotient-point"])
+    def test_certificate_self_check_failure(self, capsys, monkeypatch, kind):
+        """A certificate whose exact self-check fails (here on a wrong profile)
+        reports one ``check failed:`` line and exits 1, with no traceback."""
+        wrong = types.SimpleNamespace(s0=Fraction(0), tau=Fraction(1))
+        monkeypatch.setattr(stability, "volume_profile", lambda model: wrong)
+        code, out = invoke("certify", kind, "--c", "1/5")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("check failed: ") and err.count("\n") == 1, err
+
+    def test_certificate_self_check_survives_optimize(self):
+        """``python -O`` strips asserts, not the certificate's self-check."""
+        code = ("import types, fractions, sys; from kwall import stability, cli; "
+                "stability.volume_profile = lambda model: types.SimpleNamespace("
+                "s0=fractions.Fraction(0), tau=fractions.Fraction(1)); "
+                "sys.exit(cli.run(['certify', 'index3', '--c', '1/5']))")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("check failed: ") and proc.stderr.count("\n") == 1
 
     def test_profile_command(self):
         code, text = invoke("profile", "--surface", "index3m", "--c", "0")

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from kwall import stability
 from kwall.atlas import bundled_atlas
 from kwall.exactnum import SurdSum
 from kwall.pairs import (
@@ -34,6 +35,7 @@ from kwall.stability import (
     verify_semistable_at,
     wall_from_chart,
 )
+from kwall.volume import s_closed_form_coefficient
 
 W_H = [F(1, 14), F(5, 58), F(1, 10), F(7, 62), F(1, 8), F(5, 34),
        F(1, 6), F(7, 38), F(1, 5), F(5, 22), F(2, 7)]
@@ -430,7 +432,7 @@ class TestValuationRecord:
 
     def test_matches_old_arithmetic(self):
         rng = random.Random(10)
-        roots = surds = 0
+        surds = 0
         for k in range(3000):
             a0 = F(rng.randint(1, 30), rng.randint(1, 4))
             q = F(rng.randint(0, 90), rng.randint(1, 12))
@@ -447,21 +449,32 @@ class TestValuationRecord:
             rep = con.report(c, note="n")
             old = self._old_report("v", a0, m, s0, c, "n")
             assert rep == old and rep.to_json() == old.to_json()
-            assert con.root() == self._old_wall(a0, m, s0)
             if kind < 2:
                 assert (con.u, con.v) == self._old_uv(a0, m, s0)
                 assert con.beta_at(c) == old.beta.as_fraction()
-                roots += con.root() is not None
             else:
                 surds += 1
-        assert roots > 100 and surds > 1000
+        assert surds > 1000
 
-    def test_root_edge_cases(self):
-        assert Constraint("flat", F(3), F(4), F(2)).root() is None  # v = 0
-        assert Constraint("surd", F(3), F(4), SurdSum.sqrt(2)).root() is None
-        # the unigonal wall 29/106 from its case3p(1, 4) chart
-        unigonal = Constraint("case3p(1,4)", F(5), F(12), SurdSum.rational(F(91, 24)))
-        assert unigonal.root() == F(29, 106)
+    def test_root_edge_cases(self, monkeypatch):
+        """``wall_from_chart`` solves beta(w) = 0 as the constraint root did:
+        no wall for a surd S, for m = 2*s0 or for w outside (0, 1/2)."""
+        chart = ChartCase("blp114", "case3p", 1, 4)  # a + b = 5, S = 91/24
+        assert wall_from_chart(chart, 12) == wall_from_chart(chart, 12, "published") == F(29, 106)
+        surd = ChartCase("blp114", "case2p", 1, 1)
+        assert not s_closed_form_coefficient(surd).is_rational()
+        assert wall_from_chart(surd, 12, "published") is None
+        with pytest.raises(ValueError):
+            wall_from_chart(chart, 12, "tabulated")
+        walls = 0
+        # s0 = 2 with m = 4 is the flat case
+        for s0 in (F(2), F(5), F(91, 24), F(1, 3), F(9, 4)):
+            monkeypatch.setattr(stability, "s_engine_coefficient", lambda _, s0=s0: s0)
+            for m in range(13):
+                w = wall_from_chart(chart, m)
+                assert w == self._old_wall(F(5), F(m), s0), (s0, m)
+                walls += w is not None
+        assert walls > 5
 
     def test_crossing_matches_pairwise_rule(self):
         def old_pair(p, q):
