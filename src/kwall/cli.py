@@ -28,6 +28,7 @@ from .pairs import (
     DegenerateWeightError,
     onePS_to_chart,
     parse_curve,
+    quarter_point_order,
 )
 from .stability import (
     audit_extra_walls,
@@ -343,10 +344,9 @@ def _cmd_certify(args, out) -> int:
     elif args.curve is not None:
         surface = next(s for s, plane in PLANES.items() if plane.quarter_cone)
         curve = _load_curve_arg(args.curve, surface)
-        try:
-            rep = quotient_point_certificate(curve, args.c)
-        except ValueError as exc:  # the curve misses the quarter point
-            raise UsageError(str(exc)) from exc
+        if quarter_point_order(surface, curve.support()) < 1:
+            raise UsageError("curve misses the quarter point (ord_F(C) < 1)")
+        rep = quotient_point_certificate(curve, args.c)
     else:
         rep = quotient_point_certificate(1 if args.ord is None else args.ord, args.c)
     payload = rep.to_json()

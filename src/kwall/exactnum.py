@@ -195,6 +195,8 @@ class SurdSum:
 
     def __sub__(self, other: Number) -> "SurdSum":
         if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
             return SurdSum._of(self._p - other, self._q, self._d)
         if not isinstance(other, SurdSum):
             return NotImplemented
@@ -314,7 +316,7 @@ class SurdSum:
         return render_surd(self)
 
     def __repr__(self) -> str:
-        return f"SurdSum({list(self._terms)!r})"
+        return f"SurdSum({list(self.terms)!r})"
 
 
 def render_fraction(q: RationalLike) -> str:

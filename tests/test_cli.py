@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from kwall import stability
+from kwall import cli, stability
 from kwall.cli import run
+from kwall.exactnum import ExactDomainError
 from kwall.pairs import CHART_FAMILIES, parse_curve
 from kwall.stability import threshold
 
@@ -467,6 +468,19 @@ class TestCertifyProfileSurfaces:
     def test_certify_curve_off_the_quarter_point_usage(self, capsys):
         assert_usage_error(capsys, "certify", "quotient-point", "--curve", "z^3+y^2*x^10",
                            "--c", "1/5")
+
+    def test_certify_curve_internal_error_exits_one(self, capsys, monkeypatch):
+        """An exact-arithmetic failure inside the certificate of a curve on
+        the quarter point is not a usage error: it exits 1."""
+        def fail(curve, c):
+            raise ExactDomainError("sqrt(2) and sqrt(3) lie in different fields")
+
+        monkeypatch.setattr(cli, "quotient_point_certificate", fail)
+        code, out = invoke("certify", "quotient-point", "--curve", "z^2*x^4+y^4*x^8",
+                           "--c", "1/5")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err == "error: sqrt(2) and sqrt(3) lie in different fields\n"
 
     @pytest.mark.parametrize("kind", ["index3", "quotient-point"])
     def test_certificate_self_check_failure(self, capsys, monkeypatch, kind):

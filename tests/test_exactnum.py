@@ -156,6 +156,11 @@ class TestRendering:
         assert render_surd(s) == "2+1*sqrt(7)"
         assert render_surd(SurdSum([(28, F(-1, 2)), (1, 2)])) == "2-1*sqrt(7)"
 
+    def test_repr(self):
+        assert repr(sqrt(2) + 1) == "SurdSum([(1, Fraction(1, 1)), (2, Fraction(1, 1))])"
+        assert repr(SurdSum()) == "SurdSum([])"
+        assert repr([sqrt(8) * F(-1, 3)]) == "[SurdSum([(2, Fraction(-2, 3))])]"
+
     def test_approx(self):
         assert sqrt(2).approx_str(6) == "1.414214"
         assert (sqrt(2) * F(2, 3)).approx_str(8) == "0.94280904"
@@ -463,7 +468,8 @@ class TestIntegerDecisionsMatchReference:
 
     def test_rational_comparison_builds_one_surd(self, monkeypatch):
         """A comparison with an int or Fraction makes one shifted SurdSum
-        (by ``__sub__``), which holds the invariant."""
+        (by ``__sub__``), which holds the invariant, and none when there is
+        nothing to shift."""
         built = []
         of = SurdSum._of.__func__
 
@@ -475,9 +481,11 @@ class TestIntegerDecisionsMatchReference:
 
         x = sqrt(2) * F(2, 3) - F(1, 2)
         monkeypatch.setattr(SurdSum, "_of", classmethod(count))
-        assert x > 0 and x < 1 and x >= F(-1, 2) and not x <= F(1, 3)
-        assert len(built) == 4
-        assert sqrt(3) > 0 and sqrt(3) < 2 and len(built) == 6
+        assert x > 0 and len(built) == 0
+        assert x < 1 and x >= F(-1, 2) and not x <= F(1, 3)
+        assert len(built) == 3
+        assert sqrt(3) > 0 and len(built) == 3
+        assert sqrt(3) < 2 and len(built) == 4
 
 
 class TestOneField:
