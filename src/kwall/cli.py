@@ -84,8 +84,8 @@ def _weights(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _int_at_least(low: int, message: str):
-    """argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, message: str, high: Optional[int] = None):
+    """argparse type: an integer no smaller than ``low`` (nor larger than ``high``)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -93,13 +93,17 @@ def _int_at_least(low: int, message: str):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(message)
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
         return value
     return parse
 
 
 _bound = _int_at_least(12, "grid bound must be at least 12")
-_digits = _int_at_least(1, "need at least 1 digit")
 _order = _int_at_least(1, "--ord must be at least 1")
+# ``approx_str`` renders its digits through ``str(int)``, which the interpreter
+# refuses beyond 4300 digits
+_digits = _int_at_least(1, "need at least 1 digit", high=4300)
 
 
 def _load_curve_arg(text: str, surface: str):
@@ -126,12 +130,10 @@ def _load_atlas_arg(path: Optional[str]):
         raise UsageError(f"cannot load atlas: {exc}") from exc
 
 
-def _emit(payload: dict, rows: Optional[list[dict]], fmt: str, stream) -> None:
+def _emit(payload: dict, rows: list[dict], fmt: str, stream) -> None:
     if fmt == "json":
         stream.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
         return
-    if rows is None:
-        rows = [payload]
     if not rows:
         stream.write("(no rows)\n")
         return
@@ -344,9 +346,10 @@ def _cmd_certify(args, out) -> int:
     elif args.curve is not None:
         surface = next(s for s, plane in PLANES.items() if plane.quarter_cone)
         curve = _load_curve_arg(args.curve, surface)
-        if quarter_point_order(surface, curve.support()) < 1:
+        ord_f = quarter_point_order(surface, curve.support())
+        if ord_f < 1:
             raise UsageError("curve misses the quarter point (ord_F(C) < 1)")
-        rep = quotient_point_certificate(curve, args.c)
+        rep = quotient_point_certificate(ord_f, args.c)
     else:
         rep = quotient_point_certificate(1 if args.ord is None else args.ord, args.c)
     payload = rep.to_json()

@@ -18,6 +18,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 Number = Union[int, Fraction, "SurdSum"]
+_TRIAL_LIMIT = 10**6  # _factor's trial-division bound; a cofactor below its square is prime
 
 
 class ExactDomainError(ValueError):
@@ -45,10 +46,10 @@ def _pollard_rho(n: int) -> int:
             return d
 
 
-def _factor(n: int, limit: int = 10**6) -> dict[int, int]:
+def _factor(n: int) -> dict[int, int]:
     fac: dict[int, int] = {}
     p = 2
-    while p * p <= n and p <= limit:
+    while p * p <= n and p <= _TRIAL_LIMIT:
         while n % p == 0:
             fac[p] = fac.get(p, 0) + 1
             n //= p
@@ -56,15 +57,15 @@ def _factor(n: int, limit: int = 10**6) -> dict[int, int]:
     if n > 1:
         r = isqrt(n)
         if r * r == n:
-            for q, e in _factor(r, limit).items():
+            for q, e in _factor(r).items():
                 fac[q] = fac.get(q, 0) + 2 * e
-        elif n <= limit * limit:
+        elif n <= _TRIAL_LIMIT * _TRIAL_LIMIT:
             fac[n] = fac.get(n, 0) + 1
         else:
             d = _pollard_rho(n)
-            for q, e in _factor(d, limit).items():
+            for q, e in _factor(d).items():
                 fac[q] = fac.get(q, 0) + e
-            for q, e in _factor(n // d, limit).items():
+            for q, e in _factor(n // d).items():
                 fac[q] = fac.get(q, 0) + e
     return fac
 

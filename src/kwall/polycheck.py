@@ -1,48 +1,33 @@
-"""Exact nonnegativity of affine rational polynomials on intervals and rays.
+"""Exact nonnegativity of affine rational functions on intervals and rays.
 
 Each beta constraint is affine in the weight ratio r = b/a on an interval
-between kinks, so its minimum over a closed interval sits at an endpoint.
-Polynomials are coefficient tuples in increasing degree order.
+between kinks, p(r) = p0 + p1*r, so its minimum over a closed interval sits
+at an endpoint.  A function is the pair ``(p0, p1)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-Poly = tuple[Fraction, ...]
-
-
-def poly(coeffs: Sequence) -> Poly:
-    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    if len(out) > 2:
-        raise ValueError(f"degree {len(out) - 1} polynomial: only affine ones are decided")
-    return tuple(out)
+Affine = tuple[Fraction, Fraction]
 
 
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    """p(x) in Horner form."""
-    acc = p[-1] if p else Fraction(0)
-    for c in p[-2::-1]:
-        acc = acc * x + c
-    return acc
-
-
-def nonneg_on_interval(p: Poly, a, b) -> tuple[bool, Optional[Fraction]]:
-    """Decide p >= 0 on [a, b]; on failure also return a witness point."""
-    p = poly(p)
-    for x in (Fraction(a), Fraction(b)):
-        if poly_eval(p, x) < 0:
+def nonneg_on_interval(p: Affine, lo, hi) -> tuple[bool, Optional[Fraction]]:
+    """Decide p >= 0 on [lo, hi]; on failure also return a witness point."""
+    p0, p1 = p
+    for x in (Fraction(lo), Fraction(hi)):
+        if p0 + p1 * x < 0:
             return False, x
     return True, None
 
 
-def nonneg_on_ray(p: Poly, a) -> tuple[bool, Optional[Fraction]]:
-    """Decide p >= 0 on [a, infinity); a witness lies past every root."""
-    p, a = poly(p), Fraction(a)
-    if p and p[-1] < 0:
-        cauchy = 1 + max((abs(c) for c in p[:-1]), default=0) / abs(p[-1])
-        return False, max(a, cauchy) + 1
-    return (False, a) if poly_eval(p, a) < 0 else (True, None)  # slope >= 0: min is p(a)
+def nonneg_on_ray(p: Affine, lo) -> tuple[bool, Optional[Fraction]]:
+    """Decide p >= 0 on [lo, infinity); a witness lies past the root."""
+    p0, p1 = p
+    lo = Fraction(lo)
+    if p1 < 0:
+        return False, max(lo, 1 + abs(Fraction(p0) / p1)) + 1
+    if p1 == 0 and p0 < 0:
+        return False, max(lo, Fraction(1)) + 1
+    return (False, lo) if p0 + p1 * lo < 0 else (True, None)  # slope >= 0: min is p(lo)

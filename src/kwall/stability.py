@@ -170,10 +170,8 @@ class StabilityThreshold(NamedTuple):
     binding_upper: tuple[str, ...] = ()
     guarantee: str = ""
 
-    def is_point(self, w: Optional[Fraction] = None) -> bool:
-        if self.classification != "point":
-            return False
-        return w is None or self.lower == Fraction(w)
+    def is_point(self, w: Fraction) -> bool:
+        return self.classification == "point" and self.lower == Fraction(w)
 
     def c_range(self) -> Optional[tuple[Fraction, Fraction]]:
         """Closed bounds of the threshold's set of c in (0, 1/2); None if empty."""
@@ -330,8 +328,6 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
         for idx, lo in enumerate(grid):
             hi = grid[idx + 1] if idx + 1 < len(grid) else None
             probe = (lo + hi) / 2 if hi is not None else lo + 1
-            if probe == 0:
-                probe = Fraction(1, 2) if hi is None else hi / 2
             num, den = probe.numerator, probe.denominator
             e, f = min(pts, key=lambda p: den * p[0] + num * p[1])
             p = (k1 - e * c, k2 - f * c)
@@ -577,22 +573,19 @@ def index3_certificate(c) -> BetaReport:
     return rep
 
 
-def quotient_point_certificate(curve_or_ord: Union[CurvePair, int], c) -> BetaReport:
+def quotient_point_certificate(ord_f: int, c) -> BetaReport:
     """Destabilization of a pair whose branch curve meets the quarter point.
 
-    A <= 1/2 - c * ord_F(C) with ord_F(C) = 3 - max z-exponent >= 1; the
-    certificate S-value is the tabulated 2*sqrt(2)/3 * (1-2c).  The engine's
-    own profile on the resolution model integrates to 47/48 * (1-2c), which
+    ``ord_f`` is ord_F(C) = 3 - max z-exponent >= 1, which
+    ``pairs.quarter_point_order`` reads off the curve's support, and
+    A <= 1/2 - c * ord_F(C); the certificate S-value is the tabulated
+    2*sqrt(2)/3 * (1-2c).  The engine's own profile on the resolution model integrates to 47/48 * (1-2c), which
     is larger, so the tabulated value destabilizes a fortiori; both are
     reported.
     """
     c = Fraction(c)
     if not 0 < c < Fraction(1, 2):
         raise ValueError("coefficient must lie in (0, 1/2)")
-    if isinstance(curve_or_ord, CurvePair):
-        ord_f = quarter_point_order(curve_or_ord.surface, curve_or_ord.support())
-    else:
-        ord_f = int(curve_or_ord)
     if ord_f < 1:
         raise ValueError("curve misses the quarter point (ord_F(C) < 1)")
     prof = volume_profile(builtin_surface("blp114-quotient-res"))

@@ -75,15 +75,6 @@ def _vec_entry(e) -> Fraction:
     return Fraction(e) if x is None else x
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c, u: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def solve_linear(rows: Sequence[Sequence[int]], *rhs: Sequence[int],
                  negative_definite: bool = False) -> Optional[tuple]:
     """Solve the square integer system ``rows x = b`` for every right-hand

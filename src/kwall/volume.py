@@ -39,8 +39,6 @@ from .surface import (
     _dot,
     builtin_surface,
     solve_linear,
-    vscale,
-    vsub,
 )
 
 
@@ -88,16 +86,14 @@ class SProfile(NamedTuple):
         return out
 
 
-def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
-                   f: Optional[Union[str, Vec]] = None) -> SProfile:
+def volume_profile(model: SurfaceModel, f: Optional[Union[str, Vec]] = None) -> SProfile:
     """Exact piecewise-quadratic vol(l0 - t*f) on [0, tau].
 
-    ``l0`` defaults to the model's anticanonical class and must be nef and
-    big; ``f`` defaults to the model's distinguished exceptional class and
-    may be a cone-generator name or an explicit class.
+    The origin ``l0`` is the model's anticanonical class, which must be nef
+    and big; ``f`` defaults to the model's distinguished exceptional class
+    and may be a cone-generator name or an explicit class.
     """
-    if l0 is None:
-        l0 = model.anticanonical
+    l0 = model.anticanonical
     if f is None:
         if model.exceptional is None:
             raise ValueError(f"{model.name}: no default exceptional class")
@@ -127,8 +123,8 @@ def volume_profile(model: SurfaceModel, l0: Optional[Vec] = None,
         seg = _segment(sweep, support, t_cur)
         sample = _sample(seg)
         if not _segment_valid(seg, sample):
-            z = model.zariski_decompose(
-                vsub(l0, vscale(Fraction(*sample), f_vec)))
+            t = Fraction(*sample)
+            z = model.zariski_decompose(tuple(a - t * b for a, b in zip(l0, f_vec)))
             support = sorted(i for i, (n, _) in enumerate(model.cone)
                              if n in z.support_names)
             seg = _segment(sweep, support, t_cur)

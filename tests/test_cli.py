@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import types
@@ -178,6 +179,10 @@ IGNORED_FLAGS = {
     "sfun-approx-zero": ["sfun", "--chart", "case2-yv", "--a", "2", "--b", "1",
                          "--approx", "0"],
     "certify-approx-zero": ["certify", "quotient-point", "--c", "1/4", "--approx", "0"],
+    # ``approx_str`` renders digits through ``str(int)``, refused past 4300 digits
+    "sfun-approx-4301": ["sfun", "--chart", "case2p", "--a", "2", "--b", "11",
+                         "--approx", "4301"],
+    "certify-approx-4301": ["certify", "quotient-point", "--c", "1/5", "--approx", "4301"],
     "index3-curve": ["certify", "index3", "--c", "1/4", "--curve", "zzz"],
     "index3-ord": ["certify", "index3", "--c", "1/4", "--ord", "2"],
     "curve-and-ord": ["certify", "quotient-point", "--c", "1/4",
@@ -682,3 +687,128 @@ def test_output_digests():
         code, text = invoke(*argv)
         seen[" ".join(argv)] = (code, hashlib.sha256(text.encode()).hexdigest())
     assert seen == OUTPUT_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over seeded structured argvs
+
+
+def _fuzz_argvs(rng, files, count=300):
+    """``count`` seeded ``(argv, bad)`` pairs, the ten subcommands in turn.  A
+    subcommand is a list of ``(good, bad, required)`` entries, each value a
+    list of words that belong together (a surface and its curve, a model and
+    its weights).  Two in five argvs take good values only; the rest take one
+    entry from its bad pool (``bad`` is then True), or leave it out when that
+    pool is empty."""
+    def opts(name, values):
+        return [[name, v] for v in values]
+
+    curves = {"f1": ["x^4*z^2+x^3*y^3", "x^4*z*y", "x^3*z^3+x*y^5", "@" + files["curve"]],
+              "blp114": ["z^3+z^2*x^4", "z^2*x^4+y^4*x^8", "z^2*x^4+z*y^4*x^4+y^4*x^8"]}
+    bad_curves = ["zzz", "", "x^", "x^^3", "x^5*y", "x^6", "z^7", "@" + files["missing"]]
+    pair = ([["--surface", s, "--curve", c] for s, cs in curves.items() for c in cs],
+            [["--surface", "f1", "--curve", c] for c in bad_curves]
+            + [["--surface", "blp114", "--curve", "x^6"], ["--surface", "nope", "--curve", "x^6"],
+               ["--surface", "f1"], ["--curve", "x^6"]], True)
+    weighted = [("f1-case1", 2, 1), ("f1-case2", 1, 3), ("blp114-case3p", 1, 3)]
+    fixed = ["f1", "blp114", "index3m", "blp114-quotient-res"]
+
+    def model(flag):
+        good = [[flag, m] for m in fixed] + [[flag, m, "--a", str(a), "--b", str(b)]
+                                             for m, a, b in weighted]
+        bad = [[flag, "nope"], [flag, "f1", "--a", "2"], [flag, "f1-case1"],
+               [flag, "f1-case1", "--a", "0", "--b", "1"],
+               [flag, "f1-case1", "--a", "x", "--b", "1"],
+               [flag, "blp114-case3p", "--a", "2", "--b", "4"]]
+        return good, bad, True
+
+    ranked = [(fixed, 2), (["index3m"], 4), (["blp114-quotient-res"], 3)]
+    divisors = [[m, f"--divisor={d}"] for ms, n in ranked for m in ms[:2]
+                for d in (",".join(["1"] * n), ",".join(["-1"] + ["0"] * (n - 1)))]
+    atlas = (opts("--atlas", [files["atlas"], files["short_atlas"]]),
+             opts("--atlas", [files["bad_atlas"], files["missing"]]), False)
+    approx = (opts("--approx", ["3", "12"]), opts("--approx", ["0", "-1", "1000000", "4301"]),
+              False)
+    c_good, c_bad = ["0", "1/5", "1/4", "5/58"], ["1/2", "-1/10", "7", "c", "1/0"]
+    small = ["1", "2", "3", "5"], ["0", "-1", "x"]
+    specs = {
+        "walls": [(opts("--surface", ["f1", "blp114", "all"]), opts("--surface", ["k3"]), False),
+                  ([["--audit-extra"]], [], False), atlas],
+        "sfun": [(opts("--chart", list(CHART_FAMILIES)), opts("--chart", ["nope"]), True),
+                 (opts("--a", small[0]), opts("--a", small[1]), True),
+                 (opts("--b", small[0]), opts("--b", small[1]), True),
+                 (opts("--c", c_good), opts("--c", c_bad), False), approx],
+        "zariski": [([["--surface", *d] for d in divisors],
+                     [["--surface", "f1", "--divisor=1,2,3"], ["--surface", "f1", "--divisor=x,1"],
+                      ["--surface", "nope", "--divisor=1,0"], ["--surface", "f1"]], True)],
+        "beta": [pair, (opts("--weights", ["0,2,3", "1,0,4", "1,1,1", "0,0,0"]),
+                        opts("--weights", ["1,2", "a,b,c"]), False),
+                 (opts("--c", c_good), opts("--c", c_bad), True)],
+        "threshold": [pair, ([], opts("--bound", ["12", "11"]), False)],
+        "hkl": [([["map"], ["cone"], ["audit"]], [["nope"], []], True), atlas],
+        "tables": [([["--emit"], ["--check"]], [[], ["--emit", "--check"]], True), atlas],
+        "certify": [([["index3"], ["quotient-point"], ["quotient-point", "--ord", "2"]]
+                     + [["quotient-point", "--curve", c] for c in curves["blp114"][1:]],
+                     [["nope"], ["index3", "--ord", "2"], ["quotient-point", "--ord", "0"],
+                      ["quotient-point", "--ord", "x"]]
+                     + [["quotient-point", "--curve", c] for c in [curves["blp114"][0], *bad_curves]],
+                     True),
+                    (opts("--c", ["1/5", "1/4", "29/106"]), opts("--c", ["0", *c_bad]), True),
+                    approx],
+        "surfaces": [model("--id")[:2] + (False,)],
+        "profile": [model("--surface"),
+                    (opts("--divisor", ["E", "F1", "H_y", "Ebar"]), opts("--divisor", ["nope"]),
+                     False),
+                    (opts("--c", c_good), opts("--c", c_bad), False)],
+    }
+    formats = (opts("--format", ["json", "csv", "md"]), opts("--format", ["xml"]), False)
+    names = sorted(specs)
+    for k in range(count):
+        name = names[k % len(names)]
+        spec = specs[name] + [formats]
+        fault = rng.randrange(len(spec)) if rng.random() < 0.6 else None
+        argv, faulted = [name], False
+        for idx, (good, bad, required) in enumerate(spec):
+            if idx == fault:
+                faulted = bool(bad)
+                argv += rng.choice(bad) if bad else []
+            elif good and (required or rng.random() < 0.5):
+                argv += rng.choice(good)
+        yield argv, faulted
+
+
+def test_exit_code_contract_fuzz(tmp_path, monkeypatch, capsys):
+    """No argv lets an exception escape ``run``; the exit code is 0, 1 or 2,
+    and 2 whenever a bad value was drawn; exit 2 prints nothing on stdout.
+    A nonzero exit prints exactly one stderr line besides argparse's usage
+    block, except a check whose report is its output (``tables --check``,
+    ``hkl``): that exits 1 with the report on stdout and a silent stderr."""
+    monkeypatch.delenv("KWALL_ATLAS", raising=False)
+    files = {name: str(tmp_path / name)
+             for name in ("curve", "atlas", "short_atlas", "bad_atlas", "missing")}
+    atlas = json.loads(cli.bundled_atlas().dumps())
+    with open(files["atlas"], "w", encoding="utf-8") as fh:
+        json.dump(atlas, fh)
+    atlas["branches"].pop()  # ``tables --check`` reports it missing: exit 1
+    with open(files["short_atlas"], "w", encoding="utf-8") as fh:
+        json.dump(atlas, fh)
+    with open(files["bad_atlas"], "w", encoding="utf-8") as fh:
+        fh.write('{"branches": [{"surface": "f1"}]}')
+    with open(files["curve"], "w", encoding="utf-8") as fh:
+        fh.write("x^4*z^2+x*y^5\n")
+    seen = {0: 0, 1: 0, 2: 0}
+    for argv, bad in _fuzz_argvs(random.Random(24), files):
+        out = io.StringIO()
+        code = run(argv, out=out)
+        captured = capsys.readouterr()
+        assert code in seen and (code == 2 or not bad), (argv, code, captured.err)
+        seen[code] += 1
+        if code == 2:
+            assert out.getvalue() == "" and captured.out == "", argv
+        if code:
+            err = captured.err.splitlines()
+            if err and err[0].startswith("usage: "):
+                err = [line for line in err[1:] if not line.startswith(" ")]
+            reported = code == 1 and out.getvalue() != ""
+            assert len(err) == (0 if reported else 1), (argv, captured.err)
+    assert min(seen.values()) > 5, seen

@@ -19,6 +19,7 @@ from kwall.pairs import (
     multiplicity,
     onePS_to_chart,
     parse_curve,
+    quarter_point_order,
 )
 from kwall.stability import (
     BetaReport,
@@ -388,16 +389,18 @@ class TestCertificates:
 
     def test_quotient_point_from_curve(self):
         curve = parse_curve("z^2*x^4+z*y^4*x^4+y^4*x^8", "blp114")
-        rep = quotient_point_certificate(curve, F(1, 4))
+        rep = quotient_point_certificate(quarter_point_order("blp114", curve.support()), F(1, 4))
         assert rep.a_value == F(1, 4)
         assert rep.verdict == "destabilizing"
         deeper = parse_curve("z*y^2*x^6+y^4*x^8", "blp114")
-        rep2 = quotient_point_certificate(deeper, F(1, 8))
+        rep2 = quotient_point_certificate(quarter_point_order("blp114", deeper.support()),
+                                          F(1, 8))
         assert rep2.a_value == F(1, 2) - 2 * F(1, 8)
 
     def test_quotient_point_requires_contact(self):
+        curve = parse_curve("z^3+z^2*x^4", "blp114")
         with pytest.raises(ValueError):
-            quotient_point_certificate(parse_curve("z^3+z^2*x^4", "blp114"), F(1, 4))
+            quotient_point_certificate(quarter_point_order("blp114", curve.support()), F(1, 4))
 
 
 class TestValuationRecord:

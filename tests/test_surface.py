@@ -18,7 +18,6 @@ from kwall.surface import (
     fmt_vec,
     solve_linear,
     vec,
-    vscale,
 )
 import model_reference
 from linalg_reference import fraction_solve, rref
@@ -33,6 +32,10 @@ CHART_SAMPLES = [("f1-case1", 2, 1), ("f1-case1", 1, 3), ("f1-case2", 2, 1),
 
 def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
+
+
+def vscale(c, u):
+    return tuple(F(c) * a for a in u)
 
 
 def is_nef(m, d):

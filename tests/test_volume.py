@@ -13,8 +13,6 @@ from kwall.surface import (
     FIXED_MODELS,
     NotPseudoEffectiveError,
     builtin_surface,
-    vscale,
-    vsub,
 )
 from kwall.volume import (
     fixed_divisor_profile,
@@ -30,6 +28,14 @@ CHART_KINDS = sorted({fam.model_kind for fam in CHART_FAMILIES.values()})
 
 def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
+
+
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def vscale(c, u):
+    return tuple(F(c) * a for a in u)
 
 
 def value_at(profile, t):
@@ -143,9 +149,9 @@ class TestSpecialModels:
         m = builtin_surface("f1")
         from kwall.exactnum import ExactDomainError
         with pytest.raises(ExactDomainError):
-            volume_profile(m, l0=m.classes["E"], f="E")
+            volume_profile(m._replace(anticanonical=m.classes["E"]), f="E")
         with pytest.raises(ExactDomainError):
-            volume_profile(m, l0=m.classes["H_z"], f="E")  # nef but not big
+            volume_profile(m._replace(anticanonical=m.classes["H_z"]), f="E")  # nef, not big
 
 
 class TestEngineAgainstReference:
