@@ -23,7 +23,7 @@ def nonneg_on_interval(p: Affine, lo, hi) -> tuple[bool, Optional[Fraction]]:
 
 
 def nonneg_on_ray(p: Affine, lo) -> tuple[bool, Optional[Fraction]]:
-    """Decide p >= 0 on [lo, infinity); a witness lies past the root."""
+    """Decide p >= 0 on [lo, infinity); a falling p's witness lies past its root."""
     p0, p1 = p
     lo = Fraction(lo)
     if p1 < 0:
