@@ -51,18 +51,29 @@ class UsageError(Exception):
     """Bad input found after parsing, such as an unreadable or malformed file; exit 2."""
 
 
+_ECHO = 40  # characters of a rejected argument that its error message quotes
+
+
+def _quoted(text: str) -> str:
+    """The argument as its error message quotes it: whole if short, else a
+    prefix and its length, so the message stays one short line."""
+    if len(text) <= _ECHO:
+        return repr(text)
+    return f"{text[:_ECHO]!r}... ({len(text)} characters)"
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational number: {_quoted(text)}") from exc
 
 
 def _coefficient(text: str) -> Fraction:
     """argparse type: a boundary coefficient c in [0, 1/2)."""
     c = _fraction(text)
     if not 0 <= c < Fraction(1, 2):
-        raise argparse.ArgumentTypeError(f"coefficient must lie in [0, 1/2): {text!r}")
+        raise argparse.ArgumentTypeError(f"coefficient must lie in [0, 1/2): {_quoted(text)}")
     return c
 
 
@@ -70,7 +81,7 @@ def _open_coefficient(text: str) -> Fraction:
     """argparse type: a boundary coefficient c in (0, 1/2), as a certificate needs."""
     c = _fraction(text)
     if not 0 < c < Fraction(1, 2):
-        raise argparse.ArgumentTypeError(f"coefficient must lie in (0, 1/2): {text!r}")
+        raise argparse.ArgumentTypeError(f"coefficient must lie in (0, 1/2): {_quoted(text)}")
     return c
 
 
@@ -89,8 +100,8 @@ def _int_at_least(low: int, message: str, high: Optional[int] = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        except ValueError as exc:  # also past the interpreter's 4300-digit limit
+            raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}") from exc
         if value < low:
             raise argparse.ArgumentTypeError(message)
         if high is not None and value > high:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
@@ -358,9 +359,11 @@ def divisor_orders(surface: str, i: int, j: int) -> dict[str, int]:
     return dict(zip(DIVISORS, (_x_exponent(surface, i, j), i, j, i + j - 2)))
 
 
+@cache
 def local_points(curve: CurvePair, tag: str) -> tuple[tuple[int, int], ...]:
     """Distinct local exponents (ord_D1, ord_D2) of the curve in the chart
-    coordinates, in monomial order."""
+    coordinates, in monomial order; computed once per (curve, tag), since a
+    ``CurvePair`` is immutable."""
     d1, d2 = CHART_FAMILIES[tag].divisors
     orders = (divisor_orders(curve.surface, m.i, m.j) for m in curve.monomials)
     return tuple(dict.fromkeys((o[d1], o[d2]) for o in orders))

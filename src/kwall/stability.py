@@ -26,11 +26,20 @@ semistability exactly; an independent piecewise check over whole r-intervals
 argument.
 
 Each curve's stability data is computed once per process: its toric
-constraints, each chart tag's local points and kink weights, and the
+constraints, each chart tag's local points and kink ratios, and the
 kink-complete threshold.  That is sound because all of it depends only on the
 immutable ``CurvePair`` (its support on its surface) and on the engine's
 S-values, which are fixed; ``_curve_cache`` holds tuples and hands out fresh
-lists.
+lists.  The S-values themselves are memoized per chart (tag, a, b) in
+``volume``, the published closed forms included, and the local exponents per
+(curve, tag) in ``pairs``.
+
+Every decision is made on integers: a wall candidate by the signs of
+((a + b)q - p) and (mq - 2p) for s0 = p/q, a threshold bound -u/v as an
+integer pair compared by cross-multiplying, and each beta at a rational c
+after clearing its denominators (:meth:`Constraint.beta_scaled`,
+:func:`verify_semistable_at`).  A ``Fraction`` is built only for a value that
+is returned or printed.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import polycheck
-from .exactnum import SurdSum, render_fraction, render_surd
+from .exactnum import RationalLike, SurdSum, render_fraction, render_surd
 from .pairs import (
     CHART_FAMILIES,
     DIVISORS,
@@ -107,8 +116,8 @@ def _verdict(beta: SurdSum) -> str:
 
 class _ConstraintFields(NamedTuple):
     name: str
-    a0: Fraction
-    m: Fraction
+    a0: RationalLike
+    m: RationalLike
     s0: Number
     u: Number
     v: Number
@@ -118,21 +127,36 @@ class Constraint(_ConstraintFields):
     """One valuation: beta(c) = a0 - m*c - s0*(1 - 2c) = u + v*c.
 
     Built from ``(name, a0, m, s0)``, which fixes ``u`` and ``v`` once.  A
-    rational ``s0`` is held as a ``Fraction``; only the quarter-point
-    certificate's ``s0 = 2*sqrt(2)/3`` stays a ``SurdSum``, so ``u``, ``v``
-    and every beta lie in one quadratic field.  A wall of a chart
-    valuation is solved directly by :func:`wall_from_chart`.
+    rational ``s0`` is held as a ``Fraction``, and ``u`` and ``v`` are then
+    each one ``Fraction`` of integer numerator and denominator; only the
+    quarter-point certificate's ``s0 = 2*sqrt(2)/3`` stays a ``SurdSum``, so
+    ``u``, ``v`` and every beta lie in one quadratic field.  The sign of a
+    rational beta at a rational c is decided on integers by
+    :meth:`beta_scaled`.  A wall of a chart valuation is solved directly by
+    :func:`wall_from_chart`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name: str, a0: Fraction, m: Fraction, s0: Number) -> Constraint:
-        if isinstance(s0, SurdSum) and s0.is_rational():
+    def __new__(cls, name: str, a0: RationalLike, m: RationalLike, s0: Number) -> Constraint:
+        if isinstance(s0, SurdSum):
+            if not s0.is_rational():
+                return super().__new__(cls, name, a0, m, s0, a0 - s0, 2 * s0 - m)
             s0 = s0.as_fraction()
-        return super().__new__(cls, name, a0, m, s0, a0 - s0, 2 * s0 - m)
+        p, q = s0.numerator, s0.denominator
+        an, ad = a0.numerator, a0.denominator
+        mn, md = m.numerator, m.denominator
+        return super().__new__(cls, name, a0, m, s0, Fraction(an * q - p * ad, ad * q),
+                               Fraction(2 * p * md - mn * q, q * md))
 
     def beta_at(self, c) -> Number:
         return self.u + self.v * Fraction(c)
+
+    def beta_scaled(self, n: int, d: int) -> int:
+        """beta(n/d) of a rational constraint (d > 0) times the positive
+        integer d*den(u)*den(v): an integer of the sign of beta."""
+        u, v = self.u, self.v
+        return u.numerator * v.denominator * d + v.numerator * u.denominator * n
 
     def report(self, c, note: str = "") -> BetaReport:
         c = Fraction(c)
@@ -154,8 +178,8 @@ def _crossing(p: tuple[int, int], q: tuple[int, int]) -> Optional[tuple[int, int
 def chart_constraint(curve: CurvePair, chart: ChartCase) -> Constraint:
     """The chart's weighted-blowup valuation, S by volume integration."""
     m = multiplicity(chart_expand(curve, chart), chart.a, chart.b)
-    return Constraint(f"{chart.tag}({chart.a},{chart.b})", Fraction(chart.a + chart.b),
-                      Fraction(m), s_engine_coefficient(chart))
+    return Constraint(f"{chart.tag}({chart.a},{chart.b})", chart.a + chart.b, m,
+                      s_engine_coefficient(chart))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +195,7 @@ class StabilityThreshold(NamedTuple):
     guarantee: str = ""
 
     def is_point(self, w: Fraction) -> bool:
-        return self.classification == "point" and self.lower == Fraction(w)
+        return self.classification == "point" and self.lower == w
 
     def c_range(self) -> Optional[tuple[Fraction, Fraction]]:
         """Closed bounds of the threshold's set of c in (0, 1/2); None if empty."""
@@ -192,42 +216,49 @@ class StabilityThreshold(NamedTuple):
 
 
 def _intersect(cons: Sequence[Constraint]) -> StabilityThreshold:
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
+    """The threshold of rational constraints.  Each bound -u/v is held as an
+    integer pair (n, d), d > 0, and bounds are compared by cross-multiplying;
+    only the two returned bounds are built as ``Fraction``s."""
+    lower: Optional[tuple[int, int]] = None
+    upper: Optional[tuple[int, int]] = None
     bind_lo: list[str] = []
     bind_hi: list[str] = []
     infeasible = False
     for con in cons:
         u, v = con.u, con.v
-        if v == 0:
-            if u < 0:
+        un, ud, vn, vd = u.numerator, u.denominator, v.numerator, v.denominator
+        if vn == 0:
+            if un < 0:
                 infeasible = True
             continue
-        bound = -u / v
-        if v > 0:
-            if lower is None or bound > lower:
-                lower, bind_lo = bound, [con.name]
-            elif bound == lower:
+        if vn > 0:
+            n, d = -un * vd, ud * vn
+            if lower is None or n * lower[1] > lower[0] * d:
+                lower, bind_lo = (n, d), [con.name]
+            elif n * lower[1] == lower[0] * d:
                 bind_lo.append(con.name)
         else:
-            if upper is None or bound < upper:
-                upper, bind_hi = bound, [con.name]
-            elif bound == upper:
+            n, d = un * vd, -ud * vn
+            if upper is None or n * upper[1] < upper[0] * d:
+                upper, bind_hi = (n, d), [con.name]
+            elif n * upper[1] == upper[0] * d:
                 bind_hi.append(con.name)
-    lo_eff = lower if lower is not None else Fraction(0)
-    hi_eff = upper if upper is not None else Fraction(1, 2)
-    if infeasible or lo_eff > hi_eff or lo_eff >= Fraction(1, 2) or hi_eff <= 0:
+    ln, ld = lower or (0, 1)
+    hn, hd = upper or (1, 2)
+    if infeasible or ln * hd > hn * ld or 2 * ln >= ld or hn <= 0:
         cls = "empty"
-    elif lower is not None and upper is not None and lower == upper:
+    elif lower is not None and upper is not None and ln * hd == hn * ld:
         cls = "point"
     else:
         cls = "interval"
-    return StabilityThreshold(lower, upper, cls, tuple(bind_lo), tuple(bind_hi))
+    return StabilityThreshold(None if lower is None else Fraction(*lower),
+                              None if upper is None else Fraction(*upper),
+                              cls, tuple(bind_lo), tuple(bind_hi))
 
 
 class _CurveData(NamedTuple):
     toric: tuple[Constraint, ...]
-    charts: dict[str, tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]]
+    charts: dict[str, tuple[tuple[tuple[int, int], ...], tuple[Fraction, ...]]]
     constraints: Optional[tuple[Constraint, ...]] = None  # toric, then kink charts
     threshold: Optional[StabilityThreshold] = None  # of ``constraints``
 
@@ -238,14 +269,15 @@ _curve_cache: dict[CurvePair, _CurveData] = {}
 
 def _curve_data(curve: CurvePair, constraints: bool = False) -> _CurveData:
     """The curve's toric constraints and, per chart tag, its local points and
-    kink weights: the primitive (a, b), by increasing b/a, where two local
-    exponents cross or the family lists a ``branch_ratios`` entry.  With
-    ``constraints`` also the kink-weight chart constraints and their threshold.
+    kink ratios: the increasing b/a where two local exponents cross or the
+    family lists a ``branch_ratios`` entry, each the weight (a, b) in lowest
+    terms.  With ``constraints`` also the kink-weight chart constraints and
+    their threshold.
     """
     data = _curve_cache.get(curve)
     if data is None:
         mults = toric_multiplicities(curve)
-        toric = tuple(Constraint(d, Fraction(1), Fraction(mults[d]), s0)
+        toric = tuple(Constraint(d, 1, mults[d], s0)
                       for d, s0 in fixed_divisor_s(curve.surface).items())
         charts = {}
         for tag in PLANES[curve.surface].chart_tags:
@@ -256,12 +288,12 @@ def _curve_data(curve: CurvePair, constraints: bool = False) -> _CurveData:
                     ab = _crossing(p, q)
                     if ab is not None:
                         ratios.add(Fraction(ab[1], ab[0]))
-            charts[tag] = (pts, tuple((r.denominator, r.numerator) for r in sorted(ratios)))
+            charts[tag] = (pts, tuple(sorted(ratios)))
         data = _curve_cache[curve] = _CurveData(toric, charts)
     if constraints and data.threshold is None:
         cons = data.toric + tuple(
-            chart_constraint(curve, ChartCase(curve.surface, tag, a, b))
-            for tag, (_, kinks) in data.charts.items() for a, b in kinks or [(1, 1)])
+            chart_constraint(curve, ChartCase(curve.surface, tag, r.denominator, r.numerator))
+            for tag, (_, kinks) in data.charts.items() for r in kinks or [Fraction(1)])
         data = _curve_cache[curve] = data._replace(constraints=cons,
                                                    threshold=_intersect(cons))
     return data
@@ -310,27 +342,43 @@ def verify_semistable_at(curve: CurvePair, c) -> tuple[bool, list[str]]:
     Covers the four toric divisors and, for every chart family, the full
     continuum of weight ratios r = b/a in (0, infinity) piece by piece.
     Returns (ok, failures) with witness descriptions on failure.
+
+    Every decision is an integer sign test.  With c = cn/cd, a toric beta is
+    tested by :meth:`Constraint.beta_scaled`; a chart tag's beta is
+    multiplied by q*cd, q the product of the denominators of its two fixed
+    S-values, so it is the integer pair (P0, P1) of P0 + r*P1 that
+    ``polycheck`` tests at each kink b/a as a*P0 + b*P1 >= 0.  Only a
+    failure's values are built as ``Fraction``s.
     """
     c = Fraction(c)
+    cn, cd = c.numerator, c.denominator
     failures: list[str] = []
     data = _curve_data(curve)
     for con in data.toric:
-        beta = con.beta_at(c)
-        if beta < 0:
-            failures.append(f"toric {con.name}: beta({c}) = {beta}")
+        if con.beta_scaled(cn, cd) < 0:
+            failures.append(f"toric {con.name}: beta({c}) = {con.beta_at(c)}")
     fixed_s = fixed_divisor_s(curve.surface)
+    t = cd - 2 * cn  # cd*(1 - 2c)
     for tag, (pts, kinks) in data.charts.items():
         # S0(1, r) = S0(D1) + r*S0(D2) (module docstring), so on each interval
-        # beta = k1 - e*c + r*(k2 - f*c) for the local exponent (e, f) that
-        # minimizes e + probe*f, that is den*e + num*f
-        k1, k2 = (1 - fixed_s[d] * (1 - 2 * c) for d in CHART_FAMILIES[tag].divisors)
-        grid = [Fraction(0)] + [Fraction(b, a) for a, b in kinks]
+        # beta = k1 - e*c + r*(k2 - f*c), k_i = 1 - S0(D_i)*(1 - 2c), for the
+        # local exponent (e, f) that minimizes e + probe*f; times q*cd,
+        # k_i is q*cd - (q/q_i)*p_i*t and e*c is e*cn*q
+        (p1, q1), (p2, q2) = ((fixed_s[d].numerator, fixed_s[d].denominator)
+                              for d in CHART_FAMILIES[tag].divisors)
+        q = q1 * q2
+        k1, k2, cq = q * cd - q2 * p1 * t, q * cd - q1 * p2 * t, cn * q
+        grid = (0, *kinks)
         for idx, lo in enumerate(grid):
             hi = grid[idx + 1] if idx + 1 < len(grid) else None
-            probe = (lo + hi) / 2 if hi is not None else lo + 1
-            num, den = probe.numerator, probe.denominator
+            # the probe num/den, up to a positive factor: (lo + hi)/2 or lo + 1
+            if hi is not None:
+                num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+                den = 2 * lo.denominator * hi.denominator
+            else:
+                num, den = lo.numerator + lo.denominator, lo.denominator
             e, f = min(pts, key=lambda p: den * p[0] + num * p[1])
-            p = (k1 - e * c, k2 - f * c)
+            p = (k1 - e * cq, k2 - f * cq)
             if hi is not None:
                 ok, witness = polycheck.nonneg_on_interval(p, lo, hi)
             else:
@@ -352,7 +400,9 @@ def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optiona
     w = (a + b - s0) / (m - 2*s0).  ``source`` selects the S-coefficient
     ``s0``: ``engine`` integrates the volume profile, ``published`` evaluates
     the tabulated closed forms (whose surd branches then admit no rational
-    root).
+    root).  With s0 = p/q the wall is ((a + b)q - p) / (mq - 2p), tested
+    against (0, 1/2) on integers and built as a ``Fraction`` only when it is
+    a wall.
     """
     if source == "engine":
         s0 = s_engine_coefficient(chart)
@@ -363,10 +413,11 @@ def wall_from_chart(chart: ChartCase, m: int, source: str = "engine") -> Optiona
         s0 = surd.as_fraction()
     else:
         raise ValueError(f"unknown source {source!r}")
-    if m == 2 * s0:
-        return None
-    w = (chart.a + chart.b - s0) / (m - 2 * s0)
-    return w if 0 < w < Fraction(1, 2) else None
+    p, q = s0.numerator, s0.denominator
+    num, den = (chart.a + chart.b) * q - p, m * q - 2 * p
+    if den < 0:
+        num, den = -num, -den
+    return Fraction(num, den) if 0 < 2 * num < den else None
 
 
 # ---------------------------------------------------------------------------
@@ -421,16 +472,17 @@ def confirm_wall(candidate: WallCandidate) -> WallRecord:
     w itself.
     """
     w = candidate.w
+    wn, wd = w.numerator, w.denominator
     curve = candidate.curve
     if candidate.weight is not None and lambda_weight(curve, candidate.weight) is None:
         return WallRecord(candidate, False, "non-invariant curve")
     if candidate.chart is not None:
-        horizontal = chart_constraint(curve, candidate.chart).beta_at(w)
-        if horizontal != 0:
-            return WallRecord(candidate, False,
-                              f"horizontal beta is {render_fraction(horizontal)}, not 0")
+        horizontal = chart_constraint(curve, candidate.chart)
+        if horizontal.beta_scaled(wn, wd) != 0:
+            return WallRecord(candidate, False, "horizontal beta is "
+                              f"{render_fraction(horizontal.beta_at(w))}, not 0")
     for con in _curve_data(curve).toric:
-        if con.beta_at(w) < 0:
+        if con.beta_scaled(wn, wd) < 0:
             return WallRecord(candidate, False, f"beta({con.name}) < 0 at w")
     thr = threshold(curve)
     if not thr.is_point(w):

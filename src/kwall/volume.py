@@ -21,7 +21,9 @@ authoritative, and ``kwall sfun`` prints both values side by side.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from functools import cache
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .exactnum import (
     ExactDomainError,
@@ -292,13 +294,17 @@ def s_engine_raw(chart: ChartCase) -> Fraction:
     return _raw_cache[key]
 
 
+@cache
 def s_engine_coefficient(chart: ChartCase) -> Fraction:
-    """S by volume integration, with the (1-2c) factor stripped."""
+    """S by volume integration, with the (1-2c) factor stripped; divided out
+    once per chart."""
     return s_engine_raw(chart) / DEGREE
 
 
+@cache
 def s_closed_form_coefficient(chart: ChartCase) -> SurdSum:
-    """Closed-form S with the (1-2c) factor stripped."""
+    """Closed-form S with the (1-2c) factor stripped, built once per chart
+    (tag, a, b): it depends on nothing else, and a ``SurdSum`` is immutable."""
     a, b = Fraction(chart.a), Fraction(chart.b)
     tag = chart.tag
     if tag in ("case1-010", "case1-001"):
@@ -334,20 +340,22 @@ def s_closed_form_coefficient(chart: ChartCase) -> SurdSum:
 # fixed invariant divisors
 
 
-_fixed_cache: dict[str, dict[str, Fraction]] = {}
+_fixed_cache: dict[str, Mapping[str, Fraction]] = {}
 
 
-def fixed_divisor_s(surface: str) -> dict[str, Fraction]:
+def fixed_divisor_s(surface: str) -> Mapping[str, Fraction]:
     """S-coefficients of the four toric divisors (times (1-2c)), each the
-    integral of its :func:`fixed_divisor_profile` over the degree.
+    integral of its :func:`fixed_divisor_profile` over the degree, as a
+    read-only view of the one table computed per surface.
 
     The blown-up point is [1,0,0] throughout, so on the plane model H_x is
     the invariant line missing the center.
     """
     if surface not in _fixed_cache:
         profiles = {d: fixed_divisor_profile(surface, d) for d in DIVISORS}
-        _fixed_cache[surface] = {d: prof.s0 for d, prof in profiles.items()}
-    return dict(_fixed_cache[surface])
+        _fixed_cache[surface] = MappingProxyType(
+            {d: prof.s0 for d, prof in profiles.items()})
+    return _fixed_cache[surface]
 
 
 def fixed_divisor_profile(surface: str, divisor: str) -> SProfile:

@@ -207,6 +207,30 @@ def test_ignored_flag_usage(capsys, case):
     assert [line for line in err if "error:" in line] == err[-1:], err
 
 
+LONG_DIGITS = "1" * 4400  # past the interpreter's 4300-digit limit of int(str)
+
+LONG_ARGUMENTS = {
+    "sfun-approx": ["sfun", "--chart", "case2p", "--a", "2", "--b", "11",
+                    "--approx", LONG_DIGITS],
+    "certify-ord": ["certify", "quotient-point", "--c", "1/4", "--ord", LONG_DIGITS],
+    "threshold-bound": ["threshold", "--surface", "f1", "--curve", "x^3*z^3+x*y^5",
+                        "--grid", "--bound", LONG_DIGITS],
+    "sfun-c": ["sfun", "--chart", "case1p", "--a", "1", "--b", "2", "--c", LONG_DIGITS],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_ARGUMENTS))
+def test_long_argument_quoted_by_prefix(capsys, case):
+    """A number too long for the interpreter to read is a usage error whose
+    one ``error:`` line quotes a prefix and the length, not the whole text."""
+    code, out = invoke(*LONG_ARGUMENTS[case])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and out == ""
+    assert [line for line in err if "error:" in line] == err[-1:], err
+    assert err[-1].endswith(f": '{LONG_DIGITS[:40]}'... (4400 characters)"), err[-1]
+    assert len(err[-1]) < 150
+
+
 COEFFICIENT_ARGV = {
     "sfun": ["sfun", "--chart", "case1p", "--a", "1", "--b", "2"],
     "beta": ["beta", "--surface", "f1", "--curve", "x^4*z*y"],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -99,3 +100,47 @@ def test_dense_sample_oracle():
         else:
             assert w >= F(lo, 64) and value(p, w) < 0
     assert min(decided.values()) > 50
+
+
+def integer_form(p, scale=1):
+    """The pair times a positive multiple of its denominators' lcm, as ints:
+    the form ``stability.verify_semistable_at`` passes."""
+    k = lcm(F(p[0]).denominator, F(p[1]).denominator) * scale
+    return int(p[0] * k), int(p[1] * k)
+
+
+class TestIntegerForm:
+    def test_falling_ray_witness(self):
+        # 9/2 - 2r/3 cleared to 27 - 4r: the witness is max(lo, 1 + |p0/p1|) + 1
+        p = affine(F(9, 2), F(-2, 3))
+        for lo, w in ((F(0), F(35, 4)), (0, F(35, 4)), (F(10), F(11))):
+            for form in (p, integer_form(p), integer_form(p, 7)):
+                ok, got = nonneg_on_ray(form, lo)
+                assert (ok, got) == (False, w) and type(got) is F
+
+    def test_integer_endpoints_give_fraction_witnesses(self):
+        assert nonneg_on_interval((-1, 5), 0, F(1, 2)) == (False, F(0))
+        assert type(nonneg_on_interval((-1, 5), 0, F(1, 2))[1]) is F
+        assert nonneg_on_interval((3, -2), 0, F(3, 2)) == (True, None)
+        assert nonneg_on_interval((3, -2), 0, F(5, 2)) == (False, F(5, 2))
+        for lo in (0, F(0), F(3, 2)):
+            ok, w = nonneg_on_ray((-2, 0), lo)
+            assert (ok, w) == (False, max(F(lo), 1) + 1) and type(w) is F
+        ok, w = nonneg_on_ray((-1, 3), 0)  # rising from p(0) < 0: the witness is lo
+        assert (ok, w) == (False, F(0)) and type(w) is F
+        assert nonneg_on_ray((0, 0), 0) == (True, None)
+
+    def test_matches_rational_form(self):
+        rng = random.Random(25)
+        decided = {True: 0, False: 0}
+        for _ in range(400):
+            p = _random_affine(rng)
+            ints = integer_form(p, rng.randint(1, 5))
+            lo = F(rng.randint(0, 64), rng.randint(1, 8))
+            hi = lo + F(rng.randint(1, 64), rng.randint(1, 8))
+            for check, args in ((nonneg_on_interval, (lo, hi)), (nonneg_on_ray, (lo,))):
+                want = check(p, *args)
+                got = check(ints, *args)
+                assert got == want and type(got[1]) is type(want[1]), (p, args)
+                decided[want[0]] += 1
+        assert min(decided.values()) > 100

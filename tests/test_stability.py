@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 from fractions import Fraction as F
@@ -617,3 +618,70 @@ class TestCurveCache:
         assert sorted(enumerated) == ["blp114", "f1"]
         assert cli.run(["walls", "--surface", "all", "--audit-extra"], out=io.StringIO()) == 0
         assert len(enumerated) == 2
+
+
+@pytest.mark.parametrize("surface", ["f1", "blp114"])
+def test_integer_decisions_match_fraction_reference(surface):
+    """``wall_from_chart``, ``_intersect`` and ``verify_semistable_at`` decide
+    on integers what their ``Fraction`` versions in ``stability_reference``
+    decide: the wall (or None) of every chart candidate under both sources,
+    the threshold of every candidate curve, and the continuum check with its
+    failure strings at every candidate w and at seeded c in (0, 1/2)."""
+    import stability_reference as ref
+
+    curves, walls = set(), 0
+    for kind, tag, a, b, m, support in stability._candidate_supports(surface):
+        curves.add(stability._support_curve(surface, support))
+        if kind == "chart":
+            chart = ChartCase(surface, tag, a, b)
+            for source in ("engine", "published"):
+                w = wall_from_chart(chart, m, source)
+                assert w == ref.wall_from_chart(chart, m, source), (chart, m, source)
+                walls += w is not None
+    assert walls > 20
+
+    classes = set()
+    for curve in curves:
+        cons = stability.all_constraints(curve)
+        got = stability._intersect(cons)
+        assert got == ref.intersect(cons), curve
+        assert all(type(x) is F for x in (got.lower, got.upper) if x is not None)
+        classes.add(got.classification)
+    assert {"point", "empty"} <= classes
+
+    rng = random.Random(25)
+    failing, checked = set(), 0
+    for source in ("engine", "published"):
+        for cand in stability._wall_candidates(surface, source):
+            for c in (cand.w, cand.w + F(1, rng.randint(100, 10000)),
+                      cand.w - F(1, rng.randint(100, 10000)), F(rng.randint(1, 999), 2000)):
+                got = verify_semistable_at(cand.curve, c)
+                assert got == ref.verify_semistable_at(cand.curve, c), (cand.curve, c)
+                failing.update(f.split(" ")[0].rstrip(":") for f in got[1])
+                checked += 1
+    assert checked > 40 and failing == {"toric", *PLANES[surface].chart_tags}
+
+
+def test_intersect_matches_fraction_reference_on_seeded_constraints():
+    """Ties, flat constraints (v = 0), and empty, point and interval
+    thresholds: seeded constraint sets with small entries, some of them
+    through one common c, so equal bounds are common."""
+    import stability_reference as ref
+
+    rng = random.Random(26)
+    seen = collections.Counter()
+    for _ in range(2000):
+        cons = [Constraint(f"v{j}", F(rng.randint(0, 6), rng.randint(1, 3)),
+                           F(rng.randint(0, 12), rng.randint(1, 2)),
+                           F(rng.randint(0, 12), rng.randint(1, 4)))
+                for j in range(rng.randint(0, 4))]
+        w = F(rng.randint(1, 9), 20)
+        for j in range(rng.randint(0, 3)):  # through w: a0 = s0 - v*w
+            s0, m = F(rng.randint(0, 12), rng.randint(1, 4)), F(rng.randint(0, 12))
+            cons.append(Constraint(f"w{j}", s0 - (2 * s0 - m) * w, m, s0))
+        got = stability._intersect(cons)
+        assert got == ref.intersect(cons), cons
+        seen[got.classification] += 1
+        seen["flat"] += any(c.v == 0 for c in cons)
+        seen["tie"] += len(got.binding_lower) > 1 or len(got.binding_upper) > 1
+    assert len(seen) == 5 and min(seen.values()) > 20, seen
