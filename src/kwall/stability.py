@@ -510,7 +510,9 @@ def _candidate_supports(surface: str) -> tuple[tuple, ...]:
     found = []
     monos = admissible_monomials(surface)
     orders = {p: divisor_orders(surface, *p) for p in monos}
-    seen: set[tuple[Fraction, ...]] = set()
+    # the (tag, a, b, m) lines already scanned: a line fixes its support, so
+    # a later pair on it would only rebuild a support already kept or refused
+    lines: set[tuple[str, int, int, int]] = set()
 
     # chart-direction pairs
     for tag in PLANES[surface].chart_tags:
@@ -523,15 +525,13 @@ def _candidate_supports(surface: str) -> tuple[tuple, ...]:
                     continue
                 a, b = ab
                 m = a * local[p][0] + b * local[p][1]
+                if (tag, a, b, m) in lines:
+                    continue
+                lines.add((tag, a, b, m))
                 support = tuple(sorted(p for p in monos
                                        if a * local[p][0] + b * local[p][1] == m))
-                if quarter_point_order(surface, support):
-                    continue
-                key = (tag, a, b, support)
-                if key in seen:
-                    continue
-                seen.add(key)
-                found.append(("chart", tag, a, b, m, support))
+                if not quarter_point_order(surface, support):
+                    found.append(("chart", tag, a, b, m, support))
 
     # degenerate 1-PS directions: level sets of the toric divisor orders
     emitted: set[tuple[tuple[int, int], ...]] = set()

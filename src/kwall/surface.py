@@ -121,9 +121,10 @@ class ZariskiDecomposition(NamedTuple):
 
 class ConeRecord(NamedTuple):
     """The integer intersection data of one model that no class changes:
-    built on first use, once per model, and then only read by
-    ``intersect``, ``pairing_table``, the Zariski iteration and the
-    separating-class scan.
+    built on first use, once per model, and then only read.  Its readers
+    are ``intersect`` (the form), the Zariski iteration (form, generators
+    and their Gram matrix, with no table between), ``pairing_table`` (the
+    volume sweep's two classes) and the separating-class scan.
 
     The form is scaled to integers once (``form = scale * gram``; it is
     symmetric) and each cone generator ``C_j`` to its numerators ``gens[j]``
@@ -148,7 +149,9 @@ class ConeRecord(NamedTuple):
 
 class PairingTable(NamedTuple):
     """Integer intersection numbers of the cone generators ``C_j`` and of a
-    few extra classes ``v_k``.
+    few extra classes ``v_k``: what ``volume.volume_profile`` sweeps, for
+    its origin and direction.  The Zariski iteration reads the model's
+    ``ConeRecord`` directly and builds no table.
 
     ``scale``, ``dens``, ``gens`` and ``gram`` are the model's
     ``ConeRecord``, shared by every table of the model.  Per call, the extra
@@ -304,39 +307,50 @@ class SurfaceModel(_ModelFields):
 
     def _zariski_iteration(self, d: Vec) -> ZariskiDecomposition:
         """Grow the support by the generators P meets negatively until none is
-        left, over the integer pairing table of ``d``."""
-        table = self.pairing_table(d)
-        gram, (dc,) = table.gram, table.rows
-        support = {j for j, v in enumerate(dc) if v < 0}
+        left, over the integer pairings of ``d`` with the cone record.
+
+        ``d`` is scaled once to numerators over ``den`` and taken through the
+        form, so ``dc[j] = scale * den * dens[j] * d.C_j``; with ``gram x =
+        dc`` on a support and ``x = u / det``, ``det * dc[j] - sum_i u_i
+        gram[i][j]`` is ``det * scale * den * dens[j]`` times P.C_j.
+        """
+        if len(d) != len(self.basis):
+            raise ValueError(f"{self.name}: dimension mismatch")
+        rec = self._cone_record
+        gram, gens = rec.gram, rec.gens
+        den, nums = _integer_parts(d)
+        # the form is symmetric, so (form * nums) . gens[j] is d's pairing row
+        image = [_dot(row, nums) for row in rec.form]
+        dc = [_dot(image, g) for g in gens]
+        support = [j for j, v in enumerate(dc) if v < 0]
         for _ in range(len(dc) + 2):
-            idx = sorted(support)
             # every support grown for a pseudo-effective class is negative
             # definite (Bauer), so one swap-free elimination both solves the
             # step and certifies its block
-            sol = solve_linear([[gram[i][j] for j in idx] for i in idx], [dc[i] for i in idx],
-                               negative_definite=True) if idx else (1, [])
+            sol = solve_linear([[gram[i][j] for j in support] for i in support],
+                               [dc[i] for i in support],
+                               negative_definite=True) if support else (1, [])
             if sol is None:
                 raise ArithmeticError(
                     f"{self.name}: support Gram block not negative definite")
             det, coeffs = sol
-            # det * scale * den * dens_j * P.C_j = det * dc_j - sum_i u_i gram_ij
-            violated = {j for j, row in enumerate(gram) if j not in support
-                        and det * dc[j] < sum(u * row[i] for i, u in zip(idx, coeffs))}
+            violated = [j for j, row in enumerate(gram) if j not in support
+                        and det * dc[j] < sum(map(mul, coeffs, [row[i] for i in support]))]
             if not violated:
                 if any(u < 0 for u in coeffs):
                     raise ArithmeticError(
                         f"{self.name}: negative Zariski coefficient; cone data inconsistent")
                 # N = sum dens_i * u_i / (det * den) C_i and P = d - N
-                den = det * table.den
-                p = [det * x for x in table.classes[0]]
-                for i, u in zip(idx, coeffs):
+                den *= det
+                p = [det * x for x in nums]
+                for i, u in zip(support, coeffs):
                     if u:
-                        p = [x - u * g for x, g in zip(p, table.gens[i])]
-                negative = tuple((self.cone[i][0], Fraction(table.dens[i] * u, den))
-                                 for i, u in zip(idx, coeffs) if u)
+                        p = [x - u * g for x, g in zip(p, gens[i])]
+                negative = tuple((self.cone[i][0], Fraction(rec.dens[i] * u, den))
+                                 for i, u in zip(support, coeffs) if u)
                 return ZariskiDecomposition(
                     positive=tuple(Fraction(x, den) for x in p), negative_support=negative)
-            support |= violated
+            support = sorted(support + violated)
         raise ArithmeticError(f"{self.name}: Zariski iteration did not stabilize")
 
     # -- serialization -----------------------------------------------------

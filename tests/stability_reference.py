@@ -2,14 +2,67 @@
 ``kwall.stability`` in ``Fraction`` arithmetic, as the package computed them
 before it decided them on integers: the reference the integer decisions are
 checked against.  They read the same S-values, cached curve data and
-``polycheck`` decisions, with the rational pair ``(k1 - e*c, k2 - f*c)``."""
+``polycheck`` decisions, with the rational pair ``(k1 - e*c, k2 - f*c)``.
+
+``candidate_supports`` is ``_candidate_supports`` as it was before it
+skipped a crossing pair on a line already scanned: it builds the support of
+every crossing pair and drops repeats afterwards."""
 
 from fractions import Fraction
 
 from kwall import polycheck
 from kwall import stability as st
-from kwall.pairs import CHART_FAMILIES
+from kwall.pairs import (CHART_FAMILIES, DIVISORS, PLANES, admissible_monomials,
+                         divisor_orders)
 from kwall.volume import fixed_divisor_s, s_closed_form_coefficient, s_engine_coefficient
+
+
+def candidate_supports(surface):
+    """The candidate tuple and the number of chart supports built for it.
+    Every quarter-point test goes through ``kwall.stability``, so a counter
+    patched there counts the same calls here as in the package."""
+    found, builds = [], 0
+    monos = admissible_monomials(surface)
+    orders = {p: divisor_orders(surface, *p) for p in monos}
+    seen = set()
+    for tag in PLANES[surface].chart_tags:
+        d1, d2 = CHART_FAMILIES[tag].divisors
+        local = {p: (orders[p][d1], orders[p][d2]) for p in monos}
+        for k, p in enumerate(monos):
+            for q in monos[k + 1:]:
+                ab = st._crossing(local[p], local[q])
+                if ab is None:
+                    continue
+                a, b = ab
+                m = a * local[p][0] + b * local[p][1]
+                support = tuple(sorted(p for p in monos
+                                       if a * local[p][0] + b * local[p][1] == m))
+                builds += 1
+                if st.quarter_point_order(surface, support):
+                    continue
+                key = (tag, a, b, support)
+                if key in seen:
+                    continue
+                seen.add(key)
+                found.append(("chart", tag, a, b, m, support))
+    emitted = set()
+    for d in DIVISORS:
+        levels = {}
+        for p in monos:
+            levels.setdefault(orders[p][d], []).append(p)
+        for support in levels.values():
+            key = tuple(sorted(support))
+            if key in emitted or st.quarter_point_order(surface, support):
+                continue
+            emitted.add(key)
+            found.append(("degenerate", None, None, None, None, key))
+    for p in monos:
+        key = (p,)
+        if key in emitted or st.quarter_point_order(surface, key):
+            continue
+        emitted.add(key)
+        found.append(("single", None, None, None, None, key))
+    return tuple(found), builds
 
 
 def wall_from_chart(chart, m, source="engine"):

@@ -63,6 +63,25 @@ class TestWallsCommand:
         second = invoke("walls", "--surface", "f1", "--format", "md")
         assert first == second
 
+    def test_output_bytes_independent_of_hash_seed(self):
+        """One fresh process per ``PYTHONHASHSEED`` prints the same bytes for
+        the audited wall lists and a threshold, so no output order follows
+        the iteration order of a set or a str-keyed dict."""
+        commands = [["walls", "--surface", "all", "--audit-extra", "--format", "json"],
+                    ["threshold", "--surface", "blp114", "--curve", "z^3+y^4*x^8"]]
+        code = ("import json, sys; from kwall.cli import run\n"
+                "sys.exit(max(run(argv) for argv in json.loads(sys.argv[1])))")
+        outputs = []
+        for seed in ("0", "1"):
+            env = {k: v for k, v in os.environ.items() if k != "KWALL_ATLAS"}
+            env.update(PYTHONPATH=SRC, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                                  capture_output=True, env=env, timeout=300)
+            assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b'"audit_extra"') == 1 and b"blp114" in outputs[0]
+
     def test_approx_rejected(self, capsys):
         code, out = invoke("walls", "--surface", "f1", "--approx", "3")
         assert code == 2 and out == ""

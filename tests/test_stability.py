@@ -620,6 +620,33 @@ class TestCurveCache:
         assert len(enumerated) == 2
 
 
+@pytest.mark.parametrize("surface, builds, lines, charts",
+                         [("f1", 410, 262, 262), ("blp114", 279, 185, 29)])
+def test_candidate_supports_scan_each_line_once(monkeypatch, fresh_supports,
+                                                surface, builds, lines, charts):
+    """Skipping a crossing pair on a line already scanned keeps the
+    candidate tuple and its order, and builds one support per distinct
+    (tag, a, b, m) line instead of one per crossing pair.  Both
+    constructions test every support they build for the quarter point, and
+    so does their shared tail, so the difference of those tests is the
+    difference of the builds."""
+    import stability_reference as ref
+
+    st = fresh_supports
+    tests = []
+    quarter = st.quarter_point_order
+    monkeypatch.setattr(st, "quarter_point_order",
+                        lambda surface, support: tests.append(1) or quarter(surface, support))
+    want, ref_builds = ref.candidate_supports(surface)
+    ref_tests = len(tests)
+    got = st._candidate_supports(surface)
+    package_tests = len(tests) - ref_tests
+    assert got == want
+    assert ref_builds == builds
+    assert ref_builds - (ref_tests - package_tests) == lines
+    assert sum(kind == "chart" for kind, *_ in got) == charts
+
+
 @pytest.mark.parametrize("surface", ["f1", "blp114"])
 def test_integer_decisions_match_fraction_reference(surface):
     """``wall_from_chart``, ``_intersect`` and ``verify_semistable_at`` decide

@@ -758,6 +758,25 @@ def test_iterate_first_matches_check_first():
     assert min(seen.values()) >= 400, seen
 
 
+def test_iteration_edge_branches_match_check_first():
+    """The iteration's edge branches agree with the check-first order on
+    every fixed model and every chart model with a + b <= 12: the zero class
+    (an empty support: P = 0, no N), each negative generator C (its own
+    support: P = 0, N = C) and -K (nef: P = -K, no N)."""
+    models, negative = _models_to(12), 0
+    for m in models:
+        zero = vec(*[0] * m.rank())
+        cases = [(zero, (zero, ())), (m.anticanonical, (m.anticanonical, ()))]
+        for name, c in m.cone:
+            if m.self_intersection(c) < 0:
+                cases.append((c, (zero, ((name, F(1)),))))
+                negative += 1
+        for d, want in cases:
+            assert _outcome(_check_first_decompose, m, d) == want, (m.name, d)
+            assert _outcome(lambda m, d: m.zariski_decompose(d), m, d) == want, (m.name, d)
+    assert negative >= 2 * len(models)
+
+
 def test_cone_generators_span_the_lattice():
     """The precondition of the separator's completeness (Farkas): on every
     builtin model the generators span the lattice and the form is nondegenerate."""
