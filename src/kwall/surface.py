@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import combinations
 from math import lcm
 from operator import mul
 from types import MappingProxyType
@@ -137,7 +138,11 @@ class ConeRecord(NamedTuple):
     pseudo-effective.  On the zariski benchmark (seed 1700, 30 s, 2-vCPU VM)
     peak RSS was 26.3 MB with no record, 26.1 MB with this one, 26.7 MB with
     the images cached too, and 27.3 MB with this record but without the
-    shared small Fractions of ``vec``.
+    shared small Fractions of ``vec``.  The nef rays the scan finds are not
+    cached either: a per-model cache of them gave the same outputs but
+    raised the benchmark's peak RSS from 24.93 to 25.9 MB, and on 10 s runs
+    its ``req_p99_s`` from 139 to 201 us, since each of the 1,389 models
+    fills it on first use and those calls land in the slowest 1%.
     """
 
     scale: int
@@ -234,7 +239,8 @@ class SurfaceModel(_ModelFields):
             return self.classes[key]
         raise KeyError(f"{self.name}: no class named {key!r}")
 
-    def _separating_nef_class(self, d: Vec) -> Optional[tuple[str, Vec]]:
+    def _separating_nef_class(self, d: Vec,
+                              image: Optional[list[int]] = None) -> Optional[tuple[str, Vec]]:
         """A nef class w with w.d < 0, certifying d not pseudo-effective.
 
         The scan is complete by Farkas when the cone generators span the
@@ -244,15 +250,18 @@ class SurfaceModel(_ModelFields):
         pseudo-effective.
 
         Every sign of the scan is an integer's: image j is a positive
-        multiple of C_j.e_b over the basis, and ``form * d`` one of d.e_b, so
-        w.C_j and w.d have the signs of dot products with w's numerators.
-        The certificate alone is then checked with ``intersect``.
+        multiple of C_j.e_b over the basis, and ``image`` (d's image under
+        the form, as ``zariski_decompose`` passes it; computed when not
+        given) one of d.e_b, so w.C_j and w.d have the signs of dot products
+        with w's numerators.  The certificate alone is then checked apart
+        from the scan's data: re-scaled from its own Fractions and taken once
+        through the form, it must pair nonnegatively with every row of
+        ``rec.gens``, and one ``intersect`` must find it negative on d.
         """
-        from itertools import combinations
-
         rec = self._cone_record
+        if image is None:
+            image = _form_image(rec.form, d)
         images = _images(rec.form, rec.gens)
-        (dual,) = _images(rec.form, [_integer_parts(d)[1]])
         for subset in combinations(range(len(images)), self.rank() - 1):
             # w = sum w_b e_b solves w.C_i = 0 on the subset
             kernel = _kernel_vector([images[i] for i in subset])
@@ -260,11 +269,12 @@ class SurfaceModel(_ModelFields):
                 continue
             den, w = kernel
             # at most one of w and -w pairs negatively with d: try that one
-            side = _dot(w, dual)
+            side = _dot(w, image)
             sign = -1 if side > 0 else 1
             if side and all(sign * _dot(w, g) >= 0 for g in images):
                 cand = tuple(Fraction(sign * x, den) for x in w)
-                if (any(self.intersect(cand, c) < 0 for _, c in self.cone)
+                dual = _form_image(rec.form, cand)
+                if (any(_dot(dual, g) < 0 for g in rec.gens)
                         or self.intersect(cand, d) >= 0):
                     raise ArithmeticError(
                         f"{self.name}: separating class {fmt_vec(cand)} fails its rational check")
@@ -295,32 +305,37 @@ class SurfaceModel(_ModelFields):
         When it fails, a separating nef class proves d is not; without one
         the iteration's error stands.
         """
+        if len(d) != len(self.basis):
+            raise ValueError(f"{self.name}: dimension mismatch")
+        # _form_image(rec.form, d) written out, and the record handed on: a
+        # helper call here and a second lookup of the record in the iteration
+        # cost each decomposition about 0.4 us of 25 (in process, on the
+        # zariski benchmark's stream)
+        rec = self._cone_record
+        den, nums = _integer_parts(d)
+        image = [_dot(row, nums) for row in rec.form]
         try:
-            return self._zariski_iteration(d)
+            return self._zariski_iteration(rec, den, nums, image)
         except ArithmeticError:
-            sep = self._separating_nef_class(d)
+            sep = self._separating_nef_class(d, image)
             if sep is None:
                 raise
         raise NotPseudoEffectiveError(
             f"{self.name}: class not pseudo-effective; nef class "
             f"{sep[0]} = {fmt_vec(sep[1])} pairs negatively", sep)
 
-    def _zariski_iteration(self, d: Vec) -> ZariskiDecomposition:
+    def _zariski_iteration(self, rec: ConeRecord, den: int, nums: tuple[int, ...],
+                           image: list[int]) -> ZariskiDecomposition:
         """Grow the support by the generators P meets negatively until none is
-        left, over the integer pairings of ``d`` with the cone record.
+        left, over the integer pairings of d with the cone record ``rec``.
 
-        ``d`` is scaled once to numerators over ``den`` and taken through the
-        form, so ``dc[j] = scale * den * dens[j] * d.C_j``; with ``gram x =
-        dc`` on a support and ``x = u / det``, ``det * dc[j] - sum_i u_i
-        gram[i][j]`` is ``det * scale * den * dens[j]`` times P.C_j.
+        ``(den, nums)`` is ``_integer_parts(d)`` and ``image`` is
+        ``_form_image(rec.form, d)``, so ``dc[j] = scale * den * dens[j] *
+        d.C_j``; with ``gram x = dc`` on a support and ``x = u / det``, ``det
+        * dc[j] - sum_i u_i gram[i][j]`` is ``det * scale * den * dens[j]``
+        times P.C_j.
         """
-        if len(d) != len(self.basis):
-            raise ValueError(f"{self.name}: dimension mismatch")
-        rec = self._cone_record
         gram, gens = rec.gram, rec.gens
-        den, nums = _integer_parts(d)
-        # the form is symmetric, so (form * nums) . gens[j] is d's pairing row
-        image = [_dot(row, nums) for row in rec.form]
         dc = [_dot(image, g) for g in gens]
         support = [j for j, v in enumerate(dc) if v < 0]
         for _ in range(len(dc) + 2):
@@ -376,6 +391,14 @@ def _integer_parts(v: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     if den == 1:
         return 1, tuple([x.numerator for x in v])
     return den, tuple([x.numerator * (den // x.denominator) for x in v])
+
+
+def _form_image(form: Sequence[Sequence[int]], v: Sequence[Fraction]) -> list[int]:
+    """``form * nums`` for ``(den, nums) = _integer_parts(v)``.  The form is
+    symmetric, so the image dotted with an integer vector u is ``scale *
+    den`` times v.u."""
+    nums = _integer_parts(v)[1]
+    return [_dot(row, nums) for row in form]
 
 
 def _dot(a: Iterable[int], b: Iterable[int]) -> int:

@@ -648,6 +648,36 @@ def test_candidate_supports_scan_each_line_once(monkeypatch, fresh_supports,
 
 
 @pytest.mark.parametrize("surface", ["f1", "blp114"])
+def test_sub_support_lowers_no_chart_beta(surface):
+    """The monotonicity lemma of the wall-list argument: a sub-support has
+    every chart multiplicity at least as large as its support, so its chart
+    beta at any c in (0, 1/2) is no larger.  Seeded supports and nonempty
+    proper sub-supports of admissible monomials, every chart tag at every
+    coprime a + b <= 12."""
+    from kwall.pairs import make_curve
+
+    charts = [ChartCase(surface, tag, a, b) for tag in PLANES[surface].chart_tags
+              for a in range(1, 12) for b in range(1, 13 - a) if gcd(a, b) == 1]
+    assert len(charts) == 45 * len(PLANES[surface].chart_tags)
+    rng = random.Random(27)
+    monos = admissible_monomials(surface)
+    raised = 0
+    for _ in range(40):
+        support = rng.sample(monos, rng.randint(2, 8))
+        curve = make_curve(surface, support)
+        part = make_curve(surface, rng.sample(support, rng.randint(1, len(support) - 1)))
+        c = F(rng.randint(1, 999), 2000)
+        for chart in charts:
+            m = multiplicity(chart_expand(curve, chart), chart.a, chart.b)
+            m_part = multiplicity(chart_expand(part, chart), chart.a, chart.b)
+            assert m_part >= m, (support, part.support(), chart)
+            beta = chart_constraint(curve, chart).beta_at(c)
+            assert chart_constraint(part, chart).beta_at(c) <= beta, (support, chart, c)
+            raised += m_part > m
+    assert raised >= 2000, raised
+
+
+@pytest.mark.parametrize("surface", ["f1", "blp114"])
 def test_integer_decisions_match_fraction_reference(surface):
     """``wall_from_chart``, ``_intersect`` and ``verify_semistable_at`` decide
     on integers what their ``Fraction`` versions in ``stability_reference``

@@ -814,7 +814,9 @@ def test_one_elimination_per_support_step(monkeypatch):
         for d in (vadd(gens[0], gens[1]), m.anticanonical, effective):
             eliminations.clear()
             steps.clear()
-            m._zariski_iteration(d)
+            rec = m._cone_record
+            m._zariski_iteration(rec, *surface._integer_parts(d),
+                                 surface._form_image(rec.form, d))
             assert eliminations == [False] * len(steps), (m.name, d)
             assert steps == sorted(set(steps)), (m.name, d)
             grown += len(steps) > 1
@@ -874,3 +876,45 @@ def test_separating_class_matches_fraction_scan():
             assert err.value.separating == want
             found += 1
     assert found >= 700, found
+
+
+def test_separating_class_check_catches_a_wrong_scan(monkeypatch):
+    """The certificate is checked apart from the scan's generator images:
+    with every image negated, the scan takes -w for a nef ray w, which
+    pairs negatively with the ample -K, and the check, reading the record's
+    own form and generators, refuses it."""
+    models = [builtin_surface(i) for i in ALL_FIXED]
+    for m in models:
+        assert m._separating_nef_class(m.anticanonical) is None, m.name
+    images = surface._images
+    monkeypatch.setattr(surface, "_images",
+                        lambda form, gens: [[-x for x in g] for g in images(form, gens)])
+    for m in models:
+        with pytest.raises(ArithmeticError, match="fails its rational check"):
+            m._separating_nef_class(m.anticanonical)
+
+
+def test_one_intersect_per_rejected_class(monkeypatch):
+    """A class that is not pseudo-effective makes exactly one ``intersect``
+    call, the certificate's w.d < 0; a decomposed class makes none."""
+    calls = []
+    intersect = SurfaceModel.intersect
+
+    def count(self, d1, d2):
+        calls.append(1)
+        return intersect(self, d1, d2)
+
+    monkeypatch.setattr(SurfaceModel, "intersect", count)
+    rng = random.Random(27)
+    seen = {True: 0, False: 0}
+    for k, m in enumerate(_models_to(12)):
+        for d in _probe_classes(m, k, rng):
+            calls.clear()
+            try:
+                m.zariski_decompose(d)
+                rejected = False
+            except NotPseudoEffectiveError:
+                rejected = True
+            assert len(calls) == rejected, (m.name, d)
+            seen[rejected] += 1
+    assert min(seen.values()) >= 400, seen
