@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import __version__
 from .atlas import AtlasFormatError, bundled_atlas, diff_atlas, load_atlas
-from .exactnum import SurdSum, render_fraction, render_surd
+from .exactnum import ExactDomainError, SurdSum, render_fraction, render_surd
 from .pairs import (
     CHART_FAMILIES,
     PLANES,
@@ -514,7 +514,8 @@ def run(argv: Optional[list[str]] = None, out=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args, out)
-    except (CheckFailure, ArithmeticError) as exc:
+    except (CheckFailure, ArithmeticError, ExactDomainError) as exc:
+        # an ExactDomainError out of a command is a violated invariant, not bad input
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (UsageError, CurveSyntaxError) as exc:

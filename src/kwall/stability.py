@@ -25,14 +25,15 @@ semistability exactly; an independent piecewise check over whole r-intervals
 (:func:`verify_semistable_at`) re-derives the same answer without the dominance
 argument.
 
-Each curve's stability data is computed once per process: its toric
-constraints, each chart tag's local points and kink ratios, and the
-kink-complete threshold.  That is sound because all of it depends only on the
-immutable ``CurvePair`` (its support on its surface) and on the engine's
-S-values, which are fixed; ``_curve_cache`` holds tuples and hands out fresh
-lists.  The S-values themselves are memoized per chart (tag, a, b) in
-``volume``, the published closed forms included, and the local exponents per
-(curve, tag) in ``pairs``.
+Each curve's stability data is computed once per process, by two
+``functools.cache`` functions of the curve: ``_curve_data`` gives its toric
+constraints and each chart tag's local points and kink ratios, and
+``_kink_constraints`` the kink-weight constraints and their threshold.  That
+is sound because all of it depends only on the immutable ``CurvePair`` (its
+support on its surface) and on the engine's S-values, which are fixed; the
+caches hold tuples, and callers get fresh lists.  The S-values themselves are
+cached in ``volume`` (per chart model, per surface, and the published closed
+forms per chart), and the local exponents per (curve, tag) in ``pairs``.
 
 Every decision is made on integers: a wall candidate by the signs of
 ((a + b)q - p) and (mq - 2p) for s0 = p/q, a threshold bound -u/v as an
@@ -47,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from . import polycheck
 from .exactnum import RationalLike, SurdSum, render_fraction, render_surd
@@ -76,8 +77,6 @@ from .volume import (
     s_engine_coefficient,
     volume_profile,
 )
-
-Number = Union[int, Fraction, SurdSum]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +109,17 @@ def _verdict(beta: SurdSum) -> str:
     return "destabilizing" if s < 0 else ("critical" if s == 0 else "positive")
 
 
+def _beta_report(name: str, a0: RationalLike, m: RationalLike, s0: RationalLike | SurdSum,
+                 c, note: str = "") -> BetaReport:
+    """The report of beta(c) = a0 - m*c - s0*(1 - 2c); ``s0`` may be a surd,
+    as in the quarter-point certificate, so beta lies in its field."""
+    c = Fraction(c)
+    a = a0 - m * c
+    s = SurdSum._coerce(s0) * (1 - 2 * c)
+    beta = a - s
+    return BetaReport(name, a, s, beta, _verdict(beta), note)
+
+
 # ---------------------------------------------------------------------------
 # affine constraints in c
 
@@ -118,52 +128,41 @@ class _ConstraintFields(NamedTuple):
     name: str
     a0: RationalLike
     m: RationalLike
-    s0: Number
-    u: Number
-    v: Number
+    s0: Fraction
+    u: Fraction
+    v: Fraction
 
 
 class Constraint(_ConstraintFields):
     """One valuation: beta(c) = a0 - m*c - s0*(1 - 2c) = u + v*c.
 
-    Built from ``(name, a0, m, s0)``, which fixes ``u`` and ``v`` once.  A
-    rational ``s0`` is held as a ``Fraction``, and ``u`` and ``v`` are then
-    each one ``Fraction`` of integer numerator and denominator; only the
-    quarter-point certificate's ``s0 = 2*sqrt(2)/3`` stays a ``SurdSum``, so
-    ``u``, ``v`` and every beta lie in one quadratic field.  The sign of a
-    rational beta at a rational c is decided on integers by
+    Built from ``(name, a0, m, s0)`` with a rational ``s0``, which fixes
+    ``u`` and ``v`` once, each one ``Fraction`` of integer numerator and
+    denominator.  The sign of beta at a rational c is decided on integers by
     :meth:`beta_scaled`.  A wall of a chart valuation is solved directly by
     :func:`wall_from_chart`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name: str, a0: RationalLike, m: RationalLike, s0: Number) -> Constraint:
-        if isinstance(s0, SurdSum):
-            if not s0.is_rational():
-                return super().__new__(cls, name, a0, m, s0, a0 - s0, 2 * s0 - m)
-            s0 = s0.as_fraction()
+    def __new__(cls, name: str, a0: RationalLike, m: RationalLike, s0: Fraction) -> Constraint:
         p, q = s0.numerator, s0.denominator
         an, ad = a0.numerator, a0.denominator
         mn, md = m.numerator, m.denominator
         return super().__new__(cls, name, a0, m, s0, Fraction(an * q - p * ad, ad * q),
                                Fraction(2 * p * md - mn * q, q * md))
 
-    def beta_at(self, c) -> Number:
+    def beta_at(self, c) -> Fraction:
         return self.u + self.v * Fraction(c)
 
     def beta_scaled(self, n: int, d: int) -> int:
-        """beta(n/d) of a rational constraint (d > 0) times the positive
-        integer d*den(u)*den(v): an integer of the sign of beta."""
+        """beta(n/d) (d > 0) times the positive integer d*den(u)*den(v): an
+        integer of the sign of beta."""
         u, v = self.u, self.v
         return u.numerator * v.denominator * d + v.numerator * u.denominator * n
 
     def report(self, c, note: str = "") -> BetaReport:
-        c = Fraction(c)
-        beta = SurdSum._coerce(self.beta_at(c))
-        return BetaReport(self.name, self.a0 - self.m * c,
-                          SurdSum._coerce(self.s0) * (1 - 2 * c), beta,
-                          _verdict(beta), note)
+        return _beta_report(self.name, self.a0, self.m, self.s0, c, note)
 
 
 def _crossing(p: tuple[int, int], q: tuple[int, int]) -> Optional[tuple[int, int]]:
@@ -259,44 +258,40 @@ def _intersect(cons: Sequence[Constraint]) -> StabilityThreshold:
 class _CurveData(NamedTuple):
     toric: tuple[Constraint, ...]
     charts: dict[str, tuple[tuple[tuple[int, int], ...], tuple[Fraction, ...]]]
-    constraints: Optional[tuple[Constraint, ...]] = None  # toric, then kink charts
-    threshold: Optional[StabilityThreshold] = None  # of ``constraints``
 
 
-# per-curve stability data (module docstring); never evicted
-_curve_cache: dict[CurvePair, _CurveData] = {}
-
-
-def _curve_data(curve: CurvePair, constraints: bool = False) -> _CurveData:
+@cache
+def _curve_data(curve: CurvePair) -> _CurveData:
     """The curve's toric constraints and, per chart tag, its local points and
     kink ratios: the increasing b/a where two local exponents cross or the
     family lists a ``branch_ratios`` entry, each the weight (a, b) in lowest
-    terms.  With ``constraints`` also the kink-weight chart constraints and
-    their threshold.
+    terms.
     """
-    data = _curve_cache.get(curve)
-    if data is None:
-        mults = toric_multiplicities(curve)
-        toric = tuple(Constraint(d, 1, mults[d], s0)
-                      for d, s0 in fixed_divisor_s(curve.surface).items())
-        charts = {}
-        for tag in PLANES[curve.surface].chart_tags:
-            pts = local_points(curve, tag)
-            ratios = set(CHART_FAMILIES[tag].branch_ratios)
-            for k, p in enumerate(pts):
-                for q in pts[k + 1:]:
-                    ab = _crossing(p, q)
-                    if ab is not None:
-                        ratios.add(Fraction(ab[1], ab[0]))
-            charts[tag] = (pts, tuple(sorted(ratios)))
-        data = _curve_cache[curve] = _CurveData(toric, charts)
-    if constraints and data.threshold is None:
-        cons = data.toric + tuple(
-            chart_constraint(curve, ChartCase(curve.surface, tag, r.denominator, r.numerator))
-            for tag, (_, kinks) in data.charts.items() for r in kinks or [Fraction(1)])
-        data = _curve_cache[curve] = data._replace(constraints=cons,
-                                                   threshold=_intersect(cons))
-    return data
+    mults = toric_multiplicities(curve)
+    toric = tuple(Constraint(d, 1, mults[d], s0)
+                  for d, s0 in fixed_divisor_s(curve.surface).items())
+    charts = {}
+    for tag in PLANES[curve.surface].chart_tags:
+        pts = local_points(curve, tag)
+        ratios = set(CHART_FAMILIES[tag].branch_ratios)
+        for k, p in enumerate(pts):
+            for q in pts[k + 1:]:
+                ab = _crossing(p, q)
+                if ab is not None:
+                    ratios.add(Fraction(ab[1], ab[0]))
+        charts[tag] = (pts, tuple(sorted(ratios)))
+    return _CurveData(toric, charts)
+
+
+@cache
+def _kink_constraints(curve: CurvePair) -> tuple[tuple[Constraint, ...], StabilityThreshold]:
+    """The toric constraints, then the chart constraint at every kink weight
+    (at (1, 1) for a tag without kinks), and their threshold."""
+    data = _curve_data(curve)
+    cons = data.toric + tuple(
+        chart_constraint(curve, ChartCase(curve.surface, tag, r.denominator, r.numerator))
+        for tag, (_, kinks) in data.charts.items() for r in kinks or [Fraction(1)])
+    return cons, _intersect(cons)
 
 
 def toric_constraints(curve: CurvePair) -> list[Constraint]:
@@ -304,7 +299,7 @@ def toric_constraints(curve: CurvePair) -> list[Constraint]:
 
 
 def all_constraints(curve: CurvePair) -> list[Constraint]:
-    return list(_curve_data(curve, constraints=True).constraints)
+    return list(_kink_constraints(curve)[0])
 
 
 def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshold:
@@ -316,7 +311,7 @@ def threshold(curve: CurvePair, grid: Optional[int] = None) -> StabilityThreshol
     """
     if grid is not None and grid < 12:
         raise ValueError("grid bound must be at least 12")
-    base = _curve_data(curve, constraints=True).threshold
+    base = _kink_constraints(curve)[1]
     guarantee = "kink-complete"
     if grid is not None:
         weights = [(a, b) for a in range(1, grid) for b in range(1, grid + 1 - a)
@@ -646,5 +641,5 @@ def quotient_point_certificate(ord_f: int, c) -> BetaReport:
         raise ArithmeticError("quotient-point certificate: the engine S does not destabilize")
     note = (f"ord_F(C) = {ord_f}; engine S = {render_surd(engine.s_value)} "
             f"(profile tau = {render_surd(prof.tau)}) also destabilizes")
-    return Constraint("quarter-point:F", Fraction(1, 2), Fraction(ord_f),
-                      SurdSum.sqrt(2) * Fraction(2, 3)).report(c, note=note)
+    return _beta_report("quarter-point:F", Fraction(1, 2), Fraction(ord_f),
+                        SurdSum.sqrt(2) * Fraction(2, 3), c, note)

@@ -239,8 +239,7 @@ class SurfaceModel(_ModelFields):
             return self.classes[key]
         raise KeyError(f"{self.name}: no class named {key!r}")
 
-    def _separating_nef_class(self, d: Vec,
-                              image: Optional[list[int]] = None) -> Optional[tuple[str, Vec]]:
+    def _separating_nef_class(self, d: Vec, image: list[int]) -> Optional[tuple[str, Vec]]:
         """A nef class w with w.d < 0, certifying d not pseudo-effective.
 
         The scan is complete by Farkas when the cone generators span the
@@ -250,17 +249,16 @@ class SurfaceModel(_ModelFields):
         pseudo-effective.
 
         Every sign of the scan is an integer's: image j is a positive
-        multiple of C_j.e_b over the basis, and ``image`` (d's image under
-        the form, as ``zariski_decompose`` passes it; computed when not
-        given) one of d.e_b, so w.C_j and w.d have the signs of dot products
-        with w's numerators.  The certificate alone is then checked apart
-        from the scan's data: re-scaled from its own Fractions and taken once
-        through the form, it must pair nonnegatively with every row of
-        ``rec.gens``, and one ``intersect`` must find it negative on d.
+        multiple of C_j.e_b over the basis, and ``image`` (``rec.form`` times
+        ``nums`` for ``(den, nums) = _integer_parts(d)``, as
+        ``zariski_decompose`` passes it) one of d.e_b, so w.C_j and w.d have
+        the signs of dot products with w's numerators.  The certificate alone
+        is then checked apart from the scan's data: re-scaled from its own
+        Fractions and taken once through the form, it must pair nonnegatively
+        with every row of ``rec.gens``, and one ``intersect`` must find it
+        negative on d.
         """
         rec = self._cone_record
-        if image is None:
-            image = _form_image(rec.form, d)
         images = _images(rec.form, rec.gens)
         for subset in combinations(range(len(images)), self.rank() - 1):
             # w = sum w_b e_b solves w.C_i = 0 on the subset
@@ -273,7 +271,8 @@ class SurfaceModel(_ModelFields):
             sign = -1 if side > 0 else 1
             if side and all(sign * _dot(w, g) >= 0 for g in images):
                 cand = tuple(Fraction(sign * x, den) for x in w)
-                dual = _form_image(rec.form, cand)
+                nums = _integer_parts(cand)[1]
+                dual = [_dot(row, nums) for row in rec.form]
                 if (any(_dot(dual, g) < 0 for g in rec.gens)
                         or self.intersect(cand, d) >= 0):
                     raise ArithmeticError(
@@ -307,10 +306,10 @@ class SurfaceModel(_ModelFields):
         """
         if len(d) != len(self.basis):
             raise ValueError(f"{self.name}: dimension mismatch")
-        # _form_image(rec.form, d) written out, and the record handed on: a
-        # helper call here and a second lookup of the record in the iteration
-        # cost each decomposition about 0.4 us of 25 (in process, on the
-        # zariski benchmark's stream)
+        # the image is formed here and the record handed on: a helper call
+        # and a second lookup of the record in the iteration cost each
+        # decomposition about 0.4 us of 25 (in process, on the zariski
+        # benchmark's stream)
         rec = self._cone_record
         den, nums = _integer_parts(d)
         image = [_dot(row, nums) for row in rec.form]
@@ -330,7 +329,7 @@ class SurfaceModel(_ModelFields):
         left, over the integer pairings of d with the cone record ``rec``.
 
         ``(den, nums)`` is ``_integer_parts(d)`` and ``image`` is
-        ``_form_image(rec.form, d)``, so ``dc[j] = scale * den * dens[j] *
+        ``rec.form`` times ``nums``, so ``dc[j] = scale * den * dens[j] *
         d.C_j``; with ``gram x = dc`` on a support and ``x = u / det``, ``det
         * dc[j] - sum_i u_i gram[i][j]`` is ``det * scale * den * dens[j]``
         times P.C_j.
@@ -391,14 +390,6 @@ def _integer_parts(v: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     if den == 1:
         return 1, tuple([x.numerator for x in v])
     return den, tuple([x.numerator * (den // x.denominator) for x in v])
-
-
-def _form_image(form: Sequence[Sequence[int]], v: Sequence[Fraction]) -> list[int]:
-    """``form * nums`` for ``(den, nums) = _integer_parts(v)``.  The form is
-    symmetric, so the image dotted with an integer vector u is ``scale *
-    den`` times v.u."""
-    nums = _integer_parts(v)[1]
-    return [_dot(row, nums) for row in form]
 
 
 def _dot(a: Iterable[int], b: Iterable[int]) -> int:

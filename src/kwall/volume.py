@@ -15,7 +15,11 @@ factor stripped) are kept side by side:
 * :func:`s_closed_form_coefficient` evaluates the tabulated closed forms.
 
 The two agree on most weight branches; where they differ the engine is
-authoritative, and ``kwall sfun`` prints both values side by side.
+authoritative, and ``kwall sfun`` prints both values side by side.  Each
+S-value is computed once per process by a ``functools.cache`` on the function
+that returns it: the raw integral per chart model (model kind, a, b), so the
+chart tags of one kind share a profile, the coefficients per chart, and the
+toric-divisor table per surface.
 """
 
 from __future__ import annotations
@@ -283,22 +287,19 @@ def _segment_valid(seg: _Segment, sample: tuple[int, int]) -> bool:
 # S-functions of chart valuations
 
 
-_raw_cache: dict[tuple[str, int, int], Fraction] = {}
-
-
-def s_engine_raw(chart: ChartCase) -> Fraction:
-    """Integral of the volume profile of the chart valuation (c-independent)."""
-    key = (chart.family.model_kind, chart.a, chart.b)
-    if key not in _raw_cache:
-        _raw_cache[key] = volume_profile(builtin_surface(*key)).raw_integral
-    return _raw_cache[key]
+@cache
+def s_engine_raw(model_kind: str, a: int, b: int) -> Fraction:
+    """Integral of the volume profile of the chart model ``(model_kind, a,
+    b)`` (c-independent), computed once per model: the chart tags of one
+    model kind share it."""
+    return volume_profile(builtin_surface(model_kind, a, b)).raw_integral
 
 
 @cache
 def s_engine_coefficient(chart: ChartCase) -> Fraction:
     """S by volume integration, with the (1-2c) factor stripped; divided out
     once per chart."""
-    return s_engine_raw(chart) / DEGREE
+    return s_engine_raw(chart.family.model_kind, chart.a, chart.b) / DEGREE
 
 
 @cache
@@ -340,9 +341,7 @@ def s_closed_form_coefficient(chart: ChartCase) -> SurdSum:
 # fixed invariant divisors
 
 
-_fixed_cache: dict[str, Mapping[str, Fraction]] = {}
-
-
+@cache
 def fixed_divisor_s(surface: str) -> Mapping[str, Fraction]:
     """S-coefficients of the four toric divisors (times (1-2c)), each the
     integral of its :func:`fixed_divisor_profile` over the degree, as a
@@ -351,11 +350,7 @@ def fixed_divisor_s(surface: str) -> Mapping[str, Fraction]:
     The blown-up point is [1,0,0] throughout, so on the plane model H_x is
     the invariant line missing the center.
     """
-    if surface not in _fixed_cache:
-        profiles = {d: fixed_divisor_profile(surface, d) for d in DIVISORS}
-        _fixed_cache[surface] = MappingProxyType(
-            {d: prof.s0 for d, prof in profiles.items()})
-    return _fixed_cache[surface]
+    return MappingProxyType({d: fixed_divisor_profile(surface, d).s0 for d in DIVISORS})
 
 
 def fixed_divisor_profile(surface: str, divisor: str) -> SProfile:

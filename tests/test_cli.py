@@ -134,6 +134,20 @@ class TestZariskiCommand:
         code, text = invoke("zariski", "--surface", "f1", "--divisor=-1,0")
         assert code == 1
 
+    @pytest.mark.parametrize("argv,err", [
+        (("--surface", "f1-case2", "--a", "2", "--b", "1", "--divisor=-1,0,0"),
+         "check failed: f1-case2(2,1): class not pseudo-effective; nef class "
+         "perp(Ebar,Lbar) = (1,1/3,1) pairs negatively\n"),
+        (("--surface", "index3m", "--divisor=0,-1,0,0"),
+         "check failed: index3m: class not pseudo-effective; nef class "
+         "perp(F1,E1,E2) = (1/5,1,1,1) pairs negatively\n"),
+    ], ids=["f1-case2", "index3m"])
+    def test_rejection_names_its_certificate(self, capsys, argv, err):
+        """A class that is not pseudo-effective prints its separating nef
+        class, label and vector, as the one stderr line of exit 1."""
+        assert invoke("zariski", *argv) == (1, "")
+        assert capsys.readouterr().err == err
+
     def test_usage_error(self):
         code, _ = invoke("zariski", "--surface", "f1")
         assert code == 2
@@ -519,7 +533,8 @@ class TestCertifyProfileSurfaces:
 
     def test_certify_curve_internal_error_exits_one(self, capsys, monkeypatch):
         """An exact-arithmetic failure inside the certificate of a curve on
-        the quarter point is not a usage error: it exits 1."""
+        the quarter point is not a usage error: it exits 1 as a failed
+        check."""
         def fail(curve, c):
             raise ExactDomainError("sqrt(2) and sqrt(3) lie in different fields")
 
@@ -528,7 +543,18 @@ class TestCertifyProfileSurfaces:
                            "--c", "1/5")
         err = capsys.readouterr().err
         assert code == 1 and out == ""
-        assert err == "error: sqrt(2) and sqrt(3) lie in different fields\n"
+        assert err == "check failed: sqrt(2) and sqrt(3) lie in different fields\n"
+
+    def test_violated_invariant_is_a_failed_check(self, capsys, monkeypatch):
+        """An ``ExactDomainError`` that reaches ``cli.run`` from a command is
+        a violated invariant: one ``check failed:`` line, exit 1, no
+        traceback, nothing on stdout."""
+        def fail(args, out):
+            raise ExactDomainError("f1: profile origin class is not nef")
+
+        monkeypatch.setattr(cli, "_cmd_profile", fail)
+        assert invoke("profile", "--surface", "index3m") == (1, "")
+        assert capsys.readouterr().err == "check failed: f1: profile origin class is not nef\n"
 
     @pytest.mark.parametrize("kind", ["index3", "quotient-point"])
     def test_certificate_self_check_failure(self, capsys, monkeypatch, kind):
@@ -687,6 +713,14 @@ OUTPUT_DIGESTS = {
         (0, "77df1c1bad1e59ad7276d6bad29709863e54d0f3df745beab3af13a293a1b789"),
     "certify quotient-point --c 1/4 --curve z^2*x^4+y^4*x^8":
         (0, "06e83c5640ed2c82afc4c0031d34d73107fc43d613573a10567131d38f03b14f"),
+    "zariski --surface f1-case2 --a 2 --b 1 --divisor 7,2,3":
+        (0, "bd13b30ae7ae5138bcbb4d10cf26aacb22ee058628d2c1abf04e13cb2447c3e7"),
+    "zariski --surface f1-case2 --a 2 --b 1 --divisor 7,4,3":  # negative part 5/3 Ebar
+        (0, "178eac5ba14f85e145240e61833aac1afb85b2f1ca60a3e7dbbbf3fe4a9431a7"),
+    "zariski --surface f1-case2 --a 2 --b 1 --divisor=-1,0,0":  # not pseudo-effective
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "zariski --surface index3m --divisor=0,-1,0,0":
+        (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "hkl map":
         (0, "22bf00994ec118f8eb615c3623df60ffa586c310a1d7b2ca194be791dbc20b98"),
     "hkl cone":
@@ -715,6 +749,10 @@ def _digest_commands():
         ["profile", "--surface", "f1", "--divisor", "E", "--c", "1/5"],
         ["certify", "index3", "--c", "1/4"],
         ["certify", "quotient-point", "--c", "1/4", "--curve", "z^2*x^4+y^4*x^8"],
+        ["zariski", "--surface", "f1-case2", "--a", "2", "--b", "1", "--divisor", "7,2,3"],
+        ["zariski", "--surface", "f1-case2", "--a", "2", "--b", "1", "--divisor", "7,4,3"],
+        ["zariski", "--surface", "f1-case2", "--a", "2", "--b", "1", "--divisor=-1,0,0"],
+        ["zariski", "--surface", "index3m", "--divisor=0,-1,0,0"],
         ["hkl", "map"], ["hkl", "cone"], ["hkl", "audit"],
         ["tables", "--emit"],
         ["beta", "--surface", "f1", "--curve", "x^4*z^2+x^3*y^3",

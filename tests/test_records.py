@@ -10,7 +10,7 @@ import pytest
 
 from kwall import volume
 from kwall.atlas import bundled_atlas
-from kwall.exactnum import QuadraticPoly, SurdSum
+from kwall.exactnum import QuadraticPoly
 from kwall.pairs import ChartCase, Monomial, parse_curve
 from kwall.stability import Constraint, WallCandidate, WallRecord, threshold, toric_constraints
 from kwall.surface import builtin_surface
@@ -77,7 +77,7 @@ def test_records_differ_by_value():
 
 
 def test_constraint_holds_rational_s0_as_fraction():
-    con = Constraint("v", F(2), F(1), SurdSum.rational(F(1, 3)))
+    con = Constraint("v", F(2), F(1), F(1, 3))
     assert type(con.s0) is F and con.s0 == F(1, 3)
     assert (con.u, con.v) == (F(5, 3), F(-1, 3))
 

@@ -46,9 +46,16 @@ def volume(m, d):
     return m.self_intersection(m.zariski_decompose(d).positive)
 
 
+def form_image(m, d):
+    """d's integer image under the model's scaled form, as
+    ``zariski_decompose`` hands it to the iteration and the scan."""
+    nums = surface._integer_parts(d)[1]
+    return [surface._dot(row, nums) for row in m._cone_record.form]
+
+
 def is_pseudoeffective(m, d):
     """No nef class pairs negatively with d; the separator scan is complete."""
-    return m._separating_nef_class(d) is None
+    return m._separating_nef_class(d, form_image(m, d)) is None
 
 
 def all_models():
@@ -687,7 +694,7 @@ def _caratheodory_coordinates(m, d):
 def _check_first_decompose(m, d):
     """Zariski decomposition that decides pseudo-effectivity before iterating."""
     if _caratheodory_coordinates(m, d) is None:
-        sep = m._separating_nef_class(d)
+        sep = m._separating_nef_class(d, form_image(m, d))
         if sep is not None:
             raise NotPseudoEffectiveError(
                 f"{m.name}: class not pseudo-effective; nef class "
@@ -815,8 +822,7 @@ def test_one_elimination_per_support_step(monkeypatch):
             eliminations.clear()
             steps.clear()
             rec = m._cone_record
-            m._zariski_iteration(rec, *surface._integer_parts(d),
-                                 surface._form_image(rec.form, d))
+            m._zariski_iteration(rec, *surface._integer_parts(d), form_image(m, d))
             assert eliminations == [False] * len(steps), (m.name, d)
             assert steps == sorted(set(steps)), (m.name, d)
             grown += len(steps) > 1
@@ -870,7 +876,7 @@ def test_separating_class_matches_fraction_scan():
                 continue
             label, w = want
             assert all(_gram_pairing(m, w, c) >= 0 for c in gens) and _gram_pairing(m, w, d) < 0
-            assert m._separating_nef_class(d) == want, (m.name, d)
+            assert m._separating_nef_class(d, form_image(m, d)) == want, (m.name, d)
             with pytest.raises(NotPseudoEffectiveError) as err:
                 m.zariski_decompose(d)
             assert err.value.separating == want
@@ -885,13 +891,14 @@ def test_separating_class_check_catches_a_wrong_scan(monkeypatch):
     own form and generators, refuses it."""
     models = [builtin_surface(i) for i in ALL_FIXED]
     for m in models:
-        assert m._separating_nef_class(m.anticanonical) is None, m.name
+        assert m._separating_nef_class(m.anticanonical,
+                                       form_image(m, m.anticanonical)) is None, m.name
     images = surface._images
     monkeypatch.setattr(surface, "_images",
                         lambda form, gens: [[-x for x in g] for g in images(form, gens)])
     for m in models:
         with pytest.raises(ArithmeticError, match="fails its rational check"):
-            m._separating_nef_class(m.anticanonical)
+            m._separating_nef_class(m.anticanonical, form_image(m, m.anticanonical))
 
 
 def test_one_intersect_per_rejected_class(monkeypatch):

@@ -1,8 +1,9 @@
 """The benchmark's contract with kwall: the tracer's callables still exist,
 every span the benchmark predicts still has calls, and every output the
 benchmark checks still has its committed digest.  Also: every module-level
-definition and method in ``src/kwall`` has a caller in the package, and no
-layer restates a per-plane fact that ``pairs.PLANES`` records."""
+definition and method in ``src/kwall`` has a caller in the package, no
+layer restates a per-plane fact that ``pairs.PLANES`` records, and no module
+keeps a hand-rolled memo dict."""
 
 import ast
 import importlib
@@ -88,6 +89,33 @@ def _plane_restatements(package_dir):
 
 def test_plane_facts_live_in_the_plane_record():
     assert _plane_restatements(os.path.join(ROOT, "src", "kwall")) == []
+
+
+def _module_cache_dicts(package_dir):
+    """Module-level dict literals bound to a ``*_cache`` name: a memo the
+    module fills by hand, where ``functools.cache`` on the function it
+    serves would do."""
+    sites = []
+    for entry in sorted(os.listdir(package_dir)):
+        if not entry.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, entry), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if isinstance(node.value, (ast.Dict, ast.DictComp)):
+                sites += [f"{entry[:-3]}.{t.id}" for t in targets
+                          if isinstance(t, ast.Name) and t.id.endswith("_cache")]
+    return sites
+
+
+def test_no_module_memo_dicts():
+    assert _module_cache_dicts(os.path.join(ROOT, "src", "kwall")) == []
 
 
 def test_tracer_targets_resolve():
