@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import zlib
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -556,7 +557,9 @@ class TestLinearAlgebra:
 
     def test_inconsistent_cone_data_raises(self):
         # A^2 = B^2 = 1, A.B = -2: the Zariski iteration on B ends on the
-        # support {A, B}, whose Gram block is not negative definite
+        # support {A, B}, whose Gram block is not negative definite.  -K =
+        # A + B pairs to -1 with both generators, so it is not nef, the
+        # model keeps no -K row, and B still goes through the iteration.
         m = SurfaceModel(
             name="inconsistent", basis=("A", "B"), gram=(vec(1, -2), vec(-2, 1)),
             cone=(("A", vec(1, 0)), ("B", vec(0, 1))),
@@ -564,14 +567,18 @@ class TestLinearAlgebra:
         with pytest.raises(ArithmeticError,
                            match="^inconsistent: support Gram block not negative definite$"):
             m.zariski_decompose(vec(0, 1))
+        assert m.intersect(m.anticanonical, vec(1, 0)) == -1
+        assert m.intersect(m.anticanonical, vec(0, 1)) == -1
+        assert m._anticanonical_row is None
 
 
 class TestConeRecord:
     """The per-model integer record under every pairing table."""
 
     def test_built_once_per_model(self, monkeypatch):
-        """The first decomposition scales each generator and the class;
-        later ones on the same model scale only their class."""
+        """The first decomposition scales each generator, then -K once for
+        the model's anticanonical row, then the class; later ones on the
+        same model scale only their class."""
         m = builtin_surface("blp114-case3p", 2, 7)
         scaled = []
         original = surface._integer_parts
@@ -584,7 +591,7 @@ class TestConeRecord:
         d1 = vadd(m.anticanonical, m.cone_class("F"))
         d2 = vadd(m.cone_class("Hzbar"), m.cone_class("Ebar"))
         first = m.zariski_decompose(d1)
-        assert scaled == [c for _, c in m.cone] + [d1]
+        assert scaled == [c for _, c in m.cone] + [m.anticanonical, d1]
         scaled.clear()
         assert m.zariski_decompose(d1) == first
         m.zariski_decompose(d2)
@@ -903,25 +910,66 @@ def test_separating_class_check_catches_a_wrong_scan(monkeypatch):
 
 def test_one_intersect_per_rejected_class(monkeypatch):
     """A class that is not pseudo-effective makes exactly one ``intersect``
-    call, the certificate's w.d < 0; a decomposed class makes none."""
-    calls = []
-    intersect = SurfaceModel.intersect
+    call, the certificate's w.d < 0; a decomposed class makes none.  A
+    class that the nef -K pairs negatively is refused with no
+    ``solve_linear`` call: the Zariski iteration does not run for it."""
+    calls, solves = [], []
+    intersect, solve = SurfaceModel.intersect, surface.solve_linear
 
     def count(self, d1, d2):
         calls.append(1)
         return intersect(self, d1, d2)
 
-    monkeypatch.setattr(SurfaceModel, "intersect", count)
+    def count_solve(*args, **kw):
+        solves.append(1)
+        return solve(*args, **kw)
+
     rng = random.Random(27)
+    probes = [(m, d, intersect(m, m.anticanonical, d) < 0)
+              for k, m in enumerate(_models_to(12)) for d in _probe_classes(m, k, rng)]
+    monkeypatch.setattr(SurfaceModel, "intersect", count)
+    monkeypatch.setattr(surface, "solve_linear", count_solve)
     seen = {True: 0, False: 0}
-    for k, m in enumerate(_models_to(12)):
-        for d in _probe_classes(m, k, rng):
-            calls.clear()
-            try:
-                m.zariski_decompose(d)
-                rejected = False
-            except NotPseudoEffectiveError:
-                rejected = True
-            assert len(calls) == rejected, (m.name, d)
-            seen[rejected] += 1
+    refuted = 0
+    for m, d, negative in probes:
+        calls.clear()
+        solves.clear()
+        try:
+            m.zariski_decompose(d)
+            rejected = False
+        except NotPseudoEffectiveError:
+            rejected = True
+        assert len(calls) == rejected, (m.name, d)
+        if negative:
+            assert rejected and not solves, (m.name, d)
+            refuted += 1
+        seen[rejected] += 1
+    # both rejection paths: refuted by -K, and iterated first (such as a
+    # negated curve that -K meets in 0)
     assert min(seen.values()) >= 400, seen
+    assert refuted >= 350 and seen[True] - refuted >= 50, (seen, refuted)
+
+
+def test_every_zariski_model_has_an_anticanonical_row():
+    """-K is nef on every model the zariski benchmark builds (the 4 fixed
+    models and the 5 chart kinds at coprime a + b <= 30) by the rational
+    form, and each of them keeps the integer row ``form * k`` for it."""
+    models = _models_to(30)
+    assert len(models) == 4 + 5 * 277
+    for m in models:
+        assert all(m.intersect(m.anticanonical, c) >= 0 for _, c in m.cone), m.name
+        k = surface._integer_parts(m.anticanonical)[1]
+        row = tuple(surface._dot(r, k) for r in m._cone_record.form)
+        assert m._anticanonical_row == row, m.name
+
+
+def test_refuted_class_without_separator_raises(monkeypatch):
+    """A scan that finds no separating class for a class the nef -K pairs
+    negatively contradicts Farkas' completeness: decomposing it raises
+    ``ArithmeticError`` naming the model, and never decomposes."""
+    monkeypatch.setattr(SurfaceModel, "_separating_nef_class", lambda self, d, image: None)
+    for m in all_models():
+        with pytest.raises(ArithmeticError, match="^" + re.escape(
+                f"{m.name}: -K is nef and negative on the class, "
+                f"but no separating nef class was found") + "$"):
+            m.zariski_decompose(vscale(-1, m.anticanonical))

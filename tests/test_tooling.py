@@ -172,13 +172,19 @@ def test_outputs_match_benchmark_digests(monkeypatch):
         out = _cli_stdout(workloads.grid_argv(curve))
         assert checks.sha256(out) == digests["grid"][curve], curve
 
+    ref = digests["zariski"]
+    outs = _zariski_outputs(workloads, checks, ref["seed"], ref["count"])
+    assert checks.sha256("\n".join(outs).encode()) == ref["sha256"]
+
+
+def _zariski_outputs(workloads, checks, seed, count):
+    """The rendered outcomes of the first ``count`` zariski stream items."""
     from kwall.surface import NotPseudoEffectiveError, builtin_surface
 
-    ref = digests["zariski"]
     models = _Models(builtin_surface)
-    stream = workloads.zariski_stream(ref["seed"], models)
+    stream = workloads.zariski_stream(seed, models)
     outs = []
-    for _ in range(ref["count"]):
+    for _ in range(count):
         key, d, _ = next(stream)
         try:
             outs.append(checks.render_zariski(models[key].zariski_decompose(d)))
@@ -186,7 +192,19 @@ def test_outputs_match_benchmark_digests(monkeypatch):
             outs.append(checks.render_not_psef(exc))
         except Exception as exc:  # rendered as the benchmark child renders it
             outs.append(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-    assert checks.sha256("\n".join(outs).encode()) == ref["sha256"]
+    return outs
+
+
+def test_zariski_stream_outcomes_pinned(monkeypatch):
+    """4,000 zariski stream items at seed 1700, about 500 of them rejected,
+    render to the digest taken before the nef -K refutation skipped the
+    iteration: the same decompositions and the same certificates."""
+    workloads = _load_perfbench("workloads", monkeypatch)
+    checks = _load_perfbench("checks", monkeypatch)
+    outs = _zariski_outputs(workloads, checks, 1700, 4000)
+    assert sum(out.startswith('{"not_psef":') for out in outs) == 495
+    assert checks.sha256("\n".join(outs).encode()) == (
+        "d7fdf7e3d7564bca01adf6a254377f4e736aaa068675ee2c4eabd5ceef494520")
 
 
 def test_traced_spans_have_calls(monkeypatch, tmp_path):
