@@ -388,6 +388,34 @@ def _congruent(diag, rng):
     return [[m[i][j] for j in perm] for i in perm]
 
 
+def _eliminated_solve(rows, *rhs, negative_definite=False):
+    """``solve_linear`` by the fraction-free elimination at every size."""
+    n = len(rows)
+    aug = [list(row) + [b[r] for b in rhs] for r, row in enumerate(rows)]
+    pivots = surface._eliminate(aug, n, swap=not negative_definite)
+    if len(pivots) != n or (negative_definite and not surface._alternating(pivots)):
+        return None
+    sign = 1 if pivots[-1][1] > 0 else -1
+    return (sign * pivots[-1][1], *([sign * row[n + k] for row in aug] for k in range(len(rhs))))
+
+
+def _eliminated_kernel(rows):
+    """``_kernel_vector`` by the fraction-free elimination at every size:
+    the first free column set to the last pivot's absolute value."""
+    n = len(rows[0])
+    m = [list(r) for r in rows]
+    pivots = surface._eliminate(m, n)
+    cols = [c for c, _ in pivots]
+    free = [c for c in range(n) if c not in cols][0]
+    last = pivots[-1][1] if pivots else 1
+    sign = 1 if last > 0 else -1
+    nums = [0] * n
+    nums[free] = sign * last
+    for r, c in enumerate(cols):
+        nums[c] = -sign * m[r][free]
+    return sign * last, tuple(nums)
+
+
 class TestLinearAlgebra:
     def test_pivot_rule_equals_sylvester(self):
         rng = random.Random(20040)
@@ -542,6 +570,45 @@ class TestLinearAlgebra:
                 assert den > 0, rows
                 got = tuple(F(x, den) for x in nums)
             assert got == want, rows
+
+    def test_closed_form_solves_equal_the_elimination(self):
+        """Every 1x1 and 2x2 block with entries in -3..3, with one and with
+        two seeded right-hand sides, in both modes: ``solve_linear``'s
+        closed forms return the elimination's tuple, or None on the same
+        blocks."""
+        rng = random.Random(1968)
+        seen = {True: 0, False: 0}
+        for n in (1, 2):
+            for flat in itertools.product(range(-3, 4), repeat=n * n):
+                rows = [list(flat[r * n:(r + 1) * n]) for r in range(n)]
+                rhs = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(2)]
+                for k in (1, 2):
+                    for definite in (False, True):
+                        want = _eliminated_solve(rows, *rhs[:k], negative_definite=definite)
+                        got = solve_linear(rows, *rhs[:k], negative_definite=definite)
+                        assert got == want, (rows, rhs[:k], definite)
+                        seen[want is None] += 1
+        assert min(seen.values()) >= 1000, seen
+
+    def test_closed_form_kernels_equal_the_elimination(self):
+        """Every 1x2 row with entries in -4..4, and seeded 2x3 systems, some
+        with a zero or a dependent row: ``_kernel_vector`` returns the
+        elimination's ``(den, nums)``."""
+        systems = [[[a, b]] for a in range(-4, 5) for b in range(-4, 5)]
+        rng = random.Random(2023)
+        for case in range(2000):
+            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(2)]
+            if case % 4 == 1:  # a multiple of the other row, zero at k = 0
+                k = rng.randint(-2, 2)
+                rows[1] = [k * x for x in rows[0]]
+            elif case % 4 == 2:
+                rows[rng.randrange(2)] = [0, 0, 0]
+            systems.append(rows)
+        dependent = 0
+        for rows in systems:
+            assert _kernel_vector(rows) == _eliminated_kernel(rows), rows
+            dependent += len(surface._eliminate([list(r) for r in rows], len(rows[0]))) < len(rows)
+        assert dependent >= 900, dependent
 
     def test_cone_gram(self):
         for m in all_models():
@@ -803,10 +870,12 @@ def test_cone_generators_span_the_lattice():
 
 
 def test_one_elimination_per_support_step(monkeypatch):
-    """Each support step of the Zariski iteration is one swap-free solve, and
-    the solve's elimination is the only one: no second pass tests the final
-    block for negative definiteness."""
-    eliminations, steps = [], []
+    """Each support step of the Zariski iteration is one swap-free solve,
+    and no second pass tests the final block for negative definiteness: a
+    step of size 3 or more makes the solve's one elimination, and a smaller
+    step, solved in closed form, makes none.  Some step (on ``index3m``) has
+    size 3 or more, so the elimination's branch is covered."""
+    eliminations, steps, large = [], [], 0
     eliminate, solve = surface._eliminate, surface.solve_linear
 
     def count_eliminate(m, ncols, swap=True):
@@ -830,10 +899,11 @@ def test_one_elimination_per_support_step(monkeypatch):
             steps.clear()
             rec = m._cone_record
             m._zariski_iteration(rec, *surface._integer_parts(d), form_image(m, d))
-            assert eliminations == [False] * len(steps), (m.name, d)
+            assert eliminations == [False] * sum(k >= 3 for k in steps), (m.name, d)
             assert steps == sorted(set(steps)), (m.name, d)
             grown += len(steps) > 1
-    assert grown >= 150
+            large += len(eliminations)
+    assert grown >= 150 and large >= 1, (grown, large)
 
 
 def _reference_separating_class(m, d):
@@ -948,6 +1018,44 @@ def test_one_intersect_per_rejected_class(monkeypatch):
     # negated curve that -K meets in 0)
     assert min(seen.values()) >= 400, seen
     assert refuted >= 350 and seen[True] - refuted >= 50, (seen, refuted)
+
+
+def test_rejection_text_is_built_on_first_str(monkeypatch):
+    """On every model with a + b <= 12, each probe class that is not
+    pseudo-effective is refused with the text of the eager message, naming
+    its certificate; the vector is rendered on the first ``str()`` alone.
+    The plain-message form keeps its message."""
+    renders = []
+    fmt = surface.fmt_vec
+
+    def count(v):
+        renders.append(1)
+        return fmt(v)
+
+    monkeypatch.setattr(surface, "fmt_vec", count)
+    rng = random.Random(30)
+    rejected = 0
+    for k, m in enumerate(_models_to(12)):
+        for d in _probe_classes(m, k, rng):
+            renders.clear()
+            try:
+                m.zariski_decompose(d)
+                continue
+            except NotPseudoEffectiveError as exc:
+                err = exc
+            assert not renders, (m.name, d)
+            label, w = err.separating
+            want = (f"{m.name}: class not pseudo-effective; nef class "
+                    f"{label} = {fmt(w)} pairs negatively")
+            assert str(err) == want and str(err) == want, (m.name, d)
+            assert len(renders) == 1, (m.name, d)
+            rejected += 1
+    assert rejected >= 400, rejected
+    sep = ("perp(E)", vec(1, 0))
+    assert str(NotPseudoEffectiveError("f1: class not pseudo-effective")) \
+        == "f1: class not pseudo-effective"
+    plain = NotPseudoEffectiveError("f1: refused", sep)
+    assert str(plain) == "f1: refused" and plain.separating == sep
 
 
 def test_every_zariski_model_has_an_anticanonical_row():
